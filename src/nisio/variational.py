@@ -29,13 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
 from .errors import NonPositiveInput, ValidationError
 from .generator import DiscreteGenerator, MINIMIZE, apply_G
 from .grid import GridFunction, INTERVAL, as_grid_function
-from .perron import perron
+from .perron import noda
 from .semigroup import EvolveOptions, evolve
 
 __all__ = ["SandwichReport", "DvReport", "HjiReport", "cw_bounds",
@@ -140,6 +139,8 @@ def dv_rate(gen: DiscreteGenerator, nu, n_starts: int = 3, seed: int = 0,
     Always nonnegative; zero exactly at stationary distributions of ``L``.
     Tiny negative values from incomplete minimization are clamped to 0.
     """
+    import scipy.optimize
+
     L = _single_control_L(gen)
     LT = L.T.tocsr()
     nu = np.asarray(nu, dtype=float)
@@ -184,15 +185,16 @@ def dv_check(gen: DiscreteGenerator, seed: int = 0) -> DvReport:
 
     The candidate ``nu*`` is the normalized componentwise product of the
     right and left principal eigenvectors of ``A = L + diag(r)`` (the
-    twisted stationary measure); ``rho`` comes from the same Perron
-    solves, so the reported gap isolates the rate-function evaluation.
+    twisted stationary measure).  Both come from Noda iteration
+    (:func:`nisio.perron.noda`) on the sparse ``A`` and ``A.T``, run to
+    rounding level; ``rho`` comes from the same Perron solves, as the
+    midpoint of the Collatz-Weilandt band at the right eigenvector, so
+    the reported gap isolates the rate-function evaluation.
     """
-    L = _single_control_L(gen)
-    A = gen.mats[0].toarray()
-    c = abs(float(np.min(np.diag(A)))) + gen.r_max + 1.0
-    lam, phi = perron(A + c * np.eye(gen.size), tol=1e-13)
-    _, phi_hat = perron(A.T + c * np.eye(gen.size), tol=1e-13)
-    rho = lam - c
+    _single_control_L(gen)
+    A = gen.mats[0]
+    rho, phi = noda(A)
+    _, phi_hat = noda(A.T)
     nu = phi * phi_hat
     nu = nu / np.sum(nu)
     rate = dv_rate(gen, nu, seed=seed, extra_starts=[np.log(phi)])

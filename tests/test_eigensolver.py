@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from nisio import (
+    EigenPair,
     SolveOptions,
+    apply_G,
     build_generator,
     power_iterate,
     solve_evolution,
@@ -12,6 +14,7 @@ from nisio import (
     solve_policy_iteration,
 )
 from nisio import problems
+from nisio.errors import NoConvergence
 
 
 def test_constant_cost_exact_both_methods():
@@ -126,3 +129,46 @@ def test_solve_options_validation():
 def test_dt_override(cosine_gen):
     pair = solve_evolution(cosine_gen, SolveOptions(dt=2.0 ** -13))
     assert pair.residual <= 1e-9
+
+
+def dense_policy_root(gen, policy):
+    """Oracle: largest real eigenvalue of the dense ``A_u`` at ``policy``."""
+    rows = np.arange(gen.size)
+    a_u = np.stack([gen.mats[v].toarray() for v in range(gen.n_controls)])
+    return float(np.max(np.linalg.eigvals(a_u[policy, rows]).real))
+
+
+@pytest.mark.parametrize("spec", [problems.torus_two_control(256),
+                                  problems.interval_two_control(128)],
+                         ids=["torus_two_control_256", "interval_two_control_128"])
+def test_policy_iteration_contract(spec):
+    gen = build_generator(spec)
+    tol = SolveOptions().tol
+    pair = solve_policy_iteration(gen)
+    assert pair.residual <= tol
+    ratios = apply_G(gen, pair.phi) / pair.phi
+    assert np.min(ratios) <= pair.rho <= np.max(ratios)
+    assert abs(pair.rho - dense_policy_root(gen, pair.policy)) <= tol
+
+
+def test_policy_iteration_contract_fine_grid():
+    pair = solve_policy_iteration(build_generator(problems.torus_two_control(512)))
+    assert pair.residual <= SolveOptions().tol
+
+
+def test_policy_iteration_unreachable_tol_raises_with_best():
+    gen = build_generator(problems.torus_two_control(64))
+    with pytest.raises(NoConvergence) as info:
+        solve_policy_iteration(gen, SolveOptions(tol=1e-17))
+    best = info.value.best
+    assert isinstance(best, EigenPair)
+    assert best.method == "policy_iteration"
+    assert best.residual > 1e-17
+
+
+def test_policy_iteration_separable_2d():
+    gen = build_generator(problems.torus2d_separable(64))
+    pair = solve_policy_iteration(gen)
+    gen1 = build_generator(problems.torus_cosine(64))
+    rho1 = float(np.max(np.linalg.eigvals(gen1.mats[0].toarray()).real))
+    assert abs(pair.rho - 2.0 * rho1) <= 1e-9

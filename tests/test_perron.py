@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nisio import cw_lower, cw_upper, is_irreducible, perron
-from nisio.errors import NoConvergence, NonPositiveInput, NotIrreducible, ZeroVector
+from nisio.perron import noda
+from nisio.errors import (
+    NoConvergence,
+    NonPositiveInput,
+    NotIrreducible,
+    ValidationError,
+    ZeroVector,
+)
 
 from conftest import random_irreducible
 
@@ -95,3 +103,27 @@ def test_oracle_corpus(rng):
             v = r.uniform(0.01, 1.0, n)
             assert cw_lower(q, v) <= lam_oracle * (1 + 1e-12) + 1e-12
             assert cw_upper(q, v) >= lam_oracle * (1 - 1e-12) - 1e-12
+
+
+def test_noda_oracle_corpus():
+    """Random irreducible Metzler matrices: Noda vs dense, band at rounding."""
+    r = np.random.default_rng(1971)
+    for _ in range(50):
+        n = int(r.integers(2, 12))
+        # subtracting a diagonal keeps it Metzler; the root may take either sign
+        a = random_irreducible(r, n) - np.diag(r.uniform(0.0, 3.0, n))
+        lam_oracle = dense_perron_value(a)
+        lam, x = noda(sp.csr_matrix(a))
+        assert lam == pytest.approx(lam_oracle, abs=1e-12 * max(1.0, abs(lam_oracle)))
+        assert np.min(x) > 0 and np.max(x) == 1.0
+        ratios = (a @ x) / x
+        assert np.max(ratios) - np.min(ratios) <= 1e-12 * max(1.0, abs(lam_oracle))
+
+
+def test_noda_rejects_bad_input():
+    with pytest.raises(NotIrreducible):
+        noda(sp.csr_matrix([[-1.0, 1.0], [0.0, -1.0]]))
+    with pytest.raises(ValidationError):
+        noda(sp.csr_matrix([[-1.0, -1.0], [1.0, -1.0]]))
+    with pytest.raises(NonPositiveInput):
+        noda(sp.csr_matrix([[-1.0, 1.0], [1.0, -1.0]]), x0=np.array([1.0, 0.0]))

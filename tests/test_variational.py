@@ -152,6 +152,11 @@ def test_dv_identity(cosine_gen):
     assert rep.rho == pytest.approx(pair.rho, abs=1e-8)
 
 
+def test_dv_identity_gap_at_rounding_level():
+    rep = dv_check(build_generator(problems.torus_cosine(128)))
+    assert rep.gap <= 1e-11
+
+
 def test_dv_identity_zero_cost():
     gen = build_generator(problems.constant_cost(0.0, 64))
     rep = dv_check(gen)
