@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cone import fit_exponential_rate, power_iterate
+from .cone import fit_exponential_rate
 from .config import Config, load_config
 from .eigensolver import SolveOptions, solve_evolution, solve_max
 from .errors import (
@@ -40,7 +40,6 @@ from .grid import Grid
 from .mc import McConfig, cost_samples, policy_sweep, simulate_cost
 from .perron import cw_lower, cw_upper, perron
 from .semigroup import EvolveOptions, evolve
-from .semigroup import _step_with
 from .variational import cw_bounds, dv_check, hji_residual
 
 __all__ = ["main"]
@@ -170,12 +169,9 @@ def cmd_simulate(cfg: Config, args) -> dict:
 def cmd_orbit(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
     dt = gen.dt_max * cfg.solver.dt_factor
-    mats = gen.step_matrices(dt)
-    sense = gen.sense
-    growth, _, stats = power_iterate(
-        lambda g: _step_with(mats, g, sense), gen.grid.ones(),
-        tol=0.5 * cfg.solver.tol * dt, max_iters=cfg.solver.max_iters,
-        collect_p1=True)
+    pair = solve_evolution(
+        gen, dataclasses.replace(_solve_options(cfg), collect_p1=True))
+    stats = pair.stats
     outdir = Path(cfg.output.dir)
     if "csv" in cfg.output.formats:
         _write_csv(outdir / "orbit.csv",
@@ -190,8 +186,8 @@ def cmd_orbit(cfg: Config, args) -> dict:
         theta, r2 = fit.theta, fit.r2
     except (InsufficientData, NonPositiveEta):
         theta, r2 = None, None
-    return {"command": "orbit", "growth_per_step": growth,
-            "rho": (growth - 1.0) / dt, "dt": dt,
+    return {"command": "orbit", "growth_per_step": 1.0 + dt * pair.rho,
+            "rho": pair.rho, "dt": dt,
             "iterations": stats.n_iterations, "theta": theta, "r2": r2,
             "zeta1": stats.zeta1, "p1_min": stats.p1_min,
             "orbit_csv": "orbit.csv", **_problem_meta(cfg)}

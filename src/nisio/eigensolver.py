@@ -6,18 +6,19 @@ Two independent routes compute the pair ``(rho, phi)`` with
 * :func:`solve_evolution` runs the normalized cone iteration with one
   explicit Euler step of the semigroup as the map (the step's principal
   growth factor is ``1 + dt * rho``, and its eigenvector is ``phi``
-  itself).  The eigenvalue is read off the converged iterate as the
-  midpoint of the Collatz-Weilandt band ``[min Gphi/phi, max Gphi/phi]``,
-  which contains the true discrete eigenvalue, so the band width bounds
-  the residual.
+  itself).
 * :func:`solve_policy_iteration` alternates an eigensolve for the frozen
   policy with a greedy policy update.  The frozen-policy matrix ``A_u``
-  is taken row by row from the sparse stack of the per-control matrices,
-  and its principal pair comes from Noda's shifted inverse iteration,
-  which solves with ``s I - A_u`` at the Collatz-Weilandt upper bound
-  ``s``: a nonsingular M-matrix with a nonnegative inverse, so the whole
-  chain stays monotone-matrix-theoretic.  The final pair is certified by
-  the same band midpoint as the evolution route.
+  is taken row by row from the generator's stack of the per-control
+  matrices, and its principal pair comes from Noda's shifted inverse
+  iteration, which solves with ``s I - A_u`` at the Collatz-Weilandt
+  upper bound ``s``: a nonsingular M-matrix with a nonnegative inverse,
+  so the whole chain stays monotone-matrix-theoretic.
+
+Both routes share one certificate: one product ``stack @ phi`` gives
+``G phi`` and the policy, ``rho`` is the midpoint of the band
+``[min Gphi/phi, max Gphi/phi]``, which contains the true discrete
+eigenvalue, and the residual must not exceed ``tol``.
 
 :func:`solve_max` runs the same algorithms with the pointwise maximum
 over controls and returns the companion pair ``(beta, psi)``; for
@@ -29,23 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cone import OrbitStats, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
-from .generator import (
-    DiscreteGenerator,
-    MAXIMIZE,
-    MINIMIZE,
-    apply_G,
-    argmin_policy,
-)
+from .generator import DiscreteGenerator, MAXIMIZE, _envelope, argmin_policy
 from .grid import GridFunction
 from .perron import noda
-from .semigroup import _step_with
+from .variational import _cw_band
 
 __all__ = ["EigenPair", "SolveOptions", "solve_evolution",
            "solve_policy_iteration", "solve_max"]
+
+MAX_POLICY_ITERS = 100
+TIE_TOL = 1e-12     # keep the previous control this close to the envelope
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,6 @@ class SolveOptions:
     dt: float | None = None
     dt_factor: float = 0.9
     f0: np.ndarray | None = None
-    max_policy_iters: int = 100
-    tie_tol: float = 1e-12
     collect_p1: bool = False
 
     def __post_init__(self):
@@ -95,12 +90,12 @@ class EigenPair:
 def _finish(gen: DiscreteGenerator, phi: np.ndarray, method: str,
             stats=None, policy_iterations: int = 0) -> EigenPair:
     phi = phi / np.max(phi)
-    gphi = apply_G(gen, phi)
+    gphi, policy = _envelope(gen.stack @ phi, gen.size, gen.sense,
+                             with_arg=True)
     # midpoint of the Collatz-Weilandt band at phi; the band contains
     # the true discrete eigenvalue, so this minimizes the residual
-    ratios = gphi / phi
-    rho = 0.5 * (float(np.min(ratios)) + float(np.max(ratios)))
-    policy = argmin_policy(gen, phi)
+    lower, upper = _cw_band(gphi, phi)
+    rho = 0.5 * (lower + upper)
     residual = float(np.max(np.abs(gphi - rho * phi)))
     return EigenPair(rho=float(rho), phi=phi, policy=policy,
                      residual=residual, method=method, sense=gen.sense,
@@ -123,11 +118,10 @@ def solve_evolution(gen: DiscreteGenerator,
     if dt > gen.dt_max:
         raise ValidationError(
             f"dt = {dt:.6g} exceeds the CFL bound {gen.dt_max:.6g}")
-    mats = gen.step_matrices(dt)
-    sense = gen.sense
+    stack = gen.step_stack(dt)
 
     def one_step(g):
-        return _step_with(mats, g, sense)
+        return _envelope(stack @ g, gen.size, gen.sense)
 
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the step ratios is ~ dt * oscillation of G f / f
@@ -136,21 +130,6 @@ def solve_evolution(gen: DiscreteGenerator,
         one_step, f0, tol=power_tol, max_iters=opts.max_iters,
         collect_p1=opts.collect_p1)
     return _certified(_finish(gen, phi, "evolution", stats=stats), opts.tol)
-
-
-def _update_policy(gen: DiscreteGenerator, stack: sp.csr_matrix,
-                   phi: np.ndarray, previous: np.ndarray,
-                   tie_tol: float) -> np.ndarray:
-    stacked = (stack @ phi).reshape(gen.n_controls, gen.size)
-    if gen.sense == MINIMIZE:
-        best = np.min(stacked, axis=0)
-        greedy = np.argmin(stacked, axis=0)
-        keep = stacked[previous, np.arange(gen.size)] <= best + tie_tol
-    else:
-        best = np.max(stacked, axis=0)
-        greedy = np.argmax(stacked, axis=0)
-        keep = stacked[previous, np.arange(gen.size)] >= best - tie_tol
-    return np.where(keep, previous, greedy)
 
 
 def solve_policy_iteration(gen: DiscreteGenerator,
@@ -176,14 +155,19 @@ def solve_policy_iteration(gen: DiscreteGenerator,
     :class:`NotIrreducible`.
     """
     opts = opts or SolveOptions()
-    stack = sp.vstack(gen.mats, format="csr")
     nodes = np.arange(gen.size)
     policy = argmin_policy(gen, gen.grid.ones())
     seen = set()
     phi = gen.grid.ones()
-    for it in range(1, opts.max_policy_iters + 1):
-        _, phi = noda(stack[policy * gen.size + nodes], phi, tol=opts.tol / 10)
-        new_policy = _update_policy(gen, stack, phi, policy, opts.tie_tol)
+    for it in range(1, MAX_POLICY_ITERS + 1):
+        rows = policy * gen.size + nodes      # the rows of A_u in the stack
+        _, phi = noda(gen.stack[rows], phi, tol=opts.tol / 10)
+        products = gen.stack @ phi
+        best, greedy = _envelope(products, gen.size, gen.sense, with_arg=True)
+        current = products[rows]
+        # best is on the envelope's side of current: one tie test, either sense
+        keep = (best - TIE_TOL <= current) & (current <= best + TIE_TOL)
+        new_policy = np.where(keep, policy, greedy)
         if np.array_equal(new_policy, policy):
             return _certified(_finish(gen, phi, "policy_iteration",
                                       policy_iterations=it), opts.tol)
@@ -194,7 +178,7 @@ def solve_policy_iteration(gen: DiscreteGenerator,
                 policies=(policy, new_policy))
         policy = new_policy
     raise NoConvergence(
-        f"policy iteration did not stabilize in {opts.max_policy_iters} sweeps",
+        f"policy iteration did not stabilize in {MAX_POLICY_ITERS} sweeps",
         best=_finish(gen, phi, "policy_iteration"))
 
 

@@ -20,13 +20,17 @@ the sign-split seven-point stencil, which is monotone exactly when the
 diffusion matrix is pointwise diagonally dominant, |a12| <= min(a11, a22);
 this is validated at build time.
 
-The full discrete envelope operator is ``(G f)(x) = min_v (L_v + r_v) f(x)``
-(``max_v`` for maximization problems).
+The control family is stored once, as the CSR stack ``vstack(A_v)``.  The
+envelope operator ``(G f)(x) = min_v (L_v + r_v) f(x)`` (``max_v`` for
+maximization problems) is one product ``stack @ f`` reduced over controls
+by :func:`_envelope`; CSR row blocks keep each row's entry order, so this
+is bitwise the envelope of the separate products ``A_v @ f``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,15 +176,16 @@ class ProblemSpec:
 class DiscreteGenerator:
     """Per-control matrices ``A_v = L_v + diag(r_v)`` on a grid.
 
-    Immutable after construction (the step-matrix cache is the only
-    internal mutable state and is keyed by time step).  ``mats[v]`` is a
-    sparse CSR matrix with nonnegative off-diagonal entries whose row sums
-    equal ``r_v`` up to rounding.
+    Immutable after construction (the only internal mutable state is
+    caches: Euler stacks keyed by time step, and ``mats``).  ``stack`` is
+    the CSR matrix ``vstack(A_v)`` of shape ``(n_controls * size, size)``;
+    its row block ``mats[v]`` has nonnegative off-diagonal entries and
+    row sums equal to ``r_v`` up to rounding.
     """
 
     grid: Grid
     spec: ProblemSpec
-    mats: tuple
+    stack: sp.csr_matrix
     r_tables: np.ndarray      # (n_controls, size)
     a_table: np.ndarray       # (size, d, d)
     dt_max: float
@@ -189,7 +194,7 @@ class DiscreteGenerator:
 
     @property
     def n_controls(self) -> int:
-        return len(self.mats)
+        return len(self.r_tables)
 
     @property
     def size(self) -> int:
@@ -205,19 +210,28 @@ class DiscreteGenerator:
             raise ValidationError("sense must be 'minimize' or 'maximize'")
         return replace(self, sense=sense)
 
-    def linear_parts(self) -> tuple:
-        """Pure second/first-order operators ``L_v = A_v - diag(r_v)``."""
-        return tuple(A - sp.diags(r) for A, r in zip(self.mats, self.r_tables))
+    def _blocks(self, stack: sp.csr_matrix) -> tuple:
+        n = self.size
+        return tuple(stack[v * n:(v + 1) * n] for v in range(self.n_controls))
+
+    @cached_property
+    def mats(self) -> tuple:
+        """Per-control matrices ``A_v``, the row blocks of ``stack``."""
+        return self._blocks(self.stack)
+
+    def step_stack(self, dt: float) -> sp.csr_matrix:
+        """Stacked Euler step matrices ``vstack(I + dt A_v)`` (cached per ``dt``)."""
+        key = float(dt)
+        stack = self._step_cache.get(key)
+        if stack is None:
+            eye = sp.identity(self.size, format="csr")
+            stack = sp.vstack([eye] * self.n_controls) + dt * self.stack
+            self._step_cache[key] = stack
+        return stack
 
     def step_matrices(self, dt: float) -> tuple:
-        """Euler step matrices ``I + dt A_v`` (cached per ``dt``)."""
-        key = float(dt)
-        mats = self._step_cache.get(key)
-        if mats is None:
-            eye = sp.identity(self.size, format="csr")
-            mats = tuple((eye + dt * A).tocsr() for A in self.mats)
-            self._step_cache[key] = mats
-        return mats
+        """Euler step matrices ``I + dt A_v``, the row blocks of :meth:`step_stack`."""
+        return self._blocks(self.step_stack(dt))
 
 
 def _axis_tables(spec: ProblemSpec, nodes: np.ndarray):
@@ -278,7 +292,7 @@ def build_generator(spec: ProblemSpec) -> DiscreteGenerator:
         dt_cap = min(dt_cap, 1.0 / (-diag_min))
 
     return DiscreteGenerator(
-        grid=grid, spec=spec, mats=tuple(mats),
+        grid=grid, spec=spec, stack=sp.vstack(mats, format="csr"),
         r_tables=r, a_table=a, dt_max=dt_cap, sense=spec.sense)
 
 
@@ -376,8 +390,17 @@ def apply_linear(gen: DiscreteGenerator, v: int, f: GridFunction) -> GridFunctio
     return gen.mats[v] @ f
 
 
-def _stacked_apply(gen: DiscreteGenerator, f: GridFunction) -> np.ndarray:
-    return np.stack([A @ f for A in gen.mats])
+def _envelope(products: np.ndarray, size: int, sense: str,
+              with_arg: bool = False):
+    """Minimum over controls of stacked products such as ``stack @ f``
+    (maximum for ``sense='maximize'``), and with ``with_arg`` the index
+    attaining it, ties breaking low."""
+    products = products.reshape(-1, size)
+    if sense == MINIMIZE:
+        best = np.min(products, axis=0)
+        return (best, np.argmin(products, axis=0)) if with_arg else best
+    best = np.max(products, axis=0)
+    return (best, np.argmax(products, axis=0)) if with_arg else best
 
 
 def apply_G(gen: DiscreteGenerator, f: GridFunction) -> GridFunction:
@@ -388,10 +411,7 @@ def apply_G(gen: DiscreteGenerator, f: GridFunction) -> GridFunction:
     produces, so ``apply_G(f) <= apply_linear(v, f)`` holds exactly.
     """
     f = as_grid_function(gen.grid, f)
-    stacked = _stacked_apply(gen, f)
-    if gen.sense == MINIMIZE:
-        return np.min(stacked, axis=0)
-    return np.max(stacked, axis=0)
+    return _envelope(gen.stack @ f, gen.size, gen.sense)
 
 
 def argmin_policy(gen: DiscreteGenerator, f: GridFunction) -> np.ndarray:
@@ -400,7 +420,4 @@ def argmin_policy(gen: DiscreteGenerator, f: GridFunction) -> np.ndarray:
     For maximization problems this is the argmax of the same stack.
     """
     f = as_grid_function(gen.grid, f)
-    stacked = _stacked_apply(gen, f)
-    if gen.sense == MINIMIZE:
-        return np.argmin(stacked, axis=0)
-    return np.argmax(stacked, axis=0)
+    return _envelope(gen.stack @ f, gen.size, gen.sense, with_arg=True)[1]

@@ -1,10 +1,11 @@
 """Explicit-Euler time stepping of the dynamic-programming semigroup.
 
 One step of size ``dt`` maps ``f`` to ``f + dt * G f``, realized as the
-pointwise envelope ``min_v (I + dt A_v) f`` over the per-control Euler
-matrices.  Under the CFL bound ``dt <= gen.dt_max`` every ``I + dt A_v``
-is entrywise nonnegative, which makes the discrete evolution share the
-structural properties of the continuous semigroup *exactly*:
+pointwise envelope ``min_v (I + dt A_v) f``: one product with the stacked
+Euler matrices and one reduction over controls.  Under the CFL bound
+``dt <= gen.dt_max`` every ``I + dt A_v`` is entrywise nonnegative, which
+makes the discrete evolution share the structural properties of the
+continuous semigroup *exactly*:
 
 * monotone: ``f <= g`` implies ``step(f) <= step(g)`` entrywise,
 * positively 1-homogeneous (bit-exact for power-of-two factors),
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolation, ValidationError
-from .generator import DiscreteGenerator, MINIMIZE, apply_G
+from .generator import DiscreteGenerator, _envelope, apply_G
 from .grid import GridFunction, as_grid_function, require_positive
 
 __all__ = [
@@ -70,13 +71,6 @@ def _check_cfl(gen: DiscreteGenerator, dt: float) -> None:
             f"dt = {dt:.6g} exceeds the stability bound dt_max = {gen.dt_max:.6g}")
 
 
-def _step_with(mats, f: GridFunction, sense: str) -> GridFunction:
-    stacked = np.stack([M @ f for M in mats])
-    if sense == MINIMIZE:
-        return np.min(stacked, axis=0)
-    return np.max(stacked, axis=0)
-
-
 def step(gen: DiscreteGenerator, f: GridFunction, dt: float) -> GridFunction:
     """One explicit Euler step ``f + dt * G f``.
 
@@ -85,7 +79,7 @@ def step(gen: DiscreteGenerator, f: GridFunction, dt: float) -> GridFunction:
     """
     _check_cfl(gen, dt)
     f = as_grid_function(gen.grid, f)
-    return _step_with(gen.step_matrices(dt), f, gen.sense)
+    return _envelope(gen.step_stack(dt) @ f, gen.size, gen.sense)
 
 
 def _resolve_steps(gen: DiscreteGenerator, opts: EvolveOptions):
@@ -112,9 +106,9 @@ def evolve(gen: DiscreteGenerator, f: GridFunction, opts: EvolveOptions):
     record = opts.record_every > 0
     times, snaps = [0.0], [f.copy()]
     if n:
-        mats = gen.step_matrices(dt)
+        stack = gen.step_stack(dt)
         for k in range(1, n + 1):
-            f = _step_with(mats, f, gen.sense)
+            f = _envelope(stack @ f, gen.size, gen.sense)
             if record and (k % opts.record_every == 0 or k == n):
                 times.append(k * dt)
                 snaps.append(f.copy())

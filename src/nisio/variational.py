@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonPositiveInput, ValidationError
-from .generator import DiscreteGenerator, MINIMIZE, apply_G
+from .generator import DiscreteGenerator, _envelope, apply_G
 from .grid import GridFunction, INTERVAL, as_grid_function
 from .perron import noda
 from .semigroup import EvolveOptions, evolve
@@ -65,10 +65,13 @@ def cw_bounds(gen: DiscreteGenerator, f: GridFunction,
     f = as_grid_function(gen.grid, f)
     if np.min(f) <= 0:
         raise NonPositiveInput("f must be strictly positive")
-    ratios = apply_G(gen, f) / f
-    return SandwichReport(lower=float(np.min(ratios)),
-                          upper=float(np.max(ratios)),
-                          f_label=f_label, rho=rho)
+    return SandwichReport(*_cw_band(apply_G(gen, f), f), f_label, rho)
+
+
+def _cw_band(gf: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """Collatz-Weilandt band ``(min gf/f, max gf/f)`` of ``gf = G f``."""
+    ratios = gf / f
+    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def cw_search(gen: DiscreteGenerator, direction: str = "both",
@@ -252,6 +255,6 @@ def hji_residual(gen: DiscreteGenerator, pair) -> HjiReport:
     quad = 0.5 * np.einsum("xi,xij,xj->x", grad, gen.a_table, grad)
     linear = np.stack([(A - sp.diags(r)) @ psi + r
                        for A, r in zip(gen.mats, gen.r_tables)])
-    env = np.min(linear, axis=0) if gen.sense == MINIMIZE else np.max(linear, axis=0)
+    env = _envelope(linear, gen.size, gen.sense)
     residual = float(np.max(np.abs(env + quad - pair.rho)))
     return HjiReport(residual=residual, h=gen.grid.h, n=gen.grid.n)

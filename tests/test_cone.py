@@ -17,7 +17,7 @@ from nisio.errors import (
     NonPositiveInput,
     NonPositiveIterate,
 )
-from nisio.semigroup import _step_with
+from nisio.semigroup import step
 
 from conftest import random_irreducible
 
@@ -45,9 +45,8 @@ def test_power_iterate_flat_matrix():
 
 def test_power_iterate_from_eigenfunction(cosine_gen, cosine_pair):
     dt = cosine_gen.dt_max * 0.9
-    mats = cosine_gen.step_matrices(dt)
     growth, _, stats = power_iterate(
-        lambda g: _step_with(mats, g, "minimize"), cosine_pair.phi,
+        lambda g: step(cosine_gen, g, dt), cosine_pair.phi,
         tol=1e-8 * dt)
     assert stats.n_iterations <= 2
     assert growth == pytest.approx(1.0 + dt * cosine_pair.rho, abs=1e-12)
@@ -65,11 +64,10 @@ def test_growth_matches_perron():
 
 def test_scaling_invariance_of_iteration(cosine_gen):
     dt = cosine_gen.dt_max * 0.9
-    mats = cosine_gen.step_matrices(dt)
     f0 = np.random.default_rng(12).uniform(0.2, 1.0, cosine_gen.size)
-    step = lambda g: _step_with(mats, g, "minimize")
-    g1, fp1, s1 = power_iterate(step, f0, tol=1e-9 * dt)
-    g2, fp2, s2 = power_iterate(step, 4.0 * f0, tol=1e-9 * dt)
+    one_step = lambda g: step(cosine_gen, g, dt)
+    g1, fp1, s1 = power_iterate(one_step, f0, tol=1e-9 * dt)
+    g2, fp2, s2 = power_iterate(one_step, 4.0 * f0, tol=1e-9 * dt)
     assert np.array_equal(fp1, fp2)            # power-of-two start scaling
     assert s1.n_iterations == s2.n_iterations
     assert g1 == g2

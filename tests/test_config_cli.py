@@ -152,6 +152,16 @@ def test_cli_dv_hji_orbit_evolve(tmp_path):
     assert (out / "evolve.csv").exists()
 
 
+def test_cli_orbit_reports_certified_rho(tmp_path):
+    cfg = write_cfg(tmp_path, MINIMAL)
+    assert run_cli(["solve", cfg, "--out", tmp_path / "solve"]) == 0
+    assert run_cli(["orbit", cfg, "--out", tmp_path / "orbit"]) == 0
+    solved = read_report(tmp_path / "solve")
+    orbit = read_report(tmp_path / "orbit")
+    assert orbit["rho"] == solved["rho"]
+    assert orbit["growth_per_step"] == 1.0 + orbit["dt"] * orbit["rho"]
+
+
 def test_cli_simulate_reproducible(tmp_path):
     cfg = write_cfg(tmp_path, TWO_CONTROL)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -1,0 +1,61 @@
+"""Property tests on randomly generated problem specs."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from nisio import (
+    Grid,
+    ProblemSpec,
+    apply_G,
+    apply_linear,
+    argmin_policy,
+    build_generator,
+    step,
+)
+
+coef = st.floats(-2.0, 2.0, allow_nan=False).map(lambda c: round(c, 3))
+scale = st.floats(0.5, 1.5, allow_nan=False).map(lambda s: round(s, 3))
+
+
+@st.composite
+def specs(draw):
+    """Torus or interval, d = 1 or 2-torus, 1 to 4 controls, n <= 24."""
+    topology, d = draw(st.sampled_from(
+        [("torus", 1), ("interval", 1), ("torus", 2)]))
+    n = draw(st.integers(8, 24 if d == 1 else 12))
+    controls = draw(st.lists(st.tuples(*[coef] * d), min_size=1, max_size=4))
+    if d == 1:
+        sigma = (f"{draw(scale)} + 0.2*sin(2*pi*x1)",)
+        b = (f"v1 + {draw(coef)}*cos(2*pi*x1)",)
+        r = f"{draw(coef)}*cos(2*pi*x1) + {draw(coef)}*v1^2"
+    else:
+        # |c| <= 0.2 min(s1, s2) with s2/s1 <= 3 keeps a = sigma sigma^T
+        # diagonally dominant, |a12| <= min(a11, a22), at every node
+        s1, s2 = draw(scale), draw(scale)
+        c = round(draw(st.floats(-0.2, 0.2)) * min(s1, s2), 4)
+        sigma = (str(s1), str(c), str(c), str(s2))
+        b = ("v1", f"v2 + {draw(coef)}*sin(2*pi*x1)")
+        r = (f"{draw(coef)}*cos(2*pi*x1) + {draw(coef)}*sin(2*pi*x2)"
+             f" + {draw(coef)}*v1*v2")
+    spec = ProblemSpec(grid=Grid(topology, n=n, d=d), controls=controls,
+                       sigma=sigma, b=b, r=r)
+    return spec, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(specs())
+def test_single_envelope_matches_per_control_products(case):
+    spec, seed = case
+    base = build_generator(spec)
+    f = np.random.default_rng(seed).uniform(-1.0, 2.0, base.size)
+    nodes = np.arange(base.size)
+    dt = 0.9 * base.dt_max
+    for sense, reduce in (("minimize", np.min), ("maximize", np.max)):
+        gen = base.with_sense(sense)
+        products = np.stack([apply_linear(gen, v, f)
+                             for v in range(gen.n_controls)])
+        gf = apply_G(gen, f)
+        assert np.array_equal(gf, reduce(products, axis=0))
+        assert np.array_equal(products[argmin_policy(gen, f), nodes], gf)
+        steps = np.stack([M @ f for M in gen.step_matrices(dt)])
+        assert np.array_equal(step(gen, f, dt), reduce(steps, axis=0))
