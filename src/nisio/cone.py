@@ -5,7 +5,14 @@ positive, order-preserving, 1-homogeneous map over grid functions: one
 explicit Euler step of the envelope semigroup, a frozen-control step, or
 plain multiplication by a nonnegative matrix.  Convergence is detected
 through the oscillation of the pointwise ratios ``map(g)/g``, which also
-brackets the map's principal growth factor from below and above.
+brackets the map's principal growth factor from below and above
+(Collatz-Weilandt): the iteration stops once
+``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``.  That test costs
+``N`` logs, so each iteration first takes only the extreme ratios
+``lo``/``hi`` and runs it when ``log(hi) - log(lo)`` is within a
+rounding margin of ``tol`` -- a necessary condition, so the stopping
+iteration, and with it every iterate and statistic, is the one the
+plain test gives.
 
 Along the orbit the precise bracket is measured by the cone functionals
 
@@ -37,6 +44,12 @@ __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
            "fit_exponential_rate"]
 
 _MAX_RECORDS = 4096
+
+# Margin of the band gate in ``power_iterate``: 4 K eps with K = 16, the
+# exact power of two 2**-46.  K bounds the ulp error of numpy's float64
+# ``log`` with room (numpy's own accuracy tests hold it to 1 ulp, as libm
+# is), and the factor 4 absorbs the rounding of the gate's arithmetic.
+_GATE = 2.0 ** -46
 
 
 def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
@@ -101,7 +114,15 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
                   collect_p1: bool = False):
     """Iterate ``g <- map_fn(g)/||map_fn(g)||_inf`` until the ratio band closes.
 
-    Stops when ``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``.
+    Stops when ``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``, with
+    the logs taken by numpy as written.  An iteration costs one call of
+    ``map_fn`` and three reductions (``min`` and ``max`` of the ratios,
+    ``max`` of ``map(g)``); the ``N`` logs of the stop test are taken only
+    when ``log(max r) - log(min r)`` passes a gate that every closing band
+    passes (see the loop), so the iterates are exactly those of the plain
+    test.  ``map_fn`` must not keep its argument and write into it later:
+    the recorded iterates are references, not copies.
+
     Returns ``(growth, fixed_point, stats)`` where ``growth`` is the
     geometric mean of the normalization factors over the last quarter of
     the run (transients discarded) and ``fixed_point`` the final iterate,
@@ -119,45 +140,61 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
         raise NonPositiveInput("max_iters must be >= 1")
     g = g / np.max(g)
 
-    rec_k: list[int] = []
-    rec_g: list[np.ndarray] = []
-    rec_rho: list[float] = []
-    rec_norm: list[float] = []
+    # (k, iterate, max ratio, sup norm, sum of log sup norms before k)
+    records: list[tuple] = []
     stride = 1
     log_factors: list[float] = []
-    cumlog = [0.0]
+    cum = 0.0
     converged = False
+    gate_tol = tol * (1.0 + _GATE)
 
     k = 0
     while k < max_iters:
-        y = map_fn(g)
-        y = np.asarray(y, dtype=float)
-        if np.min(y) <= 0:
-            raise NonPositiveIterate(
-                "map produced a non-positive value from a positive iterate")
+        y = np.asarray(map_fn(g), dtype=float)
         ratios = y / g
-        log_r = np.log(ratios)
-        osc = float(np.max(log_r) - np.min(log_r))
-        s = float(np.max(y))
+        lo = ratios.min()
+        hi = ratios.max()
+        if not lo > 0:
+            # Iterates are never negative: the start f0 / max(f0) is
+            # nonnegative or all NaN after the checks above, and each later
+            # one is y / max(y) for a y that passed this check (all NaN if
+            # y has a NaN).  So lo > 0 (false for NaN) implies y > 0, and
+            # the check on y runs whenever it could fire.
+            if y.min() <= 0:
+                raise NonPositiveIterate(
+                    "map produced a non-positive value from a positive iterate")
+        else:
+            # Gate: with L = np.log(ratios) within K = 16 ulps, i.e.
+            # |L_i - ln r_i| <= K eps |ln r_i|, the indices of lo and hi give
+            #   max L - min L >= ln hi - ln lo - K eps (|ln hi| + |ln lo|),
+            # and the rounded difference is at least (1 - eps/2) times that,
+            # so "max L - min L < tol" forces
+            #   ln hi - ln lo < tol (1 + eps) + K eps (|ln hi| + |ln lo|).
+            # math.log is within one ulp, so a - b exceeds ln hi - ln lo
+            # by at most about eps (|a| + |b|), and the test below (margin
+            # 4K eps, computed with a few roundings) holds whenever the
+            # exact test can pass: it only skips iterations that the exact
+            # test would not stop at.
+            a = math.log(hi)
+            b = math.log(lo)
+            if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
+                log_r = np.log(ratios)
+                converged = bool(log_r.max() - log_r.min() < tol)
+        s = y.max()
 
         if k % stride == 0:
-            rec_k.append(k)
-            rec_g.append(g.copy())
-            rec_rho.append(float(np.max(ratios)))
-            rec_norm.append(s)
-            if len(rec_k) > _MAX_RECORDS:
-                rec_k = rec_k[::2]
-                rec_g = rec_g[::2]
-                rec_rho = rec_rho[::2]
-                rec_norm = rec_norm[::2]
+            # g itself: it is rebound below and never written in place
+            records.append((k, g, hi, s, cum))
+            if len(records) > _MAX_RECORDS:
+                records = records[::2]
                 stride *= 2
 
-        log_factors.append(math.log(s))
-        cumlog.append(cumlog[-1] + log_factors[-1])
+        log_s = math.log(s)
+        log_factors.append(log_s)
+        cum += log_s
         g = y / s
         k += 1
-        if osc < tol:
-            converged = True
+        if converged:
             break
 
     tail = log_factors[-max(1, len(log_factors) // 4):]
@@ -165,13 +202,30 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
 
     ref = g
     log_growth = math.log(growth)
-    under = np.empty(len(rec_k))
-    over = np.empty(len(rec_k))
-    for idx, (kk, gk) in enumerate(zip(rec_k, rec_g)):
-        lo, hi = alpha_bounds(gk, ref)
-        scale = math.exp(cumlog[kk] - kk * log_growth)
-        under[idx] = scale * lo
-        over[idx] = scale * hi
+    # The bracket of each record against ref, as alpha_bounds gives it:
+    # ref is checked once, the records are never negative (see the loop),
+    # and min and max are exact, so rows reduced a block at a time (about
+    # 128 kB) give the bits of one alpha_bounds call per record.
+    if ref.min() <= 0:
+        raise NonPositiveInput("reference must be strictly positive")
+    rec_k, rec_g, rec_rho, rec_norm, rec_cum = zip(*records)
+    n_rec = len(rec_g)
+    lows = np.empty(n_rec)
+    highs = np.empty(n_rec)
+    rows = max(1, 16384 // ref.size)
+    buffer = np.empty((min(rows, n_rec),) + ref.shape)
+    axes = tuple(range(1, buffer.ndim))
+    for start in range(0, n_rec, rows):
+        chunk = rec_g[start:start + rows]
+        block = buffer[:len(chunk)]
+        np.stack(chunk, out=block)
+        block /= ref
+        block.min(axis=axes, out=lows[start:start + rows])
+        block.max(axis=axes, out=highs[start:start + rows])
+    scale = np.array([math.exp(c - kk * log_growth)
+                      for kk, c in zip(rec_k, rec_cum)])
+    under = scale * lows
+    over = scale * highs
 
     p1_min = math.inf
     if collect_p1:
@@ -194,6 +248,8 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
         p1_min=None if not collect_p1 else p1_min,
     )
     if not converged:
+        log_r = np.log(ratios)
+        osc = float(log_r.max() - log_r.min())
         raise NoConvergence(
             f"power iteration did not close the ratio band within {max_iters} "
             f"iterations (last oscillation {osc:.3g})",

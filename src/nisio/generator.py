@@ -397,10 +397,10 @@ def _envelope(products: np.ndarray, size: int, sense: str,
     attaining it, ties breaking low."""
     products = products.reshape(-1, size)
     if sense == MINIMIZE:
-        best = np.min(products, axis=0)
-        return (best, np.argmin(products, axis=0)) if with_arg else best
-    best = np.max(products, axis=0)
-    return (best, np.argmax(products, axis=0)) if with_arg else best
+        best = products.min(axis=0)
+        return (best, products.argmin(axis=0)) if with_arg else best
+    best = products.max(axis=0)
+    return (best, products.argmax(axis=0)) if with_arg else best
 
 
 def apply_G(gen: DiscreteGenerator, f: GridFunction) -> GridFunction:

@@ -120,7 +120,9 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
             raise NonFiniteState("simulated state left the finite range", step=k)
         if grid.topology == INTERVAL:
             x = _reflect_interval(x, grid.extent)
-            assert x.min() >= 0.0 and x.max() <= grid.extent
+            if not (x.min() >= 0.0 and x.max() <= grid.extent):
+                raise NonFiniteState(
+                    "reflected state left [0, extent]", step=k)
         else:
             x = np.mod(x, grid.extent)
     return acc

@@ -1,18 +1,23 @@
 """Cone iteration: bracket functionals, convergence, rate extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
 from nisio import (
     OrbitStats,
     alpha_bounds,
+    build_generator,
     fit_exponential_rate,
     power_iterate,
     perron,
+    problems,
     solve_evolution,
 )
 from nisio.errors import (
     InsufficientData,
+    NoConvergence,
     NonPositiveEta,
     NonPositiveInput,
     NonPositiveIterate,
@@ -149,3 +154,231 @@ def test_p1_p2_diagnostics(cosine_gen):
     pair = solve_evolution(cosine_gen, SolveOptions(collect_p1=True, tol=1e-6))
     assert pair.stats.zeta1 >= 1.0
     assert pair.stats.p1_min is not None and pair.stats.p1_min > 0
+
+
+# ---------------------------------------------------------------------------
+# bitwise pin: the gated loop against the plain N-log loop
+# ---------------------------------------------------------------------------
+
+def _reference_power_iterate(map_fn, f0, tol=1e-12, max_iters=1_000_000,
+                             collect_p1=False):
+    """The plain loop: N logs per iteration, a copy of every record."""
+    g = np.asarray(f0, dtype=float).copy()
+    if np.min(g) <= 0:
+        raise NonPositiveInput("starting function must be strictly positive")
+    if tol <= 0:
+        raise NonPositiveInput("tol must be positive")
+    if max_iters < 1:
+        raise NonPositiveInput("max_iters must be >= 1")
+    g = g / np.max(g)
+
+    rec_k, rec_g, rec_rho, rec_norm = [], [], [], []
+    stride = 1
+    log_factors = []
+    cumlog = [0.0]
+    converged = False
+
+    k = 0
+    while k < max_iters:
+        y = map_fn(g)
+        y = np.asarray(y, dtype=float)
+        if np.min(y) <= 0:
+            raise NonPositiveIterate(
+                "map produced a non-positive value from a positive iterate")
+        ratios = y / g
+        log_r = np.log(ratios)
+        osc = float(np.max(log_r) - np.min(log_r))
+        s = float(np.max(y))
+
+        if k % stride == 0:
+            rec_k.append(k)
+            rec_g.append(g.copy())
+            rec_rho.append(float(np.max(ratios)))
+            rec_norm.append(s)
+            if len(rec_k) > 4096:
+                rec_k = rec_k[::2]
+                rec_g = rec_g[::2]
+                rec_rho = rec_rho[::2]
+                rec_norm = rec_norm[::2]
+                stride *= 2
+
+        log_factors.append(math.log(s))
+        cumlog.append(cumlog[-1] + log_factors[-1])
+        g = y / s
+        k += 1
+        if osc < tol:
+            converged = True
+            break
+
+    tail = log_factors[-max(1, len(log_factors) // 4):]
+    growth = math.exp(sum(tail) / len(tail))
+
+    ref = g
+    log_growth = math.log(growth)
+    under = np.empty(len(rec_k))
+    over = np.empty(len(rec_k))
+    for idx, (kk, gk) in enumerate(zip(rec_k, rec_g)):
+        lo, hi = alpha_bounds(gk, ref)
+        scale = math.exp(cumlog[kk] - kk * log_growth)
+        under[idx] = scale * lo
+        over[idx] = scale * hi
+
+    p1_min = math.inf
+    if collect_p1:
+        for gk in rec_g:
+            z = np.minimum(gk, ref)
+            value = float(np.max(np.abs(map_fn(ref - z))) + np.max(map_fn(z)))
+            p1_min = min(p1_min, value)
+    stats = OrbitStats(
+        iterations=np.array(rec_k, dtype=int),
+        under_alpha=under,
+        over_alpha=over,
+        eta=over - under,
+        rho_estimate=np.array(rec_rho),
+        sup_norm=np.array(rec_norm),
+        n_iterations=k,
+        converged=converged,
+        zeta1=float(np.max(ref) / np.min(ref)),
+        p1_min=None if not collect_p1 else p1_min,
+    )
+    if not converged:
+        raise NoConvergence(
+            f"power iteration did not close the ratio band within {max_iters} "
+            f"iterations (last oscillation {osc:.3g})",
+            best=(growth, ref, stats))
+    return growth, ref, stats
+
+
+def assert_same_orbit(a, b):
+    """Growth, fixed point and every OrbitStats field equal to the bit."""
+    (growth_a, ref_a, st_a), (growth_b, ref_b, st_b) = a, b
+    assert growth_a.hex() == growth_b.hex()
+    assert_same_array(ref_a, ref_b)
+    assert_same_stats(st_a, st_b)
+
+
+def assert_same_array(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert np.array_equal(x.view(np.uint8), y.view(np.uint8))
+
+
+def assert_same_stats(st_a, st_b):
+    for name in ("iterations", "under_alpha", "over_alpha", "eta",
+                 "rho_estimate", "sup_norm"):
+        assert_same_array(getattr(st_a, name), getattr(st_b, name))
+    assert st_a.n_iterations == st_b.n_iterations
+    assert st_a.converged == st_b.converged
+    assert st_a.zeta1.hex() == st_b.zeta1.hex()
+    if st_a.p1_min is None:
+        assert st_b.p1_min is None
+    else:
+        assert st_a.p1_min.hex() == st_b.p1_min.hex()
+
+
+def assert_same_run(map_fn, f0, **kw):
+    """Run both loops; equal results, or equal NoConvergence with equal best."""
+    try:
+        expected = _reference_power_iterate(map_fn, f0, **kw)
+    except NoConvergence as exc:
+        with pytest.raises(NoConvergence) as got:
+            power_iterate(map_fn, f0, **kw)
+        assert str(got.value) == str(exc)
+        assert_same_orbit(got.value.best, exc.best)
+        return got.value
+    assert_same_orbit(power_iterate(map_fn, f0, **kw), expected)
+    return expected
+
+
+def test_gated_loop_pins_euler_steps_both_senses():
+    for name, spec in problems.corpus_1d(32).items():
+        base = build_generator(spec)
+        for sense in ("minimize", "maximize"):
+            gen = base.with_sense(sense)
+            dt = 0.9 * gen.dt_max
+            growth, _, stats = assert_same_run(
+                lambda g: step(gen, g, dt), gen.grid.ones(), tol=1e-8 * dt)
+            assert stats.converged, (name, sense)
+
+
+def test_gated_loop_pins_thinned_records(corpus):
+    # the solver's tolerance: over 4097 iterations, so the records thin
+    _, gen = corpus["torus_cosine_drift"]
+    dt = 0.9 * gen.dt_max
+    _, _, stats = assert_same_run(lambda g: step(gen, g, dt),
+                                  gen.grid.ones(), tol=0.5e-9 * dt)
+    assert stats.n_iterations > 4097 and len(stats.iterations) <= 4097
+
+
+def _growth_1e3_matrix(seed, n=12):
+    q = random_irreducible(np.random.default_rng(seed), n)
+    lam, _ = perron(q, tol=1e-13)
+    return q * (1e3 / lam)
+
+
+def _band_floor(q, iters=400):
+    """Smallest log-ratio band of the plain iteration on ``q``."""
+    g = np.ones(len(q))
+    floor = math.inf
+    for _ in range(iters):
+        y = q @ g
+        log_r = np.log(y / g)
+        floor = min(floor, float(np.max(log_r) - np.min(log_r)))
+        g = y / np.max(y)
+    return floor
+
+
+def test_gated_loop_pins_matrix_near_rounding_floor():
+    # growth ~1e3: the logs are ~6.9, so their rounding is far above eps
+    # and the gate's |log hi| + |log lo| margin decides; tol a few ulps
+    # above the band's floor stops at an iteration set by rounding alone
+    for seed in range(4):
+        q = _growth_1e3_matrix(seed)
+        floor = _band_floor(q)
+        ulp = math.ulp(math.log(1e3))
+        for j in range(1, 6):
+            tol = floor + j * ulp
+            growth, _, stats = assert_same_run(
+                lambda g: q @ g, np.ones(len(q)), tol=tol, max_iters=2000)
+            assert stats.converged
+            assert growth == pytest.approx(1e3, rel=1e-9)
+
+
+def test_gated_loop_pins_where_logs_disagree():
+    # ratios whose least one numpy's log rounds above math.log: the band
+    # of numpy logs can be an ulp narrower than math.log's, and tol
+    # between the two stops the plain loop at once; a gate without margin
+    # would not
+    rng = np.random.default_rng(17)
+    for growth in (1.001, 1e3):
+        x = growth * (1.0 + rng.uniform(-1e-2, 1e-2, 100000))
+        above = x[np.log(x) > np.array([math.log(v) for v in x])]
+        for lo in above[:5]:
+            ratios = np.array([lo, lo * (1.0 + 1e-12), lo, lo * (1.0 + 2e-12)])
+            log_r = np.log(ratios)
+            tol = np.nextafter(log_r.max() - log_r.min(), np.inf)
+            _, _, stats = assert_same_run(lambda g: ratios * g, np.ones(4),
+                                          tol=tol, max_iters=50)
+            assert stats.n_iterations == 1
+
+
+def test_gated_loop_pins_collect_p1(cosine_gen):
+    dt = 0.9 * cosine_gen.dt_max
+    _, _, stats = assert_same_run(lambda g: step(cosine_gen, g, dt),
+                                  cosine_gen.grid.ones(), tol=1e-6 * dt,
+                                  collect_p1=True)
+    assert stats.p1_min is not None and stats.p1_min > 0
+
+
+def test_max_iters_exhaustion_reports_final_oscillation():
+    # stopped with the band still wide (the gate skips the log test), and
+    # with tol below the rounding floor after enough iterations to thin
+    # the records twice
+    q = _growth_1e3_matrix(7)
+    for tol, max_iters in ((1e-12, 3), (1e-300, 9000)):
+        err = assert_same_run(lambda g: q @ g, np.ones(len(q)), tol=tol,
+                              max_iters=max_iters)
+        _, _, stats = err.best
+        assert not stats.converged and stats.n_iterations == max_iters
+        assert len(stats.iterations) <= 4097
+        last = float(str(err).rsplit("oscillation ", 1)[1].rstrip(")"))
+        assert math.isfinite(last) and last >= 0.0

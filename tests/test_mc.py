@@ -15,6 +15,7 @@ from nisio import (
     solve_evolution,
 )
 from nisio.errors import NonFiniteState, ValidationError
+from nisio import mc
 from nisio.mc import cost_samples
 from nisio import problems
 
@@ -75,12 +76,28 @@ def test_worker_count_does_not_change_results(monkeypatch):
 
 
 def test_reflection_stays_in_domain():
-    # strong noise exercises the fold; the internal assertion would fire
+    # strong noise exercises the fold; the internal check would raise
     # if any state escaped [0, extent]
     spec = frozen_spec(r="x1", sigma="3")
     samples = cost_samples(spec, cfg_for(spec, N=300))
     # r = x1 in [0, 1] integrated over T = 1 from left endpoints
     assert np.all(samples >= 0.0) and np.all(samples <= 1.0)
+
+
+def test_escaped_reflection_raises_typed_error(monkeypatch):
+    # the domain check is a typed error, not an assert that python -O strips
+    fold = mc._reflect_interval
+
+    def leaky(x, extent):
+        x = fold(x, extent)
+        x[3, 0] = extent + 0.25
+        return x
+
+    monkeypatch.setattr(mc, "_reflect_interval", leaky)
+    spec = frozen_spec(sigma="3")
+    with pytest.raises(NonFiniteState) as err:
+        cost_samples(spec, cfg_for(spec))
+    assert err.value.step == 0
 
 
 def test_policy_sweep_common_random_numbers():

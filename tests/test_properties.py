@@ -1,5 +1,7 @@
 """Property tests on randomly generated problem specs."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,17 @@ from nisio import (
     apply_linear,
     argmin_policy,
     build_generator,
+    eigensolver,
+    solve_evolution,
     step,
+)
+from nisio.errors import NumericalError
+
+from test_cone import (
+    _reference_power_iterate,
+    assert_same_array,
+    assert_same_orbit,
+    assert_same_stats,
 )
 
 coef = st.floats(-2.0, 2.0, allow_nan=False).map(lambda c: round(c, 3))
@@ -59,3 +71,38 @@ def test_single_envelope_matches_per_control_products(case):
         assert np.array_equal(products[argmin_policy(gen, f), nodes], gf)
         steps = np.stack([M @ f for M in gen.step_matrices(dt)])
         assert np.array_equal(step(gen, f, dt), reduce(steps, axis=0))
+
+
+def _evolution_outcome(gen):
+    try:
+        return solve_evolution(gen)
+    except NumericalError as exc:
+        return exc
+
+
+def assert_same_pair(a, b):
+    assert a.rho.hex() == b.rho.hex() and a.residual.hex() == b.residual.hex()
+    assert_same_array(a.phi, b.phi)
+    assert_same_array(a.policy, b.policy)
+    assert_same_stats(a.stats, b.stats)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(specs())
+def test_gated_power_iteration_matches_plain_loop(case):
+    spec, _ = case
+    base = build_generator(spec)
+    for sense in ("minimize", "maximize"):
+        gen = base.with_sense(sense)
+        got = _evolution_outcome(gen)
+        with mock.patch.object(eigensolver, "power_iterate",
+                               _reference_power_iterate):
+            want = _evolution_outcome(gen)
+        assert type(got) is type(want)
+        if isinstance(want, NumericalError):
+            assert str(got) == str(want)
+            got, want = getattr(got, "best", None), getattr(want, "best", None)
+        if isinstance(want, tuple):             # from the cone iteration
+            assert_same_orbit(got, want)
+        elif want is not None:
+            assert_same_pair(got, want)
