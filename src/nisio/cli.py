@@ -37,7 +37,7 @@ from .errors import (
 )
 from .generator import build_generator
 from .grid import Grid
-from .mc import McConfig, cost_samples, policy_sweep, simulate_cost
+from .mc import McConfig, _log_mean_exp, cost_samples, policy_sweep
 from .perron import cw_lower, cw_upper, perron
 from .semigroup import EvolveOptions, evolve
 from .variational import cw_bounds, dv_check, hji_residual
@@ -137,7 +137,8 @@ def cmd_simulate(cfg: Config, args) -> dict:
     pair = solve_evolution(gen, _solve_options(cfg))
     mc_cfg = McConfig(T=cfg.mc.T, dt_sim=cfg.mc.dt_sim, N=cfg.mc.N,
                       seed=cfg.mc.seed, x0=cfg.mc_start(), policy=pair.policy)
-    est = simulate_cost(cfg.problem, mc_cfg)
+    samples = cost_samples(cfg.problem, mc_cfg)
+    est = _log_mean_exp(samples, mc_cfg)
     outdir = Path(cfg.output.dir)
     payload = {"command": "simulate", "value": est.value, "stderr": est.stderr,
                "n_effective": est.n_effective, "N": est.N, "T": est.T,
@@ -155,7 +156,6 @@ def cmd_simulate(cfg: Config, args) -> dict:
         payload["sweep_csv"] = "sweep.csv"
         payload["sweep_values"] = [e.value for e in sweep]
     if args.histogram:
-        samples = cost_samples(cfg.problem, mc_cfg)
         counts, edges = np.histogram(samples, bins=50)
         if "csv" in cfg.output.formats:
             _write_csv(outdir / "histogram.csv",

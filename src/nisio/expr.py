@@ -3,9 +3,12 @@
 Problem coefficients (drift, diffusion, running cost) are given in config
 files as small arithmetic expressions over the space variables ``x1..xd``
 and control components ``v1..vm``.  This module parses such expressions
-into an immutable syntax tree and evaluates the tree on scalar or numpy
-array bindings, so the same expression serves both table construction on
-a grid and vectorized evaluation along simulated paths.
+into an immutable syntax tree.  The first evaluation of a tree compiles it
+into one flat Python function, cached on the tree, that runs the numpy
+operations of a post-order walk in the same order, so values and errors
+are exactly those of walking the tree.  Evaluation works on scalar or
+numpy array bindings, so the same expression serves both table
+construction on a grid and vectorized evaluation along simulated paths.
 
 Grammar (precedence low to high, ``^`` is right-associative)::
 
@@ -20,7 +23,8 @@ more).  Known constants: pi, e.  Any other bare name is a free variable
 to be supplied at evaluation time.  Unary minus binds tighter than ``*``
 and ``/`` but looser than ``^``, so ``-x1^2`` means ``-(x1^2)``.
 
-Trees are immutable after construction and safe to evaluate concurrently.
+Trees are immutable after construction (the cached code aside) and safe
+to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ _PREC_ATOM = 100
 class Expr:
     """Base class of expression nodes.  Instances are immutable."""
 
+    # the compiled evaluator, set on first evaluation (see ``_compile``)
+    __slots__ = ("_code",)
 
     def variables(self) -> set[str]:
         """Free variable names of the expression."""
@@ -262,7 +268,7 @@ def parse(source: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each tree is compiled once into one flat Python function
 # ---------------------------------------------------------------------------
 
 def evaluate(expr: Expr, bindings: dict):
@@ -274,8 +280,12 @@ def evaluate(expr: Expr, bindings: dict):
     non-finite results raise :class:`EvalError`; the coefficient tables
     built from expressions must be finite.
     """
+    try:
+        code = expr._code
+    except AttributeError:
+        code = _compile(expr)
     with np.errstate(all="ignore"):
-        result = _eval(expr, bindings)
+        result = code(bindings)
     if np.ndim(result) == 0:
         result = float(result)
         if not math.isfinite(result):
@@ -287,51 +297,82 @@ def evaluate(expr: Expr, bindings: dict):
     return result
 
 
-def _eval(node: Expr, env: dict):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariable(
-                f"variable {node.name!r} is not bound") from None
-    if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, Bin):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(right == 0):
-                raise EvalError(f"division by zero at offset {node.offset}")
-            return left / right
-        if node.op == "^":
-            return np.power(left, right)
-        raise AssertionError(node.op)
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        if node.func == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if node.func == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-        if node.func == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise EvalError(
-                    f"log of non-positive value at offset {node.offset}")
-        return _FUNCTIONS[node.func](args[0])
-    raise AssertionError(type(node))
+_RUNTIME = {
+    "_any": np.any, "_asarray": np.asarray, "_power": np.power,
+    "_minimum": np.minimum, "_maximum": np.maximum,
+    "EvalError": EvalError, "UnboundVariable": UnboundVariable,
+}
+
+
+def _compile(expr: Expr):
+    """Compile ``expr`` into ``code(env)``, cache it on the tree, return it.
+
+    The body is the post-order walk of the tree written out as straight-line
+    statements, one per node: the same numpy calls on the same operands in
+    the same order, with each domain check just before the operation it
+    guards, so values, errors and their order are those of a recursive walk.
+    Literals are bound as globals of the function and keep their exact
+    value; the source holds only fixed templates, temporaries, known
+    function names and ``repr``'d strings.  Compiling is idempotent, so
+    threads racing on the first call of a tree at worst compile it twice.
+    """
+    lines: list[str] = []
+    names = dict(_RUNTIME)
+
+    def assign(rhs: str) -> str:
+        out = f"t{len(lines)}"
+        lines.append(f"{out} = {rhs}")
+        return out
+
+    def check(test: str, message: str) -> None:
+        lines.append(f"if {test}: raise EvalError({message!r})")
+
+    def emit(node: Expr) -> str:
+        """Append the statements computing ``node``; return its name."""
+        if isinstance(node, Num):
+            name = f"c{len(names)}"
+            names[name] = node.value
+            return name
+        if isinstance(node, Var):
+            return assign(f"env[{node.name!r}]")
+        if isinstance(node, Neg):
+            return assign(f"-{emit(node.operand)}")
+        if isinstance(node, Bin):
+            left, right = emit(node.left), emit(node.right)
+            if node.op in ("+", "-", "*"):
+                return assign(f"{left} {node.op} {right}")
+            if node.op == "/":
+                check(f"_any({right} == 0)",
+                      f"division by zero at offset {node.offset}")
+                return assign(f"{left} / {right}")
+            if node.op == "^":
+                return assign(f"_power({left}, {right})")
+            raise AssertionError(node.op)
+        if isinstance(node, Call):
+            args = [emit(a) for a in node.args]
+            if node.func in ("min", "max"):
+                out = args[0]
+                for a in args[1:]:
+                    out = assign(f"_{node.func}imum({out}, {a})")
+                return out
+            if node.func == "log":
+                check(f"_any(_asarray({args[0]}) <= 0)",
+                      f"log of non-positive value at offset {node.offset}")
+            names[f"_{node.func}"] = _FUNCTIONS[node.func]
+            return assign(f"_{node.func}({args[0]})")
+        raise AssertionError(type(node))
+
+    result = emit(expr)
+    body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
+    source = ("def code(env):\n    try:\n" + body
+              + "    except KeyError as err:\n"
+              "        raise UnboundVariable("
+              "f'variable {err.args[0]!r} is not bound') from None\n"
+              f"    return {result}\n")
+    exec(compile(source, "<nisio.expr>", "exec"), names)
+    code = names["code"]
+    object.__setattr__(expr, "_code", code)
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import jsonschema
 
 from nisio.cli import main
 from nisio.config import loads
+from nisio import mc
 from nisio.errors import ConfigError, ValidationError
 
 SCHEMA = json.load(open("schema/report.schema.json"))
@@ -171,6 +172,26 @@ def test_cli_simulate_reproducible(tmp_path):
     assert p1 == p2                            # identical numeric outputs
     assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
     assert p1["value"] >= p1["rho"] - 0.3      # loose sanity at small T/N
+
+
+def test_cli_simulate_histogram_reuses_samples(tmp_path, monkeypatch):
+    chunks = []
+    simulate = mc._simulate_chunk
+    monkeypatch.setattr(mc, "_simulate_chunk",
+                        lambda *args: chunks.append(args) or simulate(*args))
+    cfg = write_cfg(tmp_path, TWO_CONTROL)
+    plain, hist = tmp_path / "plain", tmp_path / "hist"
+    assert run_cli(["simulate", cfg, "--out", plain]) == 0
+    assert run_cli(["simulate", cfg, "--histogram", "--out", hist]) == 0
+    assert len(chunks) == 2                 # one 400-path chunk per run
+    p, h = read_report(plain), read_report(hist)
+    assert h["histogram_csv"] == "histogram.csv"
+    for key in ("value", "stderr"):
+        assert json.dumps(h[key]) == json.dumps(p[key])
+    rows = (hist / "histogram.csv").read_text().splitlines()[1:]
+    assert len(rows) == 50
+    assert sum(int(row.split(",")[2]) for row in rows) == loads(
+        open(cfg).read()).mc.N
 
 
 def test_cli_overrides(tmp_path):
