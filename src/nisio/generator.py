@@ -139,21 +139,29 @@ class ProblemSpec:
         v = np.asarray(v, dtype=float)
         return {f"v{i+1}": v[..., i] for i in range(self.m)}
 
+    def sigma_entries(self) -> tuple:
+        """``(expr, places)`` for each expression of ``sigma``, in order.
+
+        ``places`` are the ``(i, j)`` entries of the dispersion matrix that
+        take the expression's value: the whole diagonal for a single
+        expression (``sigma * I``), one entry each for a row-major d x d
+        tuple.  Every other entry is zero.
+        """
+        d = self.grid.d
+        if len(self.sigma) == 1:
+            return ((self.sigma[0], tuple((i, i) for i in range(d))),)
+        return tuple((e, ((k // d, k % d),)) for k, e in enumerate(self.sigma))
+
     def sigma_at(self, x: np.ndarray) -> np.ndarray:
         """Dispersion matrix at coordinates ``x``: shape ``(..., d, d)``."""
         env = self.x_bindings(x)
         d = self.grid.d
         base = np.zeros(np.shape(x)[:-1])
-        if len(self.sigma) == 1:
-            s = evaluate(self.sigma[0], env) + base
-            out = np.zeros(base.shape + (d, d))
-            for i in range(d):
-                out[..., i, i] = s
-            return out
-        out = np.empty(base.shape + (d, d))
-        for i in range(d):
-            for j in range(d):
-                out[..., i, j] = evaluate(self.sigma[i * d + j], env) + base
+        out = np.zeros(base.shape + (d, d))
+        for e, places in self.sigma_entries():
+            s = evaluate(e, env) + base
+            for i, j in places:
+                out[..., i, j] = s
         return out
 
     def a_at(self, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ convention of the Euler step.
 Each chunk sets up its work once: the control of every grid node (one
 gather per step then finds a path's control), one bindings dict holding
 views of the state and control buffers, and preallocated buffers that the
-step updates in place.  The step computes the plain formula
+step updates in place (the dispersion matrix takes the entries that
+``ProblemSpec.sigma_entries`` names).  The step computes the plain formula
 ``x + b dt + sqrt(dt) sigma dW`` with the same floating-point operations in
 the same order, so its bits do not depend on the buffering.  A coefficient
 without free variables, such as a constant ``sigma``, is evaluated at the
@@ -93,8 +94,7 @@ def _nearest_node(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
     grid = spec.grid
     idx = np.rint(x / grid.h).astype(np.int64)
     if grid.topology == INTERVAL:
-        np.maximum(idx, 0, out=idx)         # np.clip, without its wrapper
-        np.minimum(idx, grid.n - 1, out=idx)
+        np.clip(idx, 0, grid.n - 1, out=idx)
     else:
         idx %= grid.n
     if grid.d == 1:
@@ -102,25 +102,10 @@ def _nearest_node(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return idx[:, 0] * grid.n + idx[:, 1]
 
 
-def _wrap(x: np.ndarray, period: float, out: np.ndarray) -> np.ndarray:
-    """``np.mod(x, period, out=out)`` for ``period > 0``, bit for bit.
-
-    numpy's float remainder is C ``fmod``, which is exact, plus ``period``
-    where that is negative, with a zero result made +0.0.  The same three
-    steps as ufuncs take about half the time of ``np.mod``.
-    """
-    np.fmod(x, period, out=out)
-    np.add(out, period, out=out, where=out < 0)
-    out += 0.0
-    return out
-
-
 def _reflect_interval(x: np.ndarray, extent: float) -> np.ndarray:
     """Fold positions back into [0, extent] (handles any overshoot)."""
-    m = _wrap(x, 2.0 * extent, np.empty_like(x))
-    m -= extent
-    np.abs(m, out=m)
-    return np.subtract(extent, m, out=m)
+    m = np.mod(x, 2.0 * extent)
+    return extent - np.abs(m - extent)
 
 
 def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
@@ -140,36 +125,30 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     r = np.empty(n_paths)
     r_dt = np.empty(n_paths)
     b = np.empty((n_paths, d))
-    full = len(spec.sigma) > 1
-    sig = np.empty((n_paths, d, d) if full else n_paths)
+    sig = np.zeros((n_paths, d, d))
     noise = np.empty((n_paths, d))
     step = np.empty((n_paths, d))
     diffusion = np.empty((n_paths, d))
 
     # Coefficients in the order the step evaluates them, each with the
-    # buffer for its value; one without free variables is evaluated at step
+    # views its value fills; one without free variables is evaluated at step
     # 0 only.  Adding 0.0 turns -0.0 into +0.0, as the zero bases of
     # ``ProblemSpec.r_at``, ``b_at`` and ``sigma_at`` do.
-    coefficients = [(spec.r, r)] + [(e, b[:, i]) for i, e in enumerate(spec.b)]
-    if full:
-        coefficients += [(e, sig[:, j // d, j % d])
-                         for j, e in enumerate(spec.sigma)]
-    else:
-        coefficients.append((spec.sigma[0], sig))
-    varying = [(e, out) for e, out in coefficients if e.variables()]
+    coefficients = [(spec.r, (r,))] + [(e, (b[:, i],))
+                                       for i, e in enumerate(spec.b)]
+    coefficients += [(e, tuple(sig[:, i, j] for i, j in places))
+                     for e, places in spec.sigma_entries()]
+    varying = [(e, outs) for e, outs in coefficients if e.variables()]
     for k in range(n_steps):
         np.take(node_controls, _nearest_node(spec, x), axis=0, out=v)
-        for e, out in coefficients if k == 0 else varying:
-            np.add(evaluate(e, env), 0.0, out=out)
+        for e, outs in coefficients if k == 0 else varying:
+            value = evaluate(e, env)
+            for out in outs:
+                np.add(value, 0.0, out=out)
         acc += np.multiply(r, dt, out=r_dt)
         np.multiply(b, dt, out=step)
         rng.standard_normal(out=noise)
-        if full:
-            np.einsum("pij,pj->pi", sig, noise, out=diffusion)
-        else:
-            # the einsum over diag(sigma): its sum starts from +0.0
-            np.multiply(sig[:, None], noise, out=diffusion)
-            diffusion += 0.0
+        np.einsum("pij,pj->pi", sig, noise, out=diffusion)
         diffusion *= sqrt_dt
         x += step
         x += diffusion
@@ -181,7 +160,7 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                 raise NonFiniteState(
                     "reflected state left [0, extent]", step=k)
         else:
-            _wrap(x, grid.extent, x)
+            np.mod(x, grid.extent, out=x)
     return acc
 
 

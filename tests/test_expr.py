@@ -183,69 +183,6 @@ def test_negative_literal_roundtrip():
 # the compiled evaluator against the recursive tree walk it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_evaluate(expr, bindings: dict):
-    """The recursive-walk ``evaluate`` that compiled evaluation replaced."""
-    with np.errstate(all="ignore"):
-        result = _reference_eval(expr, bindings)
-    if np.ndim(result) == 0:
-        result = float(result)
-        if not math.isfinite(result):
-            raise EvalError(f"non-finite result from {to_source(expr)!r}")
-        return result
-    result = np.asarray(result, dtype=float)
-    if not np.isfinite(result).all():
-        raise EvalError(f"non-finite result from {to_source(expr)!r}")
-    return result
-
-
-def _reference_eval(node, env: dict):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariable(
-                f"variable {node.name!r} is not bound") from None
-    if isinstance(node, Neg):
-        return -_reference_eval(node.operand, env)
-    if isinstance(node, Bin):
-        left = _reference_eval(node.left, env)
-        right = _reference_eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if np.any(right == 0):
-                raise EvalError(f"division by zero at offset {node.offset}")
-            return left / right
-        if node.op == "^":
-            return np.power(left, right)
-        raise AssertionError(node.op)
-    if isinstance(node, Call):
-        args = [_reference_eval(a, env) for a in node.args]
-        if node.func == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if node.func == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-        if node.func == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise EvalError(
-                    f"log of non-positive value at offset {node.offset}")
-        return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-                "abs": np.abs, "tanh": np.tanh}[node.func](args[0])
-    raise AssertionError(type(node))
-
-
 def _outcome(fn, tree, bindings):
     """Result bytes (with type and shape), or the error's type and text."""
     try:
@@ -259,7 +196,7 @@ _FAILURES = ("division by zero", "log of non-positive value",
              "non-finite result", "variable")
 
 
-def test_compiled_evaluation_matches_tree_walk():
+def test_compiled_evaluation_matches_tree_walk(reference_evaluate):
     r = random.Random(2718)
     seen = Counter()
     for _ in range(1000):
@@ -269,7 +206,7 @@ def test_compiled_evaluation_matches_tree_walk():
         array = {v: np.array([r.uniform(-2.0, 2.0) for _ in range(5)]
                              + [r.choice([0.0, -0.0, -1.0])]) for v in names}
         for bindings in (scalar, array):
-            expected = _outcome(_reference_evaluate, tree, bindings)
+            expected = _outcome(reference_evaluate, tree, bindings)
             assert _outcome(evaluate, tree, bindings) == expected, to_source(tree)
             assert _outcome(evaluate, tree, bindings) == expected   # cached
             if isinstance(expected[1], str):           # an error's text
@@ -279,7 +216,7 @@ def test_compiled_evaluation_matches_tree_walk():
     assert set(seen) == {"ok", *_FAILURES} and seen["ok"] > 1000
 
 
-def test_compiled_evaluation_errors_match_tree_walk():
+def test_compiled_evaluation_errors_match_tree_walk(reference_evaluate):
     cases = [("1/(x1 - x1)", {"x1": 0.5}), ("x1/0", {"x1": np.ones(3)}),
              ("log(x1) + y", {"x1": 0.0}), ("y + log(x1)", {"x1": 0.0}),
              ("log(x1 - 1)", {"x1": np.array([2.0, 1.0])}),
@@ -287,12 +224,12 @@ def test_compiled_evaluation_errors_match_tree_walk():
              ("min(x1, y, 1/0)", {"x1": 1.0}), ("1/0", {})]
     for src, bindings in cases:
         tree = parse(src)
-        expected = _outcome(_reference_evaluate, tree, bindings)
+        expected = _outcome(reference_evaluate, tree, bindings)
         assert expected[0] in (EvalError, UnboundVariable)
         assert _outcome(evaluate, tree, bindings) == expected, src
 
 
-def test_compiled_evaluation_is_thread_safe():
+def test_compiled_evaluation_is_thread_safe(reference_evaluate):
     sources = ["cos(2*pi*(x1 - 0.3)) + 0.05*v1^2 + 0.5",
                "v1*(0.5 + 0.25*cos(2*pi*x1))", "max(x1, v1, tanh(x1*v1))/3"]
     env = {"x1": np.linspace(0.0, 1.0, 257), "v1": np.linspace(-1, 1, 257)}
@@ -301,4 +238,4 @@ def test_compiled_evaluation_is_thread_safe():
             for src in sources:
                 tree = parse(src)              # fresh: both threads compile it
                 a, b = pool.map(lambda t: evaluate(t, env).tobytes(), [tree, tree])
-                assert a == b == _reference_evaluate(tree, env).tobytes()
+                assert a == b == reference_evaluate(tree, env).tobytes()

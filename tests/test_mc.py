@@ -21,8 +21,6 @@ from nisio import mc
 from nisio.mc import cost_samples
 from nisio import problems
 
-from test_expr import _reference_evaluate
-
 
 def frozen_spec(r="0.5", sigma="1", b="0", topology="interval"):
     return ProblemSpec(grid=Grid(topology, n=64), controls=[(0.0,)],
@@ -176,67 +174,93 @@ def test_cosine_problem_estimate_matches_rho():
 # the hoisted, in-place path-step against the per-step code it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_simulate_chunk(spec, cfg, chunk_index, n_paths, n_steps):
-    """The path-step as it was before hoisting, on the recursive walk."""
-    grid = spec.grid
-    d = grid.d
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_index,)))
-    controls = np.asarray(spec.controls, dtype=float)
+def _seed_coefficients(evaluate):
+    """``ProblemSpec.r_at``, ``b_at`` and ``sigma_at`` as they were before
+    the path-step was hoisted, on the given ``evaluate``."""
+    def coefficients(spec):
+        d = spec.grid.d
 
-    def env(x, v=None):
-        out = spec.x_bindings(x)
-        return out if v is None else {**out, **spec.control_bindings(v)}
+        def env(x, v=None):
+            out = spec.x_bindings(x)
+            return out if v is None else {**out, **spec.control_bindings(v)}
 
-    def sigma_at(x):
-        base = np.zeros(np.shape(x)[:-1])
-        if len(spec.sigma) == 1:
-            s = _reference_evaluate(spec.sigma[0], env(x)) + base
-            out = np.zeros(base.shape + (d, d))
+        def sigma_at(x):
+            base = np.zeros(np.shape(x)[:-1])
+            if len(spec.sigma) == 1:
+                s = evaluate(spec.sigma[0], env(x)) + base
+                out = np.zeros(base.shape + (d, d))
+                for i in range(d):
+                    out[..., i, i] = s
+                return out
+            out = np.empty(base.shape + (d, d))
             for i in range(d):
-                out[..., i, i] = s
+                for j in range(d):
+                    out[..., i, j] = evaluate(spec.sigma[i * d + j], env(x)) + base
             return out
-        out = np.empty(base.shape + (d, d))
-        for i in range(d):
-            for j in range(d):
-                out[..., i, j] = _reference_evaluate(
-                    spec.sigma[i * d + j], env(x)) + base
-        return out
 
-    def b_at(x, v):
-        base = np.zeros(np.shape(x)[:-1])
-        return np.stack([_reference_evaluate(e, env(x, v)) + base
-                         for e in spec.b], axis=-1)
+        def b_at(x, v):
+            base = np.zeros(np.shape(x)[:-1])
+            return np.stack([evaluate(e, env(x, v)) + base for e in spec.b],
+                            axis=-1)
 
-    def r_at(x, v):
-        return _reference_evaluate(spec.r, env(x, v)) + np.zeros(np.shape(x)[:-1])
+        def r_at(x, v):
+            return evaluate(spec.r, env(x, v)) + np.zeros(np.shape(x)[:-1])
 
-    def nearest_node(x):
-        idx = np.rint(x / grid.h).astype(np.int64)
-        if grid.topology == "interval":
-            np.clip(idx, 0, grid.n - 1, out=idx)
-        else:
-            idx %= grid.n
-        return idx[:, 0] if d == 1 else idx[:, 0] * grid.n + idx[:, 1]
+        return r_at, b_at, sigma_at
+    return coefficients
 
-    x = np.tile(np.asarray(cfg.x0, dtype=float), (n_paths, 1))
-    acc = np.zeros(n_paths)
-    sqrt_dt = math.sqrt(cfg.dt_sim)
-    for k in range(n_steps):
-        nodes = nearest_node(x)
-        v = controls[cfg.policy[nodes]]
-        acc += r_at(x, v) * cfg.dt_sim
-        drift = b_at(x, v)
-        sig = sigma_at(x)
-        noise = rng.standard_normal((n_paths, d))
-        x = x + drift * cfg.dt_sim + sqrt_dt * np.einsum("pij,pj->pi", sig, noise)
-        assert np.isfinite(x).all()
-        if grid.topology == "interval":
-            m = np.mod(x, 2.0 * grid.extent)
-            x = grid.extent - np.abs(m - grid.extent)
-        else:
-            x = np.mod(x, grid.extent)
-    return acc
+
+def _live_coefficients(spec):
+    return spec.r_at, spec.b_at, spec.sigma_at
+
+
+def _reference_chunk(coefficients):
+    """The path-step as it was before hoisting, as a ``_simulate_chunk``;
+    ``coefficients(spec)`` gives the ``(r_at, b_at, sigma_at)`` it calls."""
+    def simulate_chunk(spec, cfg, chunk_index, n_paths, n_steps):
+        grid = spec.grid
+        d = grid.d
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_index,)))
+        controls = np.asarray(spec.controls, dtype=float)
+        r_at, b_at, sigma_at = coefficients(spec)
+
+        def nearest_node(x):
+            idx = np.rint(x / grid.h).astype(np.int64)
+            if grid.topology == "interval":
+                np.clip(idx, 0, grid.n - 1, out=idx)
+            else:
+                idx %= grid.n
+            return idx[:, 0] if d == 1 else idx[:, 0] * grid.n + idx[:, 1]
+
+        x = np.tile(np.asarray(cfg.x0, dtype=float), (n_paths, 1))
+        acc = np.zeros(n_paths)
+        sqrt_dt = math.sqrt(cfg.dt_sim)
+        for k in range(n_steps):
+            nodes = nearest_node(x)
+            v = controls[cfg.policy[nodes]]
+            acc += r_at(x, v) * cfg.dt_sim
+            drift = b_at(x, v)
+            sig = sigma_at(x)
+            noise = rng.standard_normal((n_paths, d))
+            x = x + drift * cfg.dt_sim + sqrt_dt * np.einsum("pij,pj->pi", sig, noise)
+            assert np.isfinite(x).all()
+            if grid.topology == "interval":
+                m = np.mod(x, 2.0 * grid.extent)
+                x = grid.extent - np.abs(m - grid.extent)
+            else:
+                x = np.mod(x, grid.extent)
+        return acc
+    return simulate_chunk
+
+
+@pytest.fixture(scope="module")
+def reference_chunks(reference_evaluate):
+    """The previous path-step on the previous coefficient code and tree
+    walk (pins the bits), and on the live ``ProblemSpec`` methods (keeps the
+    simulator in step with the coefficients the generator uses)."""
+    return {"seed": _reference_chunk(_seed_coefficients(reference_evaluate)),
+            "ProblemSpec": _reference_chunk(_live_coefficients)}
 
 
 def _pin_cases():
@@ -256,6 +280,12 @@ def _pin_cases():
     for x0 in [(0.25, 0.75), (0.0, 1.0)]:
         yield f"full 2x2 sigma x0={x0}", full, dict(
             x0=x0, policy=np.arange(64) % 3)
+    scalar_2d = ProblemSpec(
+        grid=Grid("torus", n=8, d=2), controls=[(-1.0,), (1.0,)],
+        sigma=("0.5 + 0.25*cos(2*pi*x2)",), b=("v1", "-0.5*v1"),
+        r="cos(2*pi*x1)*sin(2*pi*x2) + 0.1*v1")
+    yield "scalar sigma 2-D", scalar_2d, dict(
+        x0=(0.25, 0.5), policy=np.arange(64) % 2)
     constant_full = ProblemSpec(
         grid=Grid("torus", n=8, d=2), controls=[(-1.0, 0.0), (1.0, 0.5)],
         sigma=("1", "0.25", "-0.25", "1"), b=("v1", "v2"), r="x1 - x2*v2")
@@ -271,21 +301,23 @@ def _pin_cases():
                                             policy=np.zeros(64, dtype=int))
 
 
-def test_path_step_pins_reference_samples(monkeypatch):
+def test_path_step_pins_reference_samples(monkeypatch, reference_chunks):
     cases = 0
     for label, spec, kw in _pin_cases():
         cfg = McConfig(T=0.05, dt_sim=1e-3, N=300, seed=11, **kw)
         got = cost_samples(spec, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(mc, "_simulate_chunk", _reference_simulate_chunk)
-            expected = cost_samples(spec, cfg)
-        assert got.tobytes() == expected.tobytes(), label
+        for name, chunk in reference_chunks.items():
+            with monkeypatch.context() as m:
+                m.setattr(mc, "_simulate_chunk", chunk)
+                expected = cost_samples(spec, cfg)
+            assert got.tobytes() == expected.tobytes(), (label, name)
         cases += 1
-    assert cases == 36
+    assert cases == 37
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_path_step_pins_reference_samples_over_chunks(monkeypatch, threads):
+def test_path_step_pins_reference_samples_over_chunks(monkeypatch, threads,
+                                                     reference_chunks):
     # 9000 paths are three chunks, of 4096, 4096 and 808
     monkeypatch.setenv("NISIO_THREADS", threads)
     for spec in (problems.torus_variable_sigma(32),
@@ -294,20 +326,6 @@ def test_path_step_pins_reference_samples_over_chunks(monkeypatch, threads):
                        policy=np.arange(32) % 2)
         got = cost_samples(spec, cfg)
         with monkeypatch.context() as m:
-            m.setattr(mc, "_simulate_chunk", _reference_simulate_chunk)
+            m.setattr(mc, "_simulate_chunk", reference_chunks["seed"])
             expected = cost_samples(spec, cfg)
         assert got.tobytes() == expected.tobytes()
-
-
-def test_wrap_is_numpy_mod():
-    rng = np.random.default_rng(4)
-    tiny = np.finfo(float).tiny
-    for period in (1.0, 2.0, 0.3, 7.25):
-        x = np.concatenate([
-            rng.uniform(-3 * period, 3 * period, 4000),
-            rng.uniform(-1e6, 1e6, 1000),
-            np.arange(-5, 6) * period, [0.0, -0.0, -1e-300, 1e-300, -tiny,
-                                         -5e-324, period * (1 - 2**-53),
-                                         -period * (1 - 2**-53)]])
-        got = mc._wrap(x, period, np.empty_like(x))
-        assert got.tobytes() == np.mod(x, period).tobytes()
