@@ -23,6 +23,13 @@ accumulated growth (the raw normalized iterates are not monotone; the
 growth-rescaled orbit is).  The bracket width ``eta = over - under``
 contracts geometrically for strongly positive maps, and
 :func:`fit_exponential_rate` extracts the contraction rate from its log.
+
+The orbit is recorded every ``stride`` iterations, and the records are
+halved (``stride`` doubled) whenever they pass a cap set by count and by
+bytes, ``max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 N)))`` iterates of
+``N`` floats, so a fine grid keeps fewer records, not more memory.  The
+growth, the fixed point and the stopping iteration never depend on the
+records.
 """
 
 from __future__ import annotations
@@ -43,7 +50,10 @@ from .errors import (
 __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
            "fit_exponential_rate"]
 
+# Caps on the orbit records (see the module docstring); the count binds
+# for N <= 1024 nodes.
 _MAX_RECORDS = 4096
+_RECORD_BYTES = 32 * 2 ** 20
 
 # Margin of the band gate in ``power_iterate``: 4 K eps with K = 16, the
 # exact power of two 2**-46.  K bounds the ulp error of numpy's float64
@@ -76,12 +86,14 @@ def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
 class OrbitStats:
     """Per-iteration diagnostics of a normalized power iteration.
 
-    All arrays are aligned with ``iterations`` (records are thinned to a
-    bounded number for long runs).  ``under_alpha``/``over_alpha`` are the
-    cone bounds of the growth-rescaled orbit against the final iterate,
-    ``eta`` their difference, ``rho_estimate`` the per-application upper
-    growth estimate ``max_x map(g)/g`` and ``sup_norm`` the
-    pre-normalization sup norm ``||map(g)||_inf``.
+    All arrays are aligned with ``iterations``.  Long runs are thinned by
+    halving, by count and by bytes (see the module docstring): grids of
+    more than 1024 nodes keep fewer than ``_MAX_RECORDS`` records.
+    ``under_alpha``/``over_alpha`` are the cone bounds of the
+    growth-rescaled orbit against the final iterate, ``eta`` their
+    difference, ``rho_estimate`` the per-application upper growth estimate
+    ``max_x map(g)/g`` and ``sup_norm`` the pre-normalization sup norm
+    ``||map(g)||_inf``.
 
     ``zeta1`` (ratio bound of the reference) and ``p1_min`` are surfaced
     as diagnostics for the hypotheses behind exponential convergence;
@@ -143,6 +155,7 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     # (k, iterate, max ratio, sup norm, sum of log sup norms before k)
     records: list[tuple] = []
     stride = 1
+    cap = max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 * g.size)))
     log_factors: list[float] = []
     cum = 0.0
     converged = False
@@ -185,7 +198,7 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
         if k % stride == 0:
             # g itself: it is rebound below and never written in place
             records.append((k, g, hi, s, cum))
-            if len(records) > _MAX_RECORDS:
+            if len(records) > cap:
                 records = records[::2]
                 stride *= 2
 

@@ -32,7 +32,7 @@ from .grid import Grid
 
 __all__ = ["Config", "SolverSection", "McSection", "OutputSection", "load_config"]
 
-_KEY_RE = re.compile(r"^[a-z_]+\.[a-z_]+$")
+_KEY_RE = re.compile(r"^[a-z_][a-z0-9_]*\.[a-z_][a-z0-9_]*$")
 
 
 @dataclass(frozen=True)

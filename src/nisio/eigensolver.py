@@ -33,7 +33,8 @@ import numpy as np
 
 from .cone import OrbitStats, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
-from .generator import DiscreteGenerator, MAXIMIZE, _envelope, argmin_policy
+from .generator import (DiscreteGenerator, MAXIMIZE, _envelope,
+                        _stack_product, argmin_policy)
 from .grid import GridFunction
 from .perron import noda
 from .variational import _cw_band
@@ -118,10 +119,11 @@ def solve_evolution(gen: DiscreteGenerator,
     if dt > gen.dt_max:
         raise ValidationError(
             f"dt = {dt:.6g} exceeds the CFL bound {gen.dt_max:.6g}")
-    stack = gen.step_stack(dt)
+    product = _stack_product(gen.step_stack(dt))
+    size, sense = gen.size, gen.sense
 
     def one_step(g):
-        return _envelope(stack @ g, gen.size, gen.sense)
+        return _envelope(product(g), size, sense)
 
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the step ratios is ~ dt * oscillation of G f / f

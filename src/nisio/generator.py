@@ -35,6 +35,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+try:    # the kernel behind ``csr @ vector``; private, so it may move
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:
+    _csr_matvec = None
+
 from .errors import (
     DegenerateDiffusion,
     EvalError,
@@ -396,6 +401,33 @@ def apply_linear(gen: DiscreteGenerator, v: int, f: GridFunction) -> GridFunctio
         raise IndexError(f"control index {v} out of range [0, {gen.n_controls})")
     f = as_grid_function(gen.grid, f)
     return gen.mats[v] @ f
+
+
+def _stack_product(stack: sp.csr_matrix):
+    """``g -> stack @ g`` for repeated products with one CSR matrix.
+
+    Runs scipy's own CSR kernel on a zeroed buffer that the returned
+    function owns, as ``@`` does on a fresh zeroed array, so the product
+    has the same bits without the per-call dispatch of ``@``.  The buffer
+    is overwritten by the next call: reduce it (with :func:`_envelope`) or
+    copy it before then.  Each call of this helper makes a new buffer, so
+    separate callers share nothing.  Falls back to ``stack @ g`` when the
+    kernel cannot be imported, and for an argument of the wrong shape
+    (which ``@`` rejects, and the kernel would read out of bounds).
+    """
+    if _csr_matvec is None:
+        return stack.__matmul__
+    rows, cols = stack.shape
+    indptr, indices, data = stack.indptr, stack.indices, stack.data
+    out = np.empty(rows)
+
+    def product(g):
+        if g.shape != (cols,):
+            return stack @ g
+        out.fill(0.0)
+        _csr_matvec(rows, cols, indptr, indices, data, g, out)
+        return out
+    return product
 
 
 def _envelope(products: np.ndarray, size: int, sense: str,

@@ -382,3 +382,35 @@ def test_max_iters_exhaustion_reports_final_oscillation():
         assert len(stats.iterations) <= 4097
         last = float(str(err).rsplit("oscillation ", 1)[1].rstrip(")"))
         assert math.isfinite(last) and last >= 0.0
+
+
+def _record_cap(n, max_iters):
+    """Records kept after ``max_iters`` steps of a map that never converges."""
+    w = 1.0 + 1e-3 * np.linspace(0.0, 1.0, n)      # band log(1.001) > tol
+    with pytest.raises(NoConvergence) as err:
+        power_iterate(lambda g: g * w, np.ones(n), max_iters=max_iters)
+    return len(err.value.best[2].iterations)
+
+
+def test_record_count_cap_binds_up_to_1024_nodes():
+    # N = 1023: 4096 records fit the byte budget, and the 4097th thins them
+    assert _record_cap(1023, 4096) == 4096
+    assert _record_cap(1023, 4097) == 2049
+    # N = 1025: the byte budget, 32 MiB // (8 N) = 4092 records, binds
+    assert _record_cap(1025, 4096) == 2048
+
+
+def test_record_bytes_bound_on_2d_torus(monkeypatch):
+    import nisio.cone as cone
+    gen = build_generator(problems.torus2d_separable(48))
+    n = gen.size
+    pair = solve_evolution(gen)
+    records = len(pair.stats.iterations)
+    assert records * 8 * n <= cone._RECORD_BYTES + 8 * n
+    monkeypatch.setattr(cone, "_RECORD_BYTES", 2 ** 62)    # no byte cap
+    free = solve_evolution(gen)
+    assert len(free.stats.iterations) > records
+    assert pair.rho.hex() == free.rho.hex()
+    assert_same_array(pair.phi, free.phi)
+    assert_same_array(pair.policy, free.policy)
+    assert pair.stats.n_iterations == free.stats.n_iterations

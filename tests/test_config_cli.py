@@ -7,6 +7,7 @@ import pytest
 
 import jsonschema
 
+from nisio import cli
 from nisio.cli import main
 from nisio.config import loads
 from nisio import mc
@@ -75,6 +76,36 @@ def test_unknown_and_duplicate_keys():
         loads(MINIMAL + '\nproblem.r = "1"\n')
     with pytest.raises(ConfigError, match="section.key"):
         loads("just some words\n")
+
+
+INTERVAL_START = """
+problem.topology = interval
+problem.n        = 32
+problem.sigma    = "1"
+problem.b        = "0"
+problem.r        = "cos(2*pi*x1)"
+mc.t             = 0.5
+mc.n             = 128
+mc.x0            = 0.25
+"""
+
+
+def test_mc_start_key_with_digit(tmp_path, monkeypatch):
+    assert loads(INTERVAL_START).mc_start() == (0.25,)
+    starts = []
+    simulate = cli.cost_samples
+    monkeypatch.setattr(cli, "cost_samples",
+                        lambda spec, cfg: starts.append(cfg.x0)
+                        or simulate(spec, cfg))
+    cfg = write_cfg(tmp_path, INTERVAL_START)
+    assert run_cli(["simulate", cfg, "--out", tmp_path / "out"]) == 0
+    assert starts == [(0.25,)]
+
+
+@pytest.mark.parametrize("key", ["mc.", "1mc.x", "mc.x-0"])
+def test_malformed_keys_rejected(key):
+    with pytest.raises(ConfigError, match="malformed key"):
+        loads(MINIMAL + f"\n{key} = 1\n")
 
 
 def test_missing_required():

@@ -1,5 +1,8 @@
 """Eigensolver exactness, oracle agreement and cross-method checks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -172,3 +175,33 @@ def test_policy_iteration_separable_2d():
     gen1 = build_generator(problems.torus_cosine(64))
     rho1 = float(np.max(np.linalg.eigvals(gen1.mats[0].toarray()).real))
     assert abs(pair.rho - 2.0 * rho1) <= 1e-9
+
+
+def test_concurrent_evolution_on_one_generator():
+    # each solve owns its product buffer: threads sharing one generator
+    # (and its cached step stack) get the serial pair to the byte
+    want = solve_evolution(build_generator(problems.torus_two_control(64)))
+    gen = build_generator(problems.torus_two_control(64))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(solve_evolution, gen) for _ in range(4)]
+            pairs = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for pair in pairs:
+        assert pair.rho.hex() == want.rho.hex()
+        assert pair.residual.hex() == want.residual.hex()
+        assert pair.phi.tobytes() == want.phi.tobytes()
+        assert pair.policy.tobytes() == want.policy.tobytes()
+        assert pair.stats.n_iterations == want.stats.n_iterations
+
+
+@pytest.mark.parametrize("length", [5, 64])
+def test_start_of_wrong_length_rejected(length):
+    # the direct CSR kernel reads g unchecked; such a start must still be
+    # refused as ``stack @ g`` refuses it
+    gen = build_generator(problems.torus_two_control(32))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_evolution(gen, SolveOptions(f0=np.ones(length)))

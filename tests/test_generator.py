@@ -10,7 +10,7 @@ from nisio.errors import (
     NonFiniteCoefficient,
     ValidationError,
 )
-from nisio import problems
+from nisio import generator, problems
 
 
 def uncontrolled(topology="torus", n=64, sigma="1", b="0", r="0", d=1):
@@ -218,3 +218,20 @@ def test_spec_validation():
         Grid("interval", n=64, d=2)
     with pytest.raises(ValidationError):
         Grid("torus", n=4)
+
+
+def test_direct_csr_kernel_is_used():
+    # scipy's CSR kernel is private: if a release moves it, the step product
+    # falls back to ``stack @ g`` and this test, not only the timing, shows it
+    assert generator._csr_matvec is not None
+    stack = build_generator(problems.torus_two_control(32)).step_stack(1e-4)
+    product = generator._stack_product(stack)
+    f = np.linspace(1.0, 2.0, 32)
+    want = stack @ f
+
+    def no_matmul(self, other):
+        raise AssertionError("the product dispatched to @")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(stack), "__matmul__", no_matmul)
+        got = product(f)
+    assert np.array_equal(got, want)

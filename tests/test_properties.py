@@ -3,6 +3,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nisio import (
@@ -13,6 +14,7 @@ from nisio import (
     argmin_policy,
     build_generator,
     eigensolver,
+    generator,
     solve_evolution,
     step,
 )
@@ -106,3 +108,30 @@ def test_gated_power_iteration_matches_plain_loop(case):
             assert_same_orbit(got, want)
         elif want is not None:
             assert_same_pair(got, want)
+
+
+@pytest.mark.parametrize("kernel", ["direct", "fallback"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=specs())
+def test_stack_product_is_bitwise_matmul(kernel, case):
+    spec, seed = case
+    base = build_generator(spec)
+    rng = np.random.default_rng(seed)
+    kernels = {"direct": generator._csr_matvec, "fallback": None}
+    for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
+        with mock.patch.object(generator, "_csr_matvec", kernels[kernel]):
+            product = generator._stack_product(stack)
+        for sense in ("minimize", "maximize"):
+            for _ in range(2):                  # the buffer is reused
+                f = rng.uniform(-1.0, 2.0, base.size)
+                want = stack @ f
+                got = product(f)
+                assert_same_array(got, want)
+                best, arg = generator._envelope(got, base.size, sense,
+                                                with_arg=True)
+                want_best, want_arg = generator._envelope(
+                    want, base.size, sense, with_arg=True)
+                assert_same_array(best, want_best)
+                assert_same_array(arg, want_arg)
+                assert_same_array(generator._envelope(got, base.size, sense),
+                                  want_best)
