@@ -88,7 +88,8 @@ def cmd_solve(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
     opts = _solve_options(cfg)
     pair = solve_evolution(gen, opts)
-    pair_max = solve_max(gen, opts)
+    # one control: the max envelope is the min envelope, bit for bit
+    pair_max = pair if gen.n_controls == 1 else solve_max(gen, opts)
     hist = np.bincount(pair.policy, minlength=gen.n_controls)
     outdir = Path(cfg.output.dir)
     if "csv" in cfg.output.formats:
@@ -118,7 +119,7 @@ def cmd_bounds(cfg: Config, args) -> dict:
 
 def cmd_dv(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
-    report = dv_check(gen, seed=cfg.mc.seed)
+    report = dv_check(gen)
     return {"command": "dv", "rho": report.rho,
             "certificate": report.certificate, "gap": report.gap,
             "rate": report.rate, **_problem_meta(cfg)}

@@ -7,7 +7,7 @@ import pytest
 
 import jsonschema
 
-from nisio import cli
+from nisio import build_generator, cli, eigensolver, solve_evolution, solve_max
 from nisio.cli import main
 from nisio.config import loads
 from nisio import mc
@@ -148,6 +148,45 @@ def test_cli_solve_constant_rho(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["solve", write_cfg(tmp_path, text), "--out", out]) == 0
     assert read_report(out)["rho"] == pytest.approx(1.0, abs=1e-10)
+
+
+def _count_solves(monkeypatch):
+    """Record every ``solve_evolution`` and ``solve_max`` call of the CLI."""
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    evolution = counting("solve_evolution", eigensolver.solve_evolution)
+    monkeypatch.setattr(eigensolver, "solve_evolution", evolution)
+    monkeypatch.setattr(cli, "solve_evolution", evolution)
+    monkeypatch.setattr(cli, "solve_max", counting("solve_max", cli.solve_max))
+    return calls
+
+
+def test_cli_solve_single_control_solves_once(tmp_path, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_cfg(tmp_path, MINIMAL), "--out", out]) == 0
+    assert calls == ["solve_evolution"]
+    payload = read_report(out)
+    assert payload["beta"] == payload["rho"]
+    assert payload["beta_residual"] == payload["residual"]
+    # the shortcut stands for a solve_max that agrees to the bit
+    gen = build_generator(loads(MINIMAL).problem)
+    pair, pair_max = solve_evolution(gen), solve_max(gen)
+    assert pair_max.rho == pair.rho and pair_max.residual == pair.residual
+    assert pair_max.phi.tobytes() == pair.phi.tobytes()
+    assert pair_max.policy.tobytes() == pair.policy.tobytes()
+    assert pair_max.stats.n_iterations == pair.stats.n_iterations
+
+
+def test_cli_solve_two_controls_solves_max(tmp_path, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_cfg(tmp_path, TWO_CONTROL), "--out", out]) == 0
+    assert calls == ["solve_evolution", "solve_max", "solve_evolution"]
+    payload = read_report(out)
+    assert payload["beta"] >= payload["rho"]
 
 
 def test_cli_bounds_ones(tmp_path):

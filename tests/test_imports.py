@@ -15,3 +15,26 @@ def test_import_nisio_skips_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code, str(SRC)],
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.split() == []
+
+
+DV_CONFIG = """
+problem.topology = torus
+problem.n        = 32
+problem.sigma    = "1"
+problem.b        = "0"
+problem.r        = "cos(2*pi*x1)"
+"""
+
+
+def test_nisio_dv_skips_scipy_optimize(tmp_path):
+    (tmp_path / "dv.cfg").write_text(DV_CONFIG)
+    code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
+            "from nisio import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['dv', sys.argv[2], '--out', sys.argv[3]])\n"
+            "print(code, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC), str(tmp_path / "dv.cfg"),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "False"]

@@ -1,5 +1,7 @@
 """Sandwich bounds, rate-function duality and the log-transform residual."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -172,6 +174,93 @@ def test_dv_certificates_never_exceed_rho(cosine_gen, cosine_pair):
         nu = rng.dirichlet(np.ones(cosine_gen.size))
         certificate = float(r_vec @ nu) - dv_rate(cosine_gen, nu)
         assert certificate <= cosine_pair.rho + 1e-6
+
+
+def lbfgs_multistart_rate(gen, nu):
+    """The earlier ``dv_rate`` at its defaults: L-BFGS-B from the flat
+    start and three seeded random starts; the reference for the Newton
+    solve."""
+    import scipy.optimize
+
+    L = (gen.mats[0] - sp.diags(gen.r_tables[0])).tocsr()
+    LT = L.T.tocsr()
+    nu = np.asarray(nu, dtype=float)
+
+    def fun(psi):
+        psi = psi - np.max(psi)
+        u = np.exp(psi)
+        Lu = L @ u
+        j = float(nu @ (Lu / u))
+        if not math.isfinite(j):
+            return np.inf, np.zeros_like(psi)
+        return j, u * (LT @ (nu / u)) - nu * Lu / u
+
+    rng = np.random.default_rng(0)
+    starts = [np.zeros(gen.size)]
+    starts.extend(0.5 * rng.standard_normal(gen.size) for _ in range(3))
+    best = math.inf
+    for psi0 in starts:
+        res = scipy.optimize.minimize(
+            fun, psi0, jac=True, method="L-BFGS-B",
+            options={"maxiter": 2000, "gtol": 1e-11, "ftol": 1e-15})
+        best = min(best, float(res.fun))
+    return max(0.0, -best)
+
+
+def _dirichlet_draws(spec, seed, k):
+    gen = build_generator(spec)
+    rng = np.random.default_rng(seed)
+    return gen, [rng.dirichlet(np.ones(gen.size)) for _ in range(k)]
+
+
+def _nu_star(spec):
+    gen = build_generator(spec)
+    return gen, [dv_check(gen).nu]
+
+
+FULL_SUPPORT = {    # name -> (generator, full-support nu list)
+    "torus_cosine": lambda: _dirichlet_draws(     # criterion 10's draws
+        problems.torus_cosine(64), 110, 20),
+    "interval_cosine": lambda: _dirichlet_draws(
+        problems.interval_cosine(64), 11, 10),
+    "torus2d_nu_star": lambda: _nu_star(problems.torus2d_separable(16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_SUPPORT))
+def test_dv_rate_matches_multistart_on_full_support(case):
+    gen, nus = FULL_SUPPORT[case]()
+    for nu in nus:
+        rate = dv_rate(gen, nu)
+        assert rate == pytest.approx(lbfgs_multistart_rate(gen, nu), rel=1e-12)
+
+
+def test_dv_rate_half_support_never_below_multistart(cosine_gen):
+    # zero on half the nodes the infimum is not attained; the multistart
+    # stops early there, Newton must not stop earlier
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        nu = rng.dirichlet(np.ones(cosine_gen.size))
+        nu[rng.permutation(cosine_gen.size)[:cosine_gen.size // 2]] = 0.0
+        nu /= np.sum(nu)
+        ref = lbfgs_multistart_rate(cosine_gen, nu)
+        assert dv_rate(cosine_gen, nu) >= ref * (1 - 1e-12)
+
+
+def test_dv_rate_one_step_bounded_by_converged(cosine_gen):
+    nu = np.random.default_rng(13).dirichlet(np.ones(cosine_gen.size))
+    rate = dv_rate(cosine_gen, nu)
+    early = dv_rate(cosine_gen, nu, maxiter=1)
+    assert math.isfinite(early)
+    assert 0.0 <= early <= rate
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dv_rate_rejects_non_finite_nu(cosine_gen, bad):
+    nu = np.full(cosine_gen.size, 1.0 / cosine_gen.size)
+    nu[5] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        dv_rate(cosine_gen, nu)
 
 
 # ---------------------------------------------------------------------------
