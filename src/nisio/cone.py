@@ -8,11 +8,12 @@ through the oscillation of the pointwise ratios ``map(g)/g``, which also
 brackets the map's principal growth factor from below and above
 (Collatz-Weilandt): the iteration stops once
 ``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``.  That test costs
-``N`` logs, so each iteration first takes only the extreme ratios
-``lo``/``hi`` and runs it when ``log(hi) - log(lo)`` is within a
-rounding margin of ``tol`` -- a necessary condition, so the stopping
-iteration, and with it every iterate and statistic, is the one the
-plain test gives.
+``N`` logs, so each iteration first takes only the least ratio ``lo``
+and ``max map(g)``, a lower bound of the greatest ratio ``hi``; it takes
+``hi`` when ``log(max map(g)) - log(lo)`` is within a rounding margin of
+``tol``, and runs the test when ``log(hi) - log(lo)`` is too -- necessary
+conditions, so the stopping iteration, and with it every iterate and
+statistic, is the one the plain test gives.
 
 Along the orbit the precise bracket is measured by the cone functionals
 
@@ -128,12 +129,15 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
 
     Stops when ``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``, with
     the logs taken by numpy as written.  An iteration costs one call of
-    ``map_fn`` and three reductions (``min`` and ``max`` of the ratios,
-    ``max`` of ``map(g)``); the ``N`` logs of the stop test are taken only
-    when ``log(max r) - log(min r)`` passes a gate that every closing band
-    passes (see the loop), so the iterates are exactly those of the plain
-    test.  ``map_fn`` must not keep its argument and write into it later:
-    the recorded iterates are references, not copies.
+    ``map_fn``, one division into a buffer and two reductions (``min`` of
+    the ratios, ``max`` of ``map(g)``).  The ``max`` of the ratios is taken
+    at recorded iterations, and where ``log(max map(g)) - log(min r)``
+    passes a gate; the ``N`` logs of the stop test only where
+    ``log(max r) - log(min r)`` passes it too.  Every closing band passes
+    both (see the loop), so the iterates are exactly those of the plain
+    test.  ``map_fn`` may return a buffer that its next call overwrites,
+    but must not keep its argument and write into it later: the recorded
+    iterates are references, not copies.
 
     Returns ``(growth, fixed_point, stats)`` where ``growth`` is the
     geometric mean of the normalization factors over the last quarter of
@@ -161,12 +165,15 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     converged = False
     gate_tol = tol * (1.0 + _GATE)
 
+    ratios = np.empty_like(g)
     k = 0
     while k < max_iters:
         y = np.asarray(map_fn(g), dtype=float)
-        ratios = y / g
+        np.divide(y, g, out=ratios)
         lo = ratios.min()
-        hi = ratios.max()
+        s = y.max()
+        record = k % stride == 0
+        hi = ratios.max() if record else None
         if not lo > 0:
             # Iterates are never negative: the start f0 / max(f0) is
             # nonnegative or all NaN after the checks above, and each later
@@ -188,14 +195,32 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
             # 4K eps, computed with a few roundings) holds whenever the
             # exact test can pass: it only skips iterations that the exact
             # test would not stop at.
-            a = math.log(hi)
+            #
+            # Pre-gate: the same test with s = max y in place of hi, which
+            # spares the max of the ratios on most iterations.  Here g is
+            # x / max(x) for a positive x with a finite max (else g has a
+            # NaN and lo is NaN), so g <= 1 and max g == 1 exactly, as
+            # rounding is monotone and x_j / x_j is 1.  So every ratio
+            # y_i / g_i rounds to at least y_i, giving hi >= s, and lo is at
+            # most the ratio y_j <= s where g_j == 1: ln lo <= ln s <= ln hi.
+            # With D = ln hi - ln lo >= ln s - ln lo and
+            # |ln hi| <= |ln s| + D, the condition above gives
+            #   ln s - ln lo <= D < (tol (1 + eps) + K eps (|ln s| + |ln lo|))
+            #                       / (1 - K eps),
+            # at most tol (1 + (2K + 2) eps) + 2K eps (|ln s| + |ln lo|):
+            # inside the 4K eps margin with room for the roundings, so the
+            # pre-gate too holds whenever the exact test can pass.
             b = math.log(lo)
+            a = math.log(s)
             if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
-                log_r = np.log(ratios)
-                converged = bool(log_r.max() - log_r.min() < tol)
-        s = y.max()
+                if hi is None:
+                    hi = ratios.max()
+                a = math.log(hi)
+                if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
+                    log_r = np.log(ratios)
+                    converged = bool(log_r.max() - log_r.min() < tol)
 
-        if k % stride == 0:
+        if record:
             # g itself: it is rebound below and never written in place
             records.append((k, g, hi, s, cum))
             if len(records) > cap:

@@ -34,7 +34,7 @@ import numpy as np
 from .cone import OrbitStats, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
 from .generator import (DiscreteGenerator, MAXIMIZE, _envelope,
-                        _stack_product, argmin_policy)
+                        _envelope_map, argmin_policy)
 from .grid import GridFunction
 from .perron import noda
 from .variational import _cw_band
@@ -119,12 +119,7 @@ def solve_evolution(gen: DiscreteGenerator,
     if dt > gen.dt_max:
         raise ValidationError(
             f"dt = {dt:.6g} exceeds the CFL bound {gen.dt_max:.6g}")
-    product = _stack_product(gen.step_stack(dt))
-    size, sense = gen.size, gen.sense
-
-    def one_step(g):
-        return _envelope(product(g), size, sense)
-
+    one_step = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the step ratios is ~ dt * oscillation of G f / f
     power_tol = 0.5 * opts.tol * dt

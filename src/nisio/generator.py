@@ -403,23 +403,25 @@ def apply_linear(gen: DiscreteGenerator, v: int, f: GridFunction) -> GridFunctio
     return gen.mats[v] @ f
 
 
-def _stack_product(stack: sp.csr_matrix):
+def _stack_product(stack: sp.csr_matrix, out: np.ndarray | None = None):
     """``g -> stack @ g`` for repeated products with one CSR matrix.
 
     Runs scipy's own CSR kernel on a zeroed buffer that the returned
-    function owns, as ``@`` does on a fresh zeroed array, so the product
-    has the same bits without the per-call dispatch of ``@``.  The buffer
-    is overwritten by the next call: reduce it (with :func:`_envelope`) or
-    copy it before then.  Each call of this helper makes a new buffer, so
-    separate callers share nothing.  Falls back to ``stack @ g`` when the
-    kernel cannot be imported, and for an argument of the wrong shape
-    (which ``@`` rejects, and the kernel would read out of bounds).
+    function owns (``out``, or a new array), as ``@`` does on a fresh
+    zeroed array, so the product has the same bits without the per-call
+    dispatch of ``@``.  The buffer is overwritten by the next call: reduce
+    it (with :func:`_envelope`) or copy it before then.  Each call of this
+    helper without ``out`` makes a new buffer, so separate callers share
+    nothing.  Falls back to ``stack @ g`` when the kernel cannot be
+    imported, and for an argument of the wrong shape (which ``@`` rejects,
+    and the kernel would read out of bounds).
     """
     if _csr_matvec is None:
         return stack.__matmul__
     rows, cols = stack.shape
     indptr, indices, data = stack.indptr, stack.indices, stack.data
-    out = np.empty(rows)
+    if out is None:
+        out = np.empty(rows)
 
     def product(g):
         if g.shape != (cols,):
@@ -428,6 +430,41 @@ def _stack_product(stack: sp.csr_matrix):
         _csr_matvec(rows, cols, indptr, indices, data, g, out)
         return out
     return product
+
+
+def _envelope_map(stack: sp.csr_matrix, size: int, sense: str):
+    """``g -> _envelope(stack @ g, size, sense)`` for repeated calls, bitwise.
+
+    The product goes to a buffer of :func:`_stack_product`, and a chain of
+    binary ``np.minimum`` (``np.maximum``) over precomputed views of its
+    row blocks reduces it into a second buffer, which the returned function
+    owns and returns.  numpy reduces an outer axis by that same binary
+    loop, row after row, so the chain has the bits of the axis-0 reduction
+    in :func:`_envelope`, signed zeros and NaNs included.  The output is
+    never the product buffer, so it may be fed back as the next argument;
+    it is overwritten by the next call.  Where :func:`_stack_product`
+    falls back to ``@``, so does this map, to :func:`_envelope` on the
+    fresh product.
+    """
+    products = np.empty(stack.shape[0])
+    product = _stack_product(stack, products)
+    blocks = [products[i:i + size] for i in range(0, len(products), size)]
+    tail = blocks[2:]
+    reduce = np.minimum if sense == MINIMIZE else np.maximum
+    out = np.empty(size)
+
+    def apply(g):
+        p = product(g)
+        if p is not products:
+            return _envelope(p, size, sense)
+        if len(blocks) == 1:
+            np.copyto(out, products)
+        else:
+            reduce(blocks[0], blocks[1], out=out)
+            for block in tail:
+                reduce(out, block, out=out)
+        return out
+    return apply
 
 
 def _envelope(products: np.ndarray, size: int, sense: str,

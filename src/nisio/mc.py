@@ -20,7 +20,9 @@ step updates in place (the dispersion matrix takes the entries that
 ``x + b dt + sqrt(dt) sigma dW`` with the same floating-point operations in
 the same order, so its bits do not depend on the buffering.  A coefficient
 without free variables, such as a constant ``sigma``, is evaluated at the
-first step only.
+first step only.  When the policy puts one control vector (the same bits)
+at every node, so are the control gather, each coefficient of the controls
+alone and, if no drift component varies, the step ``b dt``.
 
 Determinism: paths are simulated in fixed-size chunks with
 counter-derived per-chunk generator streams, and the final reduction runs
@@ -130,23 +132,33 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     step = np.empty((n_paths, d))
     diffusion = np.empty((n_paths, d))
 
+    # With one control vector at every node (same bits: -0.0 and +0.0
+    # differ), v and every coefficient of the controls alone keep their
+    # step-0 values.
+    bits = node_controls.view(np.uint64)
+    fixed = bool((bits == bits[0]).all())
+    held = set(spec.control_bindings(v)) if fixed else set()
+
     # Coefficients in the order the step evaluates them, each with the
-    # views its value fills; one without free variables is evaluated at step
-    # 0 only.  Adding 0.0 turns -0.0 into +0.0, as the zero bases of
-    # ``ProblemSpec.r_at``, ``b_at`` and ``sigma_at`` do.
+    # views its value fills; one whose free variables are all held is
+    # evaluated at step 0 only.  Adding 0.0 turns -0.0 into +0.0, as the
+    # zero bases of ``ProblemSpec.r_at``, ``b_at`` and ``sigma_at`` do.
     coefficients = [(spec.r, (r,))] + [(e, (b[:, i],))
                                        for i, e in enumerate(spec.b)]
     coefficients += [(e, tuple(sig[:, i, j] for i, j in places))
                      for e, places in spec.sigma_entries()]
-    varying = [(e, outs) for e, outs in coefficients if e.variables()]
+    varying = [(e, outs) for e, outs in coefficients if e.variables() - held]
+    drift_varies = any(e.variables() - held for e in spec.b)
     for k in range(n_steps):
-        np.take(node_controls, _nearest_node(spec, x), axis=0, out=v)
+        if k == 0 or not fixed:
+            np.take(node_controls, _nearest_node(spec, x), axis=0, out=v)
         for e, outs in coefficients if k == 0 else varying:
             value = evaluate(e, env)
             for out in outs:
                 np.add(value, 0.0, out=out)
         acc += np.multiply(r, dt, out=r_dt)
-        np.multiply(b, dt, out=step)
+        if k == 0 or drift_varies:
+            np.multiply(b, dt, out=step)
         rng.standard_normal(out=noise)
         np.einsum("pij,pj->pi", sig, noise, out=diffusion)
         diffusion *= sqrt_dt
@@ -179,6 +191,10 @@ def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
             f"policy must assign a control to each of {spec.grid.size} nodes")
     if np.min(cfg.policy) < 0 or np.max(cfg.policy) >= spec.n_controls:
         raise ValidationError("policy contains out-of-range control indices")
+    if len(cfg.x0) != spec.grid.d:
+        raise ValidationError(f"x0 needs {spec.grid.d} components")
+    if not all(math.isfinite(c) for c in cfg.x0):
+        raise ValidationError("x0 must be finite")
     n_steps = int(round(cfg.T / cfg.dt_sim))
     chunks = [(c, min(_CHUNK, cfg.N - c * _CHUNK))
               for c in range((cfg.N + _CHUNK - 1) // _CHUNK)]

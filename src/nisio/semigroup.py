@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CflViolation, ValidationError
-from .generator import DiscreteGenerator, _envelope, _stack_product, apply_G
+from .generator import DiscreteGenerator, _envelope, _envelope_map, apply_G
 from .grid import GridFunction, as_grid_function, require_positive
 
 __all__ = [
@@ -106,10 +106,10 @@ def evolve(gen: DiscreteGenerator, f: GridFunction, opts: EvolveOptions):
     record = opts.record_every > 0
     times, snaps = [0.0], [f.copy()]
     if n:
-        product = _stack_product(gen.step_stack(dt))
+        euler = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
         f = np.ascontiguousarray(f, dtype=float)
         for k in range(1, n + 1):
-            f = _envelope(product(f), gen.size, gen.sense)
+            f = euler(f)
             if record and (k % opts.record_every == 0 or k == n):
                 times.append(k * dt)
                 snaps.append(f.copy())

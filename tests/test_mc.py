@@ -329,3 +329,99 @@ def test_path_step_pins_reference_samples_over_chunks(monkeypatch, threads,
             m.setattr(mc, "_simulate_chunk", reference_chunks["seed"])
             expected = cost_samples(spec, cfg)
         assert got.tobytes() == expected.tobytes()
+
+
+def _fixed_control_cases():
+    for name, spec in problems.corpus_1d(16).items():
+        for c in range(spec.n_controls):
+            yield f"{name} control {c}", spec, dict(
+                x0=(0.5,), policy=np.full(16, c))
+    yield "duplicate controls", _duplicate_controls(), dict(
+        x0=(0.5,), policy=np.arange(16) % 2)
+    state_drift = ProblemSpec(
+        grid=Grid("interval", n=16), controls=[(-1.0,), (1.5,)],
+        sigma=("0.5 + 0.2*x1",), b=("v1*sin(2*pi*x1) - 0.5*x1",),
+        r="cos(2*pi*x1) + 0.1*v1")
+    yield "drift of x and v", state_drift, dict(
+        x0=(0.25,), policy=np.ones(16, dtype=int))
+    control_cost = ProblemSpec(
+        grid=Grid("torus", n=16), controls=[(-1.0,), (0.75,)],
+        sigma=("1 + 0.2*sin(2*pi*x1)",), b=("0.5*cos(2*pi*x1)",),
+        r="0.3*v1^2 + v1")
+    yield "control-only r", control_cost, dict(
+        x0=(0.5,), policy=np.ones(16, dtype=int))
+    torus2d = ProblemSpec(
+        grid=Grid("torus", n=8, d=2), controls=[(-1.0, 0.5), (1.0, -0.5)],
+        sigma=("1", "0.25", "0.25*sin(2*pi*x2)", "1 + 0.1*cos(2*pi*x1)"),
+        b=("v1", "v2*cos(2*pi*x1)"), r="cos(2*pi*x2) + v1*v2")
+    yield "2-D torus", torus2d, dict(x0=(0.25, 0.75),
+                                     policy=np.ones(64, dtype=int))
+    yield "2-D drift of v only", problems.torus2d_separable(8), dict(
+        x0=(0.25, 0.75), policy=np.zeros(64, dtype=int))
+    yield "signed zero controls", _signed_zero_controls(), dict(
+        x0=(0.5,), policy=np.arange(16) % 2)
+
+
+def _duplicate_controls():
+    return ProblemSpec(grid=Grid("torus", n=16), controls=[(0.5,), (0.5,)],
+                       sigma=("1",), b=("v1",), r="v1^2 + cos(2*pi*x1)")
+
+
+def _signed_zero_controls():
+    return ProblemSpec(grid=Grid("torus", n=16), controls=[(0.0,), (-0.0,)],
+                       sigma=("1",), b=("v1 + 0.5",), r="v1 + cos(2*pi*x1)")
+
+
+def test_fixed_control_path_step_pins_reference_samples(monkeypatch,
+                                                        reference_chunks):
+    for label, spec, kw in _fixed_control_cases():
+        cfg = McConfig(T=0.05, dt_sim=1e-3, N=300, seed=11, **kw)
+        got = cost_samples(spec, cfg)
+        for name, chunk in reference_chunks.items():
+            with monkeypatch.context() as m:
+                m.setattr(mc, "_simulate_chunk", chunk)
+                expected = cost_samples(spec, cfg)
+            assert got.tobytes() == expected.tobytes(), (label, name)
+
+
+def test_nearest_node_once_per_chunk_under_a_fixed_control(monkeypatch):
+    calls = []
+    nearest = mc._nearest_node
+
+    def counted(spec, x):
+        calls.append(len(x))
+        return nearest(spec, x)
+
+    monkeypatch.setattr(mc, "_nearest_node", counted)
+    two = problems.torus_two_control(16)
+    alternate = np.arange(16) % 2
+    # 5000 paths are two chunks; 50 steps each
+    for spec, policy, per_chunk in [(two, np.ones(16, dtype=int), 1),
+                                    (_duplicate_controls(), alternate, 1),
+                                    (two, alternate, 50),
+                                    (_signed_zero_controls(), alternate, 50)]:
+        calls.clear()
+        cost_samples(spec, McConfig(T=0.05, dt_sim=1e-3, N=5000, seed=2,
+                                    x0=(0.5,), policy=policy))
+        assert calls == [4096] * per_chunk + [904] * per_chunk
+
+
+def test_x0_missing_a_coordinate_is_rejected():
+    spec = problems.torus2d_separable(8)
+    cfg = McConfig(T=0.05, dt_sim=1e-3, N=100, seed=1, x0=(0.5,),
+                   policy=np.zeros(64, dtype=int))
+    with pytest.raises(ValidationError):
+        cost_samples(spec, cfg)
+
+
+def test_x0_extra_coordinate_is_rejected():
+    spec = frozen_spec()
+    with pytest.raises(ValidationError):
+        cost_samples(spec, cfg_for(spec, x0=(0.5, 0.25)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_x0_is_rejected(bad):
+    spec = frozen_spec(r="x1")
+    with pytest.raises(ValidationError):
+        cost_samples(spec, cfg_for(spec, x0=(bad,)))

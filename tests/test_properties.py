@@ -135,3 +135,48 @@ def test_stack_product_is_bitwise_matmul(kernel, case):
                 assert_same_array(arg, want_arg)
                 assert_same_array(generator._envelope(got, base.size, sense),
                                   want_best)
+
+
+def _awkward(rng, size):
+    """Values with signed zeros, NaN and infinities among ordinary ones."""
+    f = rng.uniform(-1.0, 2.0, size)
+    picks = rng.choice(size, size=min(size, 6), replace=False)
+    f[picks] = [0.0, -0.0, np.nan, np.inf, -np.inf, -0.0][:len(picks)]
+    return f
+
+
+@pytest.mark.parametrize("kernel", ["direct", "fallback"])
+@pytest.mark.parametrize("n_controls", [1, 2, 3, 4])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_envelope_map_is_bitwise_envelope(kernel, n_controls, data):
+    spec, seed = data.draw(
+        specs().filter(lambda case: case[0].n_controls == n_controls))
+    base = build_generator(spec)
+    rng = np.random.default_rng(seed)
+    size = base.size
+    kernels = {"direct": generator._csr_matvec, "fallback": None}
+    for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
+        for sense in ("minimize", "maximize"):
+            with mock.patch.object(generator, "_csr_matvec", kernels[kernel]):
+                euler = generator._envelope_map(stack, size, sense)
+            f = rng.uniform(0.5, 1.5, size)
+            for f_in in (f, _awkward(rng, size)):
+                got = euler(f_in)
+                assert_same_array(got, generator._envelope(stack @ f_in,
+                                                           size, sense))
+            for _ in range(3):              # the output fed back in
+                want = generator._envelope(stack @ f, size, sense)
+                f = euler(f)
+                assert_same_array(f, want)
+
+            # products with signed zeros, NaN and infinities in every block
+            planted = np.concatenate([_awkward(rng, size)
+                                      for _ in range(n_controls)])
+
+            def plant(rows, cols, indptr, indices, values, g, out):
+                np.copyto(out, planted)
+
+            with mock.patch.object(generator, "_csr_matvec", plant):
+                got = generator._envelope_map(stack, size, sense)(f)
+            assert_same_array(got, generator._envelope(planted, size, sense))

@@ -189,3 +189,24 @@ def test_record_snapshots(cosine_gen):
     assert np.array_equal(snaps[0], f)
     assert np.array_equal(snaps[-1], final)
     assert len(times) == 5
+
+
+@pytest.mark.parametrize("make", [problems.torus_cosine,
+                                  problems.torus_two_control])
+def test_evolve_snapshots_match_single_steps(make):
+    # one control too: the map's output is fed back as its next argument,
+    # so it must never be the product buffer that the next call zeroes
+    gen = build_generator(make(32))
+    f = gen.grid.ones() + 0.5 * np.cos(2 * np.pi * gen.grid.nodes()[:, 0])
+    dt = 0.5 * gen.dt_max
+    final, times, snaps = evolve(gen, f, EvolveOptions(dt, 32 * dt,
+                                                       record_every=8))
+    want, want_snaps = f, [f]
+    for k in range(1, 33):
+        want = step(gen, want, dt)
+        if k % 8 == 0:
+            want_snaps.append(want)
+    assert np.array_equal(times, dt * np.arange(0, 33, 8))
+    assert np.array_equal(np.array(want_snaps).view(np.uint64),
+                          snaps.view(np.uint64))
+    assert np.array_equal(want.view(np.uint64), final.view(np.uint64))
