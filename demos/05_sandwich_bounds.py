@@ -25,7 +25,7 @@ rep = cw_bounds(gen, pair.phi)
 print(f"\nat phi the bracket collapses: gap = {rep.gap:.2e}")
 
 print("\ntightening along the semigroup orbit (every 10th iterate):")
-reports = cw_search(gen, "both", iters=50, rho=pair.rho)
+reports = cw_search(gen, iters=50, rho=pair.rho)
 for k in range(0, 51, 10):
     r = reports[k]
     print(f"  iterate {k:2d}: [{r.lower:+.6f}, {r.upper:+.6f}]  "

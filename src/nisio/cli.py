@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cone import fit_exponential_rate
 from .config import Config, load_config
-from .eigensolver import SolveOptions, solve_evolution, solve_max
+from .eigensolver import solve_evolution, solve_max
 from .errors import (
     InsufficientData,
     NisioError,
@@ -73,9 +73,11 @@ def _apply_overrides(cfg: Config, args) -> Config:
     return dataclasses.replace(cfg, problem=problem, mc=mc, output=output)
 
 
-def _solve_options(cfg: Config) -> SolveOptions:
-    s = cfg.solver
-    return SolveOptions(tol=s.tol, max_iters=s.max_iters, dt_factor=s.dt_factor)
+def _sidecar(cfg: Config, payload: dict, name: str, header, rows) -> None:
+    """Write ``<name>.csv`` when CSV output is on, and name it in the report."""
+    if "csv" in cfg.output.formats:
+        _write_csv(Path(cfg.output.dir) / f"{name}.csv", header, rows)
+        payload[f"{name}_csv"] = f"{name}.csv"
 
 
 def _problem_meta(cfg: Config) -> dict:
@@ -86,22 +88,19 @@ def _problem_meta(cfg: Config) -> dict:
 
 def cmd_solve(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
-    opts = _solve_options(cfg)
-    pair = solve_evolution(gen, opts)
+    pair = solve_evolution(gen, cfg.solver)
     # one control: the max envelope is the min envelope, bit for bit
-    pair_max = pair if gen.n_controls == 1 else solve_max(gen, opts)
+    pair_max = pair if gen.n_controls == 1 else solve_max(gen, cfg.solver)
     hist = np.bincount(pair.policy, minlength=gen.n_controls)
-    outdir = Path(cfg.output.dir)
-    if "csv" in cfg.output.formats:
-        nodes = gen.grid.nodes()
-        _write_csv(outdir / "phi.csv",
-                   [f"x{i+1}" for i in range(gen.grid.d)] + ["phi", "policy"],
-                   [list(nodes[i]) + [pair.phi[i], int(pair.policy[i])]
-                    for i in range(gen.size)])
-    return {"command": "solve", "rho": pair.rho, "beta": pair_max.rho,
-            "residual": pair.residual, "beta_residual": pair_max.residual,
-            "policy_histogram": hist.tolist(), "phi_csv": "phi.csv",
-            **_problem_meta(cfg)}
+    payload = {"command": "solve", "rho": pair.rho, "beta": pair_max.rho,
+               "residual": pair.residual, "beta_residual": pair_max.residual,
+               "policy_histogram": hist.tolist(), **_problem_meta(cfg)}
+    nodes = gen.grid.nodes()
+    _sidecar(cfg, payload, "phi",
+             [f"x{i+1}" for i in range(gen.grid.d)] + ["phi", "policy"],
+             [list(nodes[i]) + [pair.phi[i], int(pair.policy[i])]
+              for i in range(gen.size)])
+    return payload
 
 
 def cmd_bounds(cfg: Config, args) -> dict:
@@ -110,7 +109,7 @@ def cmd_bounds(cfg: Config, args) -> dict:
         f, label = gen.grid.ones(), "ones"
         rho = None
     else:
-        pair = solve_evolution(gen, _solve_options(cfg))
+        pair = solve_evolution(gen, cfg.solver)
         f, label, rho = pair.phi, "phi", pair.rho
     report = cw_bounds(gen, f, f_label=label, rho=rho)
     return {"command": "bounds", "lower": report.lower, "upper": report.upper,
@@ -127,7 +126,7 @@ def cmd_dv(cfg: Config, args) -> dict:
 
 def cmd_hji_check(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
-    pair = solve_evolution(gen, _solve_options(cfg))
+    pair = solve_evolution(gen, cfg.solver)
     report = hji_residual(gen, pair)
     return {"command": "hji-check", "residual": report.residual,
             "h": report.h, "rho": pair.rho, **_problem_meta(cfg)}
@@ -135,12 +134,11 @@ def cmd_hji_check(cfg: Config, args) -> dict:
 
 def cmd_simulate(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
-    pair = solve_evolution(gen, _solve_options(cfg))
+    pair = solve_evolution(gen, cfg.solver)
     mc_cfg = McConfig(T=cfg.mc.T, dt_sim=cfg.mc.dt_sim, N=cfg.mc.N,
                       seed=cfg.mc.seed, x0=cfg.mc_start(), policy=pair.policy)
     samples = cost_samples(cfg.problem, mc_cfg)
     est = _log_mean_exp(samples, mc_cfg)
-    outdir = Path(cfg.output.dir)
     payload = {"command": "simulate", "value": est.value, "stderr": est.stderr,
                "n_effective": est.n_effective, "N": est.N, "T": est.T,
                "dt_sim": est.dt_sim, "seed": cfg.mc.seed, "rho": pair.rho,
@@ -148,22 +146,16 @@ def cmd_simulate(cfg: Config, args) -> dict:
     if args.sweep:
         policies = [np.full(gen.size, v) for v in range(gen.n_controls)]
         sweep = policy_sweep(cfg.problem, mc_cfg, policies)
-        if "csv" in cfg.output.formats:
-            _write_csv(outdir / "sweep.csv",
-                       ["policy", "value", "stderr"],
-                       [[f"constant_{v}", e.value, e.stderr]
-                        for v, e in enumerate(sweep)]
-                       + [["optimal", est.value, est.stderr]])
-        payload["sweep_csv"] = "sweep.csv"
+        _sidecar(cfg, payload, "sweep", ["policy", "value", "stderr"],
+                 [[f"constant_{v}", e.value, e.stderr]
+                  for v, e in enumerate(sweep)]
+                 + [["optimal", est.value, est.stderr]])
         payload["sweep_values"] = [e.value for e in sweep]
     if args.histogram:
         counts, edges = np.histogram(samples, bins=50)
-        if "csv" in cfg.output.formats:
-            _write_csv(outdir / "histogram.csv",
-                       ["bin_left", "bin_right", "count"],
-                       [[edges[i], edges[i + 1], int(counts[i])]
-                        for i in range(len(counts))])
-        payload["histogram_csv"] = "histogram.csv"
+        _sidecar(cfg, payload, "histogram", ["bin_left", "bin_right", "count"],
+                 [[edges[i], edges[i + 1], int(counts[i])]
+                  for i in range(len(counts))])
     return payload
 
 
@@ -171,27 +163,26 @@ def cmd_orbit(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
     dt = gen.dt_max * cfg.solver.dt_factor
     pair = solve_evolution(
-        gen, dataclasses.replace(_solve_options(cfg), collect_p1=True))
+        gen, dataclasses.replace(cfg.solver, collect_p1=True))
     stats = pair.stats
-    outdir = Path(cfg.output.dir)
-    if "csv" in cfg.output.formats:
-        _write_csv(outdir / "orbit.csv",
-                   ["iteration", "under_alpha", "over_alpha", "eta",
-                    "rho_estimate", "sup_norm"],
-                   [[int(stats.iterations[i]), stats.under_alpha[i],
-                     stats.over_alpha[i], stats.eta[i],
-                     stats.rho_estimate[i], stats.sup_norm[i]]
-                    for i in range(len(stats.iterations))])
     try:
         fit = fit_exponential_rate(stats)
         theta, r2 = fit.theta, fit.r2
     except (InsufficientData, NonPositiveEta):
         theta, r2 = None, None
-    return {"command": "orbit", "growth_per_step": 1.0 + dt * pair.rho,
-            "rho": pair.rho, "dt": dt,
-            "iterations": stats.n_iterations, "theta": theta, "r2": r2,
-            "zeta1": stats.zeta1, "p1_min": stats.p1_min,
-            "orbit_csv": "orbit.csv", **_problem_meta(cfg)}
+    payload = {"command": "orbit", "growth_per_step": 1.0 + dt * pair.rho,
+               "rho": pair.rho, "dt": dt,
+               "iterations": stats.n_iterations, "theta": theta, "r2": r2,
+               "zeta1": stats.zeta1, "p1_min": stats.p1_min,
+               **_problem_meta(cfg)}
+    _sidecar(cfg, payload, "orbit",
+             ["iteration", "under_alpha", "over_alpha", "eta",
+              "rho_estimate", "sup_norm"],
+             [[int(stats.iterations[i]), stats.under_alpha[i],
+               stats.over_alpha[i], stats.eta[i],
+               stats.rho_estimate[i], stats.sup_norm[i]]
+              for i in range(len(stats.iterations))])
+    return payload
 
 
 def cmd_evolve(cfg: Config, args) -> dict:
@@ -205,13 +196,12 @@ def cmd_evolve(cfg: Config, args) -> dict:
     for t, s in zip(times, sup):
         rate = math.log(s) / t if t > 0 and s > 0 else ""
         rows.append([t, s, rate])
-    outdir = Path(cfg.output.dir)
-    if "csv" in cfg.output.formats:
-        _write_csv(outdir / "evolve.csv", ["t", "sup_norm", "log_growth"], rows)
     final_rate = math.log(sup[-1]) / times[-1] if times[-1] > 0 else 0.0
-    return {"command": "evolve", "t_final": float(times[-1]), "dt": dt,
-            "sup_norm_final": float(sup[-1]), "log_growth_rate": final_rate,
-            "evolve_csv": "evolve.csv", **_problem_meta(cfg)}
+    payload = {"command": "evolve", "t_final": float(times[-1]), "dt": dt,
+               "sup_norm_final": float(sup[-1]), "log_growth_rate": final_rate,
+               **_problem_meta(cfg)}
+    _sidecar(cfg, payload, "evolve", ["t", "sup_norm", "log_growth"], rows)
+    return payload
 
 
 def cmd_matrix_cw(args) -> dict:

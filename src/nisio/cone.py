@@ -79,7 +79,13 @@ def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
         raise NonPositiveInput("reference must be strictly positive")
     if np.min(f) < 0:
         raise NonPositiveInput("f must be nonnegative")
-    ratios = f / reference
+    return _cw_band(f, reference)
+
+
+def _cw_band(gf: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """Collatz-Weilandt band ``(min gf/f, max gf/f)`` of ``gf = G f``;
+    :func:`alpha_bounds` without the input checks."""
+    ratios = gf / f
     return float(np.min(ratios)), float(np.max(ratios))
 
 

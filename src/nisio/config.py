@@ -25,29 +25,17 @@ import re
 from dataclasses import dataclass, field
 
 
+from .eigensolver import SolveOptions
 from .errors import ConfigError, ExprSyntaxError, UnknownIdentifier, ValidationError
 from .expr import parse
 from .generator import ProblemSpec
 from .grid import Grid
 
-__all__ = ["Config", "SolverSection", "McSection", "OutputSection", "load_config"]
+__all__ = ["Config", "McSection", "OutputSection", "load_config"]
 
 _KEY_RE = re.compile(r"^[a-z_][a-z0-9_]*\.[a-z_][a-z0-9_]*$")
-
-
-@dataclass(frozen=True)
-class SolverSection:
-    dt_factor: float = 0.9
-    tol: float = 1e-9
-    max_iters: int = 5_000_000
-
-    def __post_init__(self):
-        if not (0 < self.dt_factor <= 1):
-            raise ValidationError("solver.dt_factor must be in (0, 1]")
-        if not self.tol > 0:
-            raise ValidationError("solver.tol must be positive")
-        if self.max_iters < 1:
-            raise ValidationError("solver.max_iters must be >= 1")
+_FORMATS = ("json", "csv")
+_SOLVER_KEYS = (("dt_factor", float), ("tol", float), ("max_iters", int))
 
 
 @dataclass(frozen=True)
@@ -62,13 +50,13 @@ class McSection:
 @dataclass(frozen=True)
 class OutputSection:
     dir: str = "out"
-    formats: tuple = ("json", "csv")
+    formats: tuple = _FORMATS
 
 
 @dataclass(frozen=True)
 class Config:
     problem: ProblemSpec
-    solver: SolverSection = field(default_factory=SolverSection)
+    solver: SolveOptions = field(default_factory=SolveOptions)
     mc: McSection = field(default_factory=McSection)
     output: OutputSection = field(default_factory=OutputSection)
 
@@ -211,10 +199,17 @@ def loads(text: str) -> Config:
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
-    solver = SolverSection(
-        dt_factor=_convert(items, "solver.dt_factor", float, 0.9),
-        tol=_convert(items, "solver.tol", float, 1e-9),
-        max_iters=_convert(items, "solver.max_iters", int, 5_000_000))
+    solver = {}
+    for name, conv in _SOLVER_KEYS:      # unset keys keep the dataclass defaults
+        key = f"solver.{name}"
+        value = _convert(items, key, conv)
+        if value is None:
+            continue
+        try:        # each field is checked on its own, so the error has its line
+            SolveOptions(**{name: value})
+        except ValidationError as exc:
+            raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
+        solver[name] = value
 
     x0_raw = items.get("mc.x0")
     x0 = None
@@ -230,16 +225,21 @@ def loads(text: str) -> Config:
         seed=_convert(items, "mc.seed", int, 0),
         x0=x0)
 
-    formats_raw = items.get("output.formats", "json,csv")
-    output = OutputSection(
-        dir=items.get("output.dir", "out"),
-        formats=tuple(f.strip() for f in formats_raw.split(",")))
+    formats = tuple(f.strip() for f in
+                    items.get("output.formats", ",".join(_FORMATS)).split(","))
+    unknown = [f for f in formats if f not in _FORMATS]
+    if unknown:
+        raise ConfigError(f"output.formats: unknown format {unknown[0]!r}, "
+                          f"expected {' or '.join(_FORMATS)}",
+                          items.line("output.formats"))
+    output = OutputSection(dir=items.get("output.dir", "out"), formats=formats)
 
     extra = items.unused()
     if extra:
         raise ConfigError(f"unknown keys: {', '.join(extra)}",
                           items.line(extra[0]))
-    return Config(problem=problem, solver=solver, mc=mc, output=output)
+    return Config(problem=problem, solver=SolveOptions(**solver), mc=mc,
+                  output=output)
 
 
 def load_config(path: str) -> Config:

@@ -27,17 +27,18 @@ minimization problems ``beta >= rho`` always.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import OrbitStats, power_iterate
+from .cone import OrbitStats, _cw_band, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
 from .generator import (DiscreteGenerator, MAXIMIZE, _envelope,
                         _envelope_map, argmin_policy)
 from .grid import GridFunction
 from .perron import noda
-from .variational import _cw_band
+from .semigroup import _check_cfl
 
 __all__ = ["EigenPair", "SolveOptions", "solve_evolution",
            "solve_policy_iteration", "solve_max"]
@@ -52,7 +53,9 @@ class SolveOptions:
 
     ``tol`` bounds the sup-norm eigen-residual ``||G phi - rho phi||_inf``
     of the returned pair.  ``dt`` overrides the evolution step (must obey
-    the CFL bound); by default ``dt_factor`` of the bound is used.
+    the CFL bound, else :class:`CflViolation`); by default ``dt_factor``
+    of the bound is used.  The ``solver`` section of a config is one of
+    these (``tol``, ``max_iters`` and ``dt_factor``).
     """
 
     tol: float = 1e-9
@@ -63,8 +66,12 @@ class SolveOptions:
     collect_p1: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValidationError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be >= 1")
+        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValidationError("dt must be positive and finite")
         if not (0 < self.dt_factor <= 1):
             raise ValidationError("dt_factor must be in (0, 1]")
 
@@ -116,9 +123,7 @@ def solve_evolution(gen: DiscreteGenerator,
     """Eigenpair via normalized power iteration on one semigroup step."""
     opts = opts or SolveOptions()
     dt = opts.dt if opts.dt is not None else gen.dt_max * opts.dt_factor
-    if dt > gen.dt_max:
-        raise ValidationError(
-            f"dt = {dt:.6g} exceeds the CFL bound {gen.dt_max:.6g}")
+    _check_cfl(gen, dt)
     one_step = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the step ratios is ~ dt * oscillation of G f / f

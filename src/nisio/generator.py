@@ -12,13 +12,13 @@ bound this Metzler structure makes positivity, monotonicity and the
 envelope inequality of the induced semigroup hold exactly, not just up to
 discretization error.
 
-Boundary handling: the reflecting interval uses a mirror ghost node (in
-one dimension the co-normal reflection direction is the outward normal,
-so the boundary condition reduces to zero Neumann); the torus wraps
-indices.  On the 2-torus a mixed second derivative is discretized with
-the sign-split seven-point stencil, which is monotone exactly when the
-diffusion matrix is pointwise diagonally dominant, |a12| <= min(a11, a22);
-this is validated at build time.
+One assembler serves the interval, the circle and the 2-torus: it loops
+over the axes and takes every neighbour from :meth:`Grid.neighbour`, the
+grid's single boundary rule (wrap on the torus, mirror ghost node on the
+reflecting interval).  On the 2-torus a mixed second derivative is
+discretized with the sign-split seven-point stencil, which is monotone
+exactly when the diffusion matrix is pointwise diagonally dominant,
+|a12| <= min(a11, a22); this is validated at build time.
 
 The control family is stored once, as the CSR stack ``vstack(A_v)``.  The
 envelope operator ``(G f)(x) = min_v (L_v + r_v) f(x)`` (``max_v`` for
@@ -48,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import Expr, evaluate, parse
-from .grid import Grid, GridFunction, TORUS, as_grid_function
+from .grid import Grid, GridFunction, as_grid_function
 
 __all__ = [
     "ProblemSpec",
@@ -286,13 +286,7 @@ def build_generator(spec: ProblemSpec) -> DiscreteGenerator:
             f"min eigenvalue of a(x) is {np.min(min_eig):.3g} < eps_a = {spec.eps_a:.3g}")
 
     h = grid.h
-    mats = []
-    for k in range(spec.n_controls):
-        if grid.d == 1:
-            A = _assemble_1d(grid, a[:, 0, 0], b[k, :, 0], r[k], h)
-        else:
-            A = _assemble_2d_torus(grid, a, b[k], r[k], h)
-        mats.append(A)
+    mats = _assemble(grid, a, b, r)
 
     # CFL: the classical bound from the coefficient tables, sharpened by
     # the exact positivity bound 1/max(-diag A_v) so that I + dt A_v is
@@ -309,86 +303,51 @@ def build_generator(spec: ProblemSpec) -> DiscreteGenerator:
         r_tables=r, a_table=a, dt_max=dt_cap, sense=spec.sense)
 
 
-def _assemble_1d(grid: Grid, a: np.ndarray, b: np.ndarray, r: np.ndarray,
-                 h: float) -> sp.csr_matrix:
-    n = grid.n
-    cdiff = a / (2.0 * h * h)
-    cplus = cdiff + np.maximum(b, 0.0) / h
-    cminus = cdiff + np.maximum(-b, 0.0) / h
-    center = r - (cplus + cminus)
+def _assemble(grid: Grid, a: np.ndarray, b: np.ndarray,
+              r: np.ndarray) -> list:
+    """Upwind stencil matrices ``A_v = L_v + diag(r_v)``, one per control.
 
-    idx = np.arange(n)
-    rows = [idx, idx]
-    cols = [idx, np.empty(n, dtype=int)]
-    vals = [center, cplus]
-    if grid.topology == TORUS:
-        cols[1] = (idx + 1) % n
-        rows.append(idx)
-        cols.append((idx - 1) % n)
-        vals.append(cminus)
-    else:
-        up = np.minimum(idx + 1, n - 1)
-        up[n - 1] = n - 2          # mirror ghost beyond the right endpoint
-        cols[1] = up
-        down = np.maximum(idx - 1, 0)
-        down[0] = 1                # mirror ghost beyond the left endpoint
-        rows.append(idx)
-        cols.append(down)
-        vals.append(cminus)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    return A.tocsr()
-
-
-def _assemble_2d_torus(grid: Grid, a: np.ndarray, b: np.ndarray,
-                       r: np.ndarray, h: float) -> sp.csr_matrix:
-    n = grid.n
-    size = grid.size
-    a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
+    Per axis ``k``: central diffusion ``(a_kk - |a12|) / (2 h^2)`` (the
+    ``|a12|`` term is 0 in 1D) plus the upwind drift, toward the ``+1``
+    and ``-1`` neighbours.  On the 2-torus the sign-split mixed term adds
+    the diagonal neighbours.  Neighbours come from :meth:`Grid.neighbour`.
+    """
+    d, h, size = grid.d, grid.h, grid.size
+    h2 = 2.0 * h * h
+    a12 = a[:, 0, 1] if d == 2 else 0.0
     ap = np.abs(a12)
-    slack = np.minimum(a11 - ap, a22 - ap)
-    if np.min(slack) < 0:
+    slack = np.min([a[:, k, k] - ap for k in range(d)])
+    if slack < 0:
         raise DegenerateDiffusion(
             "mixed derivative too strong for the monotone stencil: "
-            f"need |a12| <= min(a11, a22), worst slack {np.min(slack):.3g}")
+            f"need |a12| <= min(a11, a22), worst slack {slack:.3g}")
+    diffusion = [(a[:, k, k] - ap) / h2 for k in range(d)]
+    units = np.eye(d, dtype=int)
+    offsets = [off for k in range(d) for off in (units[k], -units[k])]
+    if d == 2:
+        cpp = np.maximum(a12, 0.0) / h2    # (+1, +1) and (-1, -1) neighbors
+        cpm = np.maximum(-a12, 0.0) / h2   # (+1, -1) and (-1, +1) neighbors
+        offsets += [(1, 1), (-1, -1), (1, -1), (-1, 1)]
+    nodes = np.arange(size)
+    rows = np.tile(nodes, len(offsets) + 1)
+    cols = np.concatenate([nodes, *(grid.neighbour(off) for off in offsets)])
 
-    h2 = 2.0 * h * h
-    c1 = (a11 - ap) / h2
-    c2 = (a22 - ap) / h2
-    c1p = c1 + np.maximum(b[:, 0], 0.0) / h
-    c1m = c1 + np.maximum(-b[:, 0], 0.0) / h
-    c2p = c2 + np.maximum(b[:, 1], 0.0) / h
-    c2m = c2 + np.maximum(-b[:, 1], 0.0) / h
-    cpp = np.maximum(a12, 0.0) / h2    # (+1, +1) and (-1, -1) neighbors
-    cpm = np.maximum(-a12, 0.0) / h2   # (+1, -1) and (-1, +1) neighbors
-    center = r - (c1p + c1m + c2p + c2m + 2.0 * cpp + 2.0 * cpm)
-
-    i, j = np.divmod(np.arange(size), n)
-
-    def flat(di, dj):
-        return ((i + di) % n) * n + (j + dj) % n
-
-    rows, cols, vals = [], [], []
-
-    def add(di, dj, coef):
-        rows.append(np.arange(size))
-        cols.append(flat(di, dj))
-        vals.append(coef)
-
-    add(0, 0, center)
-    add(1, 0, c1p)
-    add(-1, 0, c1m)
-    add(0, 1, c2p)
-    add(0, -1, c2m)
-    add(1, 1, cpp)
-    add(-1, -1, cpp)
-    add(1, -1, cpm)
-    add(-1, 1, cpm)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
-    return A.tocsr()
+    mats = []
+    for bv, rv in zip(b, r):
+        coefs = []
+        for k in range(d):
+            coefs.append(diffusion[k] + np.maximum(bv[:, k], 0.0) / h)
+            coefs.append(diffusion[k] + np.maximum(-bv[:, k], 0.0) / h)
+        total = coefs[0]
+        for c in coefs[1:]:
+            total = total + c
+        if d == 2:
+            total = total + 2.0 * cpp + 2.0 * cpm
+            coefs += [cpp, cpp, cpm, cpm]
+        A = sp.coo_matrix((np.concatenate([rv - total, *coefs]), (rows, cols)),
+                          shape=(size, size))
+        mats.append(A.tocsr())
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ row-major over the node lattice (for d = 2, node ``(i, j)`` sits at flat
 index ``i * n + j``).  The helpers below validate the contracts that the
 rest of the library relies on: matching length, finiteness and, where an
 operation requires it, strict positivity.
+
+The boundary rule lives in one place, :meth:`Grid.neighbour`: the torus
+wraps lattice indices, and the interval mirrors them through its
+endpoints, so the ghost node ``-1`` is node ``1`` and the ghost node
+``n`` is node ``n - 2``.  In one dimension the co-normal reflection
+direction is the outward normal, so the mirror ghost node is the zero
+Neumann condition.  The generator's stencil and the centered gradient of
+the log-transform residual both read their neighbours from this map.
 """
 
 from __future__ import annotations
@@ -75,8 +83,27 @@ class Grid:
     def ones(self) -> GridFunction:
         return np.ones(self.size)
 
+    def neighbour(self, offset) -> np.ndarray:
+        """Flat index of each node's neighbour at the lattice ``offset``.
 
-def as_grid_function(grid: Grid, values, positive: bool = False) -> GridFunction:
+        ``offset`` holds one integer step per axis.  The torus wraps; the
+        interval mirrors through its endpoints (see the module docstring).
+        """
+        if len(offset) != self.d:
+            raise ValidationError(f"offset needs {self.d} components")
+        n = self.n
+        flat = 0
+        for index, step in zip(np.indices((n,) * self.d), offset):
+            index = index + step
+            if self.topology == TORUS:
+                index %= n
+            else:
+                index = (n - 1) - np.abs((n - 1) - np.abs(index))
+            flat = flat * n + index
+        return flat.ravel()
+
+
+def as_grid_function(grid: Grid, values) -> GridFunction:
     """Validate and return ``values`` as a grid function for ``grid``."""
     f = np.asarray(values, dtype=float)
     if f.shape != (grid.size,):
@@ -84,8 +111,6 @@ def as_grid_function(grid: Grid, values, positive: bool = False) -> GridFunction
             f"grid function must have shape ({grid.size},), got {f.shape}")
     if not np.isfinite(f).all():
         raise ValidationError("grid function contains non-finite values")
-    if positive:
-        require_positive(f)
     return f
 
 

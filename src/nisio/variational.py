@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .cone import _cw_band
 from .errors import NonPositiveInput, ValidationError
 from .generator import DiscreteGenerator, _envelope, apply_G
-from .grid import GridFunction, INTERVAL, as_grid_function
+from .grid import GridFunction, as_grid_function
 from .perron import noda
 from .semigroup import EvolveOptions, evolve
 
@@ -68,13 +69,7 @@ def cw_bounds(gen: DiscreteGenerator, f: GridFunction,
     return SandwichReport(*_cw_band(apply_G(gen, f), f), f_label, rho)
 
 
-def _cw_band(gf: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """Collatz-Weilandt band ``(min gf/f, max gf/f)`` of ``gf = G f``."""
-    ratios = gf / f
-    return float(np.min(ratios)), float(np.max(ratios))
-
-
-def cw_search(gen: DiscreteGenerator, direction: str = "both",
+def cw_search(gen: DiscreteGenerator,
               iters: int = 50, f0: GridFunction | None = None,
               steps_per_iter: int = 16,
               rho: float | None = None) -> list[SandwichReport]:
@@ -86,9 +81,6 @@ def cw_search(gen: DiscreteGenerator, direction: str = "both",
     nondecreasing, so the active bound improves monotonically toward
     ``rho``.  Returns one report per iterate, the start included.
     """
-    if direction not in ("tighten-lower", "tighten-upper", "both"):
-        raise ValidationError(
-            "direction must be 'tighten-lower', 'tighten-upper' or 'both'")
     if iters < 1:
         raise ValidationError("iters must be >= 1")
     f = gen.grid.ones() if f0 is None else as_grid_function(gen.grid, f0)
@@ -242,22 +234,15 @@ def dv_check(gen: DiscreteGenerator) -> DvReport:
 # ---------------------------------------------------------------------------
 
 def _centered_gradient(gen: DiscreteGenerator, psi: np.ndarray) -> np.ndarray:
-    """Per-axis centered differences; zero at reflecting endpoints."""
+    """Per-axis centered differences over :meth:`Grid.neighbour`.
+
+    The mirror rule makes them zero at the reflecting endpoints.
+    """
     grid = gen.grid
-    h = grid.h
-    if grid.d == 1:
-        g = np.empty_like(psi)
-        if grid.topology == INTERVAL:
-            g[1:-1] = (psi[2:] - psi[:-2]) / (2 * h)
-            g[0] = 0.0       # mirror ghost: psi(-h) = psi(h)
-            g[-1] = 0.0
-        else:
-            g = (np.roll(psi, -1) - np.roll(psi, 1)) / (2 * h)
-        return g[:, None]
-    f = psi.reshape(grid.n, grid.n)
-    g1 = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
-    g2 = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * h)
-    return np.column_stack([g1.ravel(), g2.ravel()])
+    units = np.eye(grid.d, dtype=int)
+    return np.column_stack([
+        (psi[grid.neighbour(e)] - psi[grid.neighbour(-e)]) / (2 * grid.h)
+        for e in units])
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,47 @@ def test_unknown_and_duplicate_keys():
         loads("just some words\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tol", "nan"), ("tol", "-1"), ("tol", "0"), ("dt_factor", "1.5"),
+    ("dt_factor", "nan"), ("max_iters", "0")])
+def test_bad_solver_value_names_key_and_line(key, value):
+    line = f"solver.{key} = {value}"
+    text = MINIMAL + f"\n{line}\nmc.seed = 3\n"
+    with pytest.raises(ConfigError, match=rf"solver\.{key}") as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+
+
+def test_solver_section_is_solve_options():
+    cfg = loads(MINIMAL + "\nsolver.tol = 1e-7\nsolver.max_iters = 123\n")
+    assert cfg.solver == eigensolver.SolveOptions(tol=1e-7, max_iters=123)
+    assert loads(MINIMAL).solver == eigensolver.SolveOptions()
+
+
+@pytest.mark.parametrize("formats", ["xml", "json,xml", "json,", "csv;json"])
+def test_unknown_output_format_rejected(formats):
+    text = MINIMAL + f"\noutput.formats = {formats}\n"
+    with pytest.raises(ConfigError, match="output.formats") as err:
+        loads(text)
+    assert err.value.line == len(text.splitlines())
+
+
+def test_readme_config_block_loads():
+    readme = open("README.md", encoding="utf-8").read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = loads(block)
+    grid = cfg.problem.grid
+    assert (grid.topology, grid.d, grid.n, grid.extent) == ("torus", 1, 64, 1.0)
+    assert cfg.problem.controls == ((-1.0,), (1.0,))
+    assert cfg.problem.sense == "minimize"
+    assert cfg.solver == eigensolver.SolveOptions(dt_factor=0.9, tol=1e-9,
+                                                  max_iters=5_000_000)
+    assert (cfg.mc.T, cfg.mc.dt_sim, cfg.mc.N, cfg.mc.seed) == (
+        20.0, 1e-3, 10_000, 0)
+    assert cfg.mc_start() == (0.5,)
+    assert (cfg.output.dir, cfg.output.formats) == ("out", ("json", "csv"))
+
+
 INTERVAL_START = """
 problem.topology = interval
 problem.n        = 32
@@ -295,3 +336,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["matrix-cw", "--matrix", mat, "--out", tmp_path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence"
+
+
+def test_cli_json_only_names_no_csv(tmp_path):
+    cfg = write_cfg(tmp_path, TWO_CONTROL + "output.formats = json\n")
+    runs = [["solve"], ["simulate", "--sweep", "--histogram"], ["orbit"],
+            ["evolve", "--t-final", "0.01"]]
+    for k, argv in enumerate(runs):
+        out = tmp_path / f"out{k}"
+        assert run_cli([argv[0], cfg, *argv[1:], "--out", out]) == 0
+        payload = read_report(out)
+        assert not [key for key in payload if key.endswith("_csv")], argv
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]

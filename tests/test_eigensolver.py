@@ -17,7 +17,7 @@ from nisio import (
     solve_policy_iteration,
 )
 from nisio import problems
-from nisio.errors import NoConvergence
+from nisio.errors import CflViolation, NoConvergence, ValidationError
 
 
 def test_constant_cost_exact_both_methods():
@@ -127,6 +127,23 @@ def test_solve_options_validation():
         SolveOptions(tol=-1.0)
     with pytest.raises(Exception):
         SolveOptions(dt_factor=1.5)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": float("nan")}, {"tol": 0.0}, {"dt": float("nan")}, {"dt": 0.0},
+    {"dt": -1e-4}, {"dt": float("inf")}, {"max_iters": 0},
+    {"max_iters": -3}], ids=["tol-nan", "tol-0", "dt-nan", "dt-0",
+                            "dt-negative", "dt-inf", "max_iters-0",
+                            "max_iters-negative"])
+def test_solve_options_rejects(bad):
+    name = next(iter(bad))
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        SolveOptions(**bad)
+
+
+def test_dt_above_cfl_bound_is_cfl_violation(cosine_gen):
+    with pytest.raises(CflViolation):
+        solve_evolution(cosine_gen, SolveOptions(dt=1.5 * cosine_gen.dt_max))
 
 
 def test_dt_override(cosine_gen):

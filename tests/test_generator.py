@@ -235,3 +235,211 @@ def test_direct_csr_kernel_is_used():
         mp.setattr(type(stack), "__matmul__", no_matmul)
         got = product(f)
     assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# bitwise pins against the per-topology assemblers and gradient that the
+# single neighbour-map assembler replaced
+# ---------------------------------------------------------------------------
+
+def _reference_assemble_1d(grid, a, b, r, h):
+    """The interval/circle assembler as it was before the neighbour map."""
+    n = grid.n
+    cdiff = a / (2.0 * h * h)
+    cplus = cdiff + np.maximum(b, 0.0) / h
+    cminus = cdiff + np.maximum(-b, 0.0) / h
+    center = r - (cplus + cminus)
+
+    idx = np.arange(n)
+    rows = [idx, idx]
+    cols = [idx, np.empty(n, dtype=int)]
+    vals = [center, cplus]
+    if grid.topology == "torus":
+        cols[1] = (idx + 1) % n
+        rows.append(idx)
+        cols.append((idx - 1) % n)
+        vals.append(cminus)
+    else:
+        up = np.minimum(idx + 1, n - 1)
+        up[n - 1] = n - 2          # mirror ghost beyond the right endpoint
+        cols[1] = up
+        down = np.maximum(idx - 1, 0)
+        down[0] = 1                # mirror ghost beyond the left endpoint
+        rows.append(idx)
+        cols.append(down)
+        vals.append(cminus)
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+    return A.tocsr()
+
+
+def _reference_assemble_2d_torus(grid, a, b, r, h):
+    """The 2-torus assembler as it was before the neighbour map."""
+    n = grid.n
+    size = grid.size
+    a11, a22, a12 = a[:, 0, 0], a[:, 1, 1], a[:, 0, 1]
+    ap = np.abs(a12)
+    slack = np.minimum(a11 - ap, a22 - ap)
+    if np.min(slack) < 0:
+        raise DegenerateDiffusion(
+            "mixed derivative too strong for the monotone stencil: "
+            f"need |a12| <= min(a11, a22), worst slack {np.min(slack):.3g}")
+
+    h2 = 2.0 * h * h
+    c1 = (a11 - ap) / h2
+    c2 = (a22 - ap) / h2
+    c1p = c1 + np.maximum(b[:, 0], 0.0) / h
+    c1m = c1 + np.maximum(-b[:, 0], 0.0) / h
+    c2p = c2 + np.maximum(b[:, 1], 0.0) / h
+    c2m = c2 + np.maximum(-b[:, 1], 0.0) / h
+    cpp = np.maximum(a12, 0.0) / h2
+    cpm = np.maximum(-a12, 0.0) / h2
+    center = r - (c1p + c1m + c2p + c2m + 2.0 * cpp + 2.0 * cpm)
+
+    i, j = np.divmod(np.arange(size), n)
+
+    def flat(di, dj):
+        return ((i + di) % n) * n + (j + dj) % n
+
+    rows, cols, vals = [], [], []
+
+    def add(di, dj, coef):
+        rows.append(np.arange(size))
+        cols.append(flat(di, dj))
+        vals.append(coef)
+
+    add(0, 0, center)
+    add(1, 0, c1p)
+    add(-1, 0, c1m)
+    add(0, 1, c2p)
+    add(0, -1, c2m)
+    add(1, 1, cpp)
+    add(-1, -1, cpp)
+    add(1, -1, cpm)
+    add(-1, 1, cpm)
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size))
+    return A.tocsr()
+
+
+def reference_build(spec):
+    """``(stack, dt_max)`` as the per-topology assemblers built them."""
+    grid = spec.grid
+    a, b, r = generator._axis_tables(spec, grid.nodes())
+    h = grid.h
+    mats = []
+    for k in range(spec.n_controls):
+        if grid.d == 1:
+            mats.append(_reference_assemble_1d(grid, a[:, 0, 0], b[k, :, 0],
+                                               r[k], h))
+        else:
+            mats.append(_reference_assemble_2d_torus(grid, a, b[k], r[k], h))
+    amax = float(np.max(np.abs(a)))
+    bmax = float(np.max(np.sum(np.abs(b), axis=-1)))
+    dt_cap = h * h / (grid.d * amax + h * bmax)
+    diag_min = min(float(A.diagonal().min()) for A in mats)
+    if diag_min < 0:
+        dt_cap = min(dt_cap, 1.0 / (-diag_min))
+    return sp.vstack(mats, format="csr"), dt_cap
+
+
+def reference_centered_gradient(grid, psi):
+    """The roll/slice centered gradient before the neighbour map."""
+    h = grid.h
+    if grid.d == 1:
+        g = np.empty_like(psi)
+        if grid.topology == "interval":
+            g[1:-1] = (psi[2:] - psi[:-2]) / (2 * h)
+            g[0] = 0.0
+            g[-1] = 0.0
+        else:
+            g = (np.roll(psi, -1) - np.roll(psi, 1)) / (2 * h)
+        return g[:, None]
+    f = psi.reshape(grid.n, grid.n)
+    g1 = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
+    g2 = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * h)
+    return np.column_stack([g1.ravel(), g2.ravel()])
+
+
+def _same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_pins_reference_stencil(spec, seed=0):
+    """Stack arrays, ``dt_max`` and the gradient equal the references' bytes."""
+    from nisio.variational import _centered_gradient
+    gen = build_generator(spec)
+    stack, dt_max = reference_build(spec)
+    for name in ("indptr", "indices", "data"):
+        assert _same_bytes(getattr(gen.stack, name), getattr(stack, name)), name
+    assert gen.stack.shape == stack.shape
+    assert _same_bytes(gen.dt_max, dt_max)
+    rng = np.random.default_rng(seed)
+    for psi in (rng.uniform(-3.0, 3.0, gen.size),
+                np.log(rng.uniform(0.1, 1.0, gen.size))):
+        assert _same_bytes(_centered_gradient(gen, psi),
+                           reference_centered_gradient(spec.grid, psi))
+
+
+def mixed_torus(n, c, b=("v1", "v2 + 0.5*sin(2*pi*x1)")):
+    """A four-control 2-torus whose ``a12`` has the sign of ``c``."""
+    return ProblemSpec(
+        grid=Grid("torus", n=n, d=2),
+        controls=[(-1.0, 0.5), (1.0, -0.5), (0.0, 0.0), (-0.0, 1.0)],
+        sigma=("1 + 0.2*cos(2*pi*x2)", str(c), str(c), "0.9"), b=b,
+        r="cos(2*pi*x1) + sin(2*pi*x2) + 0.1*v1*v2")
+
+
+@pytest.mark.parametrize("n", [8, 16, 33])
+def test_assembler_pins_reference_on_corpus_1d(n):
+    for name, spec in problems.corpus_1d(n).items():
+        assert_pins_reference_stencil(spec, seed=n)
+
+
+def test_assembler_pins_reference_on_interval_n8():
+    for spec in (problems.interval_two_control(8), problems.interval_cosine(8),
+                 problems.constant_cost(0.5, n=8, topology="interval")):
+        assert_pins_reference_stencil(spec)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, -0.3, 0.45, -0.45])
+def test_assembler_pins_reference_on_2d_tori(c):
+    assert_pins_reference_stencil(problems.torus2d_separable(12))
+    assert_pins_reference_stencil(mixed_torus(10, c), seed=1)
+    assert_pins_reference_stencil(mixed_torus(13, c, b=("0", "0")), seed=2)
+
+
+def test_dominance_violation_matches_reference_message():
+    spec = ProblemSpec(
+        grid=Grid("torus", n=16, d=2), controls=[(0.0,)],
+        sigma=("1", "0.9", "0.1", "0.5"), b=("0", "0"), r="0")
+    with pytest.raises(DegenerateDiffusion) as want:
+        reference_build(spec)
+    with pytest.raises(DegenerateDiffusion) as got:
+        build_generator(spec)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("topology, d", [("torus", 1), ("interval", 1),
+                                         ("torus", 2)])
+def test_neighbour_map(topology, d):
+    grid = Grid(topology, n=8, d=d)
+    nodes = np.arange(grid.size)
+    assert np.array_equal(grid.neighbour((0,) * d), nodes)
+    if topology == "interval":
+        # ghost -1 is node 1, ghost n is node n - 2
+        assert np.array_equal(grid.neighbour((1,)), [1, 2, 3, 4, 5, 6, 7, 6])
+        assert np.array_equal(grid.neighbour((-1,)), [1, 0, 1, 2, 3, 4, 5, 6])
+    elif d == 1:
+        assert np.array_equal(grid.neighbour((1,)), (nodes + 1) % 8)
+        assert np.array_equal(grid.neighbour((-1,)), (nodes - 1) % 8)
+    else:
+        i, j = np.divmod(nodes, 8)
+        for di, dj in [(1, 0), (0, -1), (1, -1), (-1, 1), (-1, -1)]:
+            assert np.array_equal(grid.neighbour((di, dj)),
+                                  ((i + di) % 8) * 8 + (j + dj) % 8)
+    with pytest.raises(ValidationError):
+        grid.neighbour((1,) * (d + 1))

@@ -26,6 +26,7 @@ from test_cone import (
     assert_same_orbit,
     assert_same_stats,
 )
+from test_generator import assert_pins_reference_stencil
 
 coef = st.floats(-2.0, 2.0, allow_nan=False).map(lambda c: round(c, 3))
 scale = st.floats(0.5, 1.5, allow_nan=False).map(lambda s: round(s, 3))
@@ -73,6 +74,13 @@ def test_single_envelope_matches_per_control_products(case):
         assert np.array_equal(products[argmin_policy(gen, f), nodes], gf)
         steps = np.stack([M @ f for M in gen.step_matrices(dt)])
         assert np.array_equal(step(gen, f, dt), reduce(steps, axis=0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(specs())
+def test_assembler_and_gradient_pin_references(case):
+    spec, seed = case
+    assert_pins_reference_stencil(spec, seed)
 
 
 def _evolution_outcome(gen):

@@ -69,8 +69,7 @@ def test_bounds_rejects_nonpositive(cosine_gen):
 
 
 def test_cw_search_tightens(cosine_gen, cosine_pair):
-    reports = cw_search(cosine_gen, "tighten-upper", iters=50,
-                        rho=cosine_pair.rho)
+    reports = cw_search(cosine_gen, iters=50, rho=cosine_pair.rho)
     start_gap = reports[0].upper - cosine_pair.rho
     end_gap = reports[-1].upper - cosine_pair.rho
     assert start_gap >= 10 * end_gap
@@ -83,16 +82,14 @@ def test_cw_search_tightens(cosine_gen, cosine_pair):
 
 
 def test_cw_search_fixed_point_at_phi(cosine_gen, cosine_pair):
-    reports = cw_search(cosine_gen, "both", iters=5, f0=cosine_pair.phi)
+    reports = cw_search(cosine_gen, iters=5, f0=cosine_pair.phi)
     for rep in reports:
         assert rep.gap <= 2e-9
 
 
 def test_cw_search_validation(cosine_gen):
     with pytest.raises(ValidationError):
-        cw_search(cosine_gen, "sideways")
-    with pytest.raises(ValidationError):
-        cw_search(cosine_gen, "both", iters=0)
+        cw_search(cosine_gen, iters=0)
 
 
 # ---------------------------------------------------------------------------
