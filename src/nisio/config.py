@@ -30,12 +30,14 @@ from .errors import ConfigError, ExprSyntaxError, UnknownIdentifier, ValidationE
 from .expr import parse
 from .generator import ProblemSpec
 from .grid import Grid
+from .mc import check_settings
 
 __all__ = ["Config", "McSection", "OutputSection", "load_config"]
 
 _KEY_RE = re.compile(r"^[a-z_][a-z0-9_]*\.[a-z_][a-z0-9_]*$")
 _FORMATS = ("json", "csv")
 _SOLVER_KEYS = (("dt_factor", float), ("tol", float), ("max_iters", int))
+_MC_KEYS = {"T": "mc.t", "dt_sim": "mc.dt_sim", "N": "mc.n", "seed": "mc.seed"}
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,8 @@ def loads(text: str) -> Config:
         problem = ProblemSpec(grid=grid, controls=controls, sigma=sigma,
                               b=b, r=r, sense=sense, eps_a=eps_a)
     except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+        key = f"problem.{exc.field}"
+        raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
 
     solver = {}
     for name, conv in _SOLVER_KEYS:      # unset keys keep the dataclass defaults
@@ -224,6 +227,13 @@ def loads(text: str) -> Config:
         N=_convert(items, "mc.n", int, 10_000),
         seed=_convert(items, "mc.seed", int, 0),
         x0=x0)
+    try:
+        check_settings(mc.T, mc.dt_sim, mc.N, mc.seed)
+    except ValidationError as exc:
+        key = _MC_KEYS[exc.field]
+        # a default horizon is too short only for the dt_sim that was set
+        line = items.line(key) or items.line("mc.dt_sim")
+        raise ConfigError(f"{key}: {exc}", line) from exc
 
     formats = tuple(f.strip() for f in
                     items.get("output.formats", ",".join(_FORMATS)).split(","))

@@ -16,7 +16,12 @@ class NisioError(Exception):
 # ---------------------------------------------------------------------------
 
 class ValidationError(NisioError):
-    """A named invariant of a problem description was violated."""
+    """A named invariant of a problem description was violated; ``field``,
+    when set, names the input that broke it."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class ExprSyntaxError(NisioError):

@@ -97,35 +97,44 @@ class ProblemSpec:
         b = tuple(_as_expr(e) for e in self.b)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "r", _as_expr(self.r))
+        # each error names its field, which config.loads maps to a line
         if not controls:
-            raise ValidationError("control set must be nonempty")
+            raise ValidationError("control set must be nonempty",
+                                  field="controls")
         if len(controls) > MAX_CONTROLS:
             raise ValidationError(
-                f"control set size {len(controls)} exceeds {MAX_CONTROLS}")
+                f"control set size {len(controls)} exceeds {MAX_CONTROLS}",
+                field="controls")
         m = len(controls[0])
         if any(len(v) != m for v in controls):
-            raise ValidationError("all control vectors must have equal length")
+            raise ValidationError("all control vectors must have equal length",
+                                  field="controls")
         if len(sigma) not in (1, d * d):
             raise ValidationError(
-                f"sigma needs 1 (scalar, meaning sigma*I) or {d*d} expressions")
+                f"sigma needs 1 (scalar, meaning sigma*I) or {d*d} expressions",
+                field="sigma")
         if len(b) != d:
-            raise ValidationError(f"b needs {d} component expressions")
+            raise ValidationError(f"b needs {d} component expressions",
+                                  field="b")
         if self.sense not in (MINIMIZE, MAXIMIZE):
-            raise ValidationError("sense must be 'minimize' or 'maximize'")
+            raise ValidationError("sense must be 'minimize' or 'maximize'",
+                                  field="sense")
         if not (self.eps_a > 0):
-            raise ValidationError("eps_a must be positive")
+            raise ValidationError("eps_a must be positive", field="eps_a")
         allowed = {f"x{i+1}" for i in range(d)}
         for e in sigma:
             extra = e.variables() - allowed
             if extra:
                 raise ValidationError(
-                    f"sigma may only depend on {sorted(allowed)}, found {sorted(extra)}")
+                    f"sigma may only depend on {sorted(allowed)}, found {sorted(extra)}",
+                    field="sigma")
         allowed |= {f"v{i+1}" for i in range(m)}
-        for e in (*b, self.r):
+        for name, e in [("b", e) for e in b] + [("r", self.r)]:
             extra = e.variables() - allowed
             if extra:
                 raise ValidationError(
-                    f"coefficient may only depend on {sorted(allowed)}, found {sorted(extra)}")
+                    f"coefficient may only depend on {sorted(allowed)}, found {sorted(extra)}",
+                    field=name)
 
     @property
     def n_controls(self) -> int:

@@ -24,6 +24,19 @@ first step only.  When the policy puts one control vector (the same bits)
 at every node, so are the control gather, each coefficient of the controls
 alone and, if no drift component varies, the step ``b dt``.
 
+The increments ``sqrt(dt) sigma dW`` are formed a block of ``_BLOCK`` steps
+at a time when no ``sigma`` entry varies along the chunk: one generator call
+fills the normals of the whole block, in the order single-step draws would
+take them, and one pass multiplies them by ``sigma``.  That product is the
+sum ``einsum`` forms, started from ``0.0`` and taken over the entries that
+``ProblemSpec.sigma_entries`` names; a skipped structural zero adds a
+signed zero to a sum that is never ``-0.0``, which changes no bit.  A
+varying ``sigma`` runs the same code with a block of one step.  The wrap
+modulo the period (the torus, and the mirror fold of the interval) is
+numpy's remainder rule for a positive divisor written out: ``fmod``, add
+the period where the result is negative, and add ``0.0`` to turn ``-0.0``
+into ``+0.0``; it equals ``np.mod`` bit for bit without its division.
+
 Determinism: paths are simulated in fixed-size chunks with
 counter-derived per-chunk generator streams, and the final reduction runs
 in chunk order, so results are bit-identical for a given master seed
@@ -49,6 +62,23 @@ __all__ = ["McConfig", "McEstimate", "cost_samples", "simulate_cost",
            "policy_sweep"]
 
 _CHUNK = 4096   # fixed so that chunk streams do not depend on worker count
+_BLOCK = 32     # steps per draw of increments: 1.25 MB of buffers for 1024 2-D paths
+
+
+def check_settings(T: float, dt_sim: float, N: int, seed: int) -> None:
+    """Raise :class:`ValidationError`, with ``field`` set, unless ``dt_sim``
+    is positive and finite, ``N >= 100``, ``T`` is finite and covers at
+    least 10 steps, and ``seed >= 0``."""
+    if not (dt_sim > 0 and math.isfinite(dt_sim)):
+        raise ValidationError("dt_sim must be positive and finite",
+                              field="dt_sim")
+    if not N >= 100:
+        raise ValidationError("at least 100 paths required", field="N")
+    if not (math.isfinite(T) and T >= 10 * dt_sim):
+        raise ValidationError("horizon must be finite and cover at least "
+                              "10 steps", field="T")
+    if not seed >= 0:
+        raise ValidationError("seed must be nonnegative", field="seed")
 
 
 @dataclass(frozen=True)
@@ -57,6 +87,7 @@ class McConfig:
 
     ``policy`` assigns a control index to every grid node; states look up
     their control at the nearest node.  ``x0`` is the common start point.
+    The other fields are checked by :func:`check_settings`.
     """
 
     T: float
@@ -71,12 +102,7 @@ class McConfig:
                            tuple(float(c) for c in np.atleast_1d(self.x0)))
         object.__setattr__(self, "policy",
                            np.asarray(self.policy, dtype=np.int64))
-        if not self.dt_sim > 0:
-            raise ValidationError("dt_sim must be positive")
-        if self.N < 100:
-            raise ValidationError("at least 100 paths required")
-        if not self.T >= 10 * self.dt_sim:
-            raise ValidationError("horizon must cover at least 10 steps")
+        check_settings(self.T, self.dt_sim, self.N, self.seed)
 
 
 @dataclass(frozen=True)
@@ -95,19 +121,35 @@ def _nearest_node(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
     """Flat index of the nearest grid node for each row of ``x``."""
     grid = spec.grid
     idx = np.rint(x / grid.h).astype(np.int64)
-    if grid.topology == INTERVAL:
-        np.clip(idx, 0, grid.n - 1, out=idx)
-    else:
-        idx %= grid.n
-    if grid.d == 1:
-        return idx[:, 0]
-    return idx[:, 0] * grid.n + idx[:, 1]
+    mode = "clip" if grid.topology == INTERVAL else "wrap"
+    return np.ravel_multi_index(tuple(idx.T), (grid.n,) * grid.d, mode=mode)
+
+
+def _fold(x: np.ndarray, period: float, out=None) -> np.ndarray:
+    """``np.mod(x, period)`` bit for bit, for a positive ``period``."""
+    out = np.fmod(x, period, out=out)
+    np.add(out, period, out=out, where=out < 0)
+    out += 0.0
+    return out
 
 
 def _reflect_interval(x: np.ndarray, extent: float) -> np.ndarray:
     """Fold positions back into [0, extent] (handles any overshoot)."""
-    m = np.mod(x, 2.0 * extent)
-    return extent - np.abs(m - extent)
+    return extent - np.abs(_fold(x, 2.0 * extent) - extent)
+
+
+def _increments(rng, sig, rows, sqrt_dt, noise, out, product) -> None:
+    """Draw ``noise`` (steps x paths x d) and set ``out`` to ``sqrt(dt) sigma
+    dW`` for each step; ``rows[i]`` lists the columns of the entries of row
+    ``i`` of ``sig`` that are not structural zeros."""
+    rng.standard_normal(out=noise)
+    for i, row in enumerate(rows):
+        out_i = out[..., i]
+        np.multiply(sig[:, i, row[0]], noise[..., row[0]], out=out_i)
+        out_i += 0.0                    # einsum's sum starts from 0.0
+        for j in row[1:]:
+            out_i += np.multiply(sig[:, i, j], noise[..., j], out=product)
+    out *= sqrt_dt
 
 
 def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
@@ -128,9 +170,7 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     r_dt = np.empty(n_paths)
     b = np.empty((n_paths, d))
     sig = np.zeros((n_paths, d, d))
-    noise = np.empty((n_paths, d))
     step = np.empty((n_paths, d))
-    diffusion = np.empty((n_paths, d))
 
     # With one control vector at every node (same bits: -0.0 and +0.0
     # differ), v and every coefficient of the controls alone keep their
@@ -149,6 +189,14 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                      for e, places in spec.sigma_entries()]
     varying = [(e, outs) for e, outs in coefficients if e.variables() - held]
     drift_varies = any(e.variables() - held for e in spec.b)
+
+    # Increments a block of steps at a time while sigma stays put.
+    block = 1 if any(e.variables() - held for e in spec.sigma) else _BLOCK
+    noise = np.empty((block, n_paths, d))
+    diffusion = np.empty((block, n_paths, d))
+    product = np.empty((block, n_paths))
+    entries = {p for _, places in spec.sigma_entries() for p in places}
+    rows = [[j for j in range(d) if (i, j) in entries] for i in range(d)]
     for k in range(n_steps):
         if k == 0 or not fixed:
             np.take(node_controls, _nearest_node(spec, x), axis=0, out=v)
@@ -159,11 +207,12 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
         acc += np.multiply(r, dt, out=r_dt)
         if k == 0 or drift_varies:
             np.multiply(b, dt, out=step)
-        rng.standard_normal(out=noise)
-        np.einsum("pij,pj->pi", sig, noise, out=diffusion)
-        diffusion *= sqrt_dt
+        if k % block == 0:
+            steps = min(block, n_steps - k)
+            _increments(rng, sig, rows, sqrt_dt, noise[:steps],
+                        diffusion[:steps], product[:steps])
         x += step
-        x += diffusion
+        x += diffusion[k % block]
         if not np.isfinite(x).all():
             raise NonFiniteState("simulated state left the finite range", step=k)
         if grid.topology == INTERVAL:
@@ -172,7 +221,7 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                 raise NonFiniteState(
                     "reflected state left [0, extent]", step=k)
         else:
-            np.mod(x, grid.extent, out=x)
+            _fold(x, grid.extent, out=x)
     return acc
 
 

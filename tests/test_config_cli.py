@@ -89,6 +89,38 @@ def test_bad_solver_value_names_key_and_line(key, value):
     assert err.value.line == text.splitlines().index(line) + 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", "0"), ("n", "99"), ("dt_sim", "-1"), ("dt_sim", "0"),
+    ("dt_sim", "nan"), ("dt_sim", "inf"), ("t", "nan"), ("t", "inf"),
+    ("t", "0.005"), ("seed", "-1")])
+def test_bad_mc_value_names_key_and_line(key, value):
+    line = f"mc.{key} = {value}"
+    text = MINIMAL + f"\n{line}\nsolver.tol = 1e-8\n"
+    with pytest.raises(ConfigError, match=rf"mc\.{key}") as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+
+
+def test_dt_sim_too_long_for_default_horizon_names_its_line():
+    # mc.t keeps its default of 20, which covers fewer than 10 steps of 5
+    text = MINIMAL + "\nmc.dt_sim = 5\n"
+    with pytest.raises(ConfigError, match=r"mc\.t") as err:
+        loads(text)
+    assert err.value.line == len(text.splitlines())
+
+
+@pytest.mark.parametrize("line", [
+    "problem.sense = foo", "problem.eps_a = -1", "problem.eps_a = nan",
+    "problem.controls = -1 ; 1, 2", 'problem.sigma = "1, 0, 0, 1"'])
+def test_bad_problem_value_names_key_and_line(line):
+    text = MINIMAL + f"\n{line}\nmc.seed = 3\n"
+    if line.startswith("problem.sigma"):
+        text = text.replace('problem.sigma    = "1"\n', "")
+    with pytest.raises(ConfigError, match=line.split(" ")[0]) as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+
+
 def test_solver_section_is_solve_options():
     cfg = loads(MINIMAL + "\nsolver.tol = 1e-7\nsolver.max_iters = 123\n")
     assert cfg.solver == eigensolver.SolveOptions(tol=1e-7, max_iters=123)

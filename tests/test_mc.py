@@ -150,6 +150,15 @@ def test_config_validation():
         simulate_cost(spec, bad)
 
 
+@pytest.mark.parametrize("kw", [dict(T=math.inf), dict(T=math.nan),
+                                dict(dt_sim=math.inf), dict(dt_sim=math.nan),
+                                dict(seed=-1), dict(N=0)])
+def test_unusable_settings_are_rejected(kw):
+    with pytest.raises(ValidationError) as err:
+        cfg_for(frozen_spec(), **kw)
+    assert err.value.field == next(iter(kw))
+
+
 def test_torus_2d_simulation_runs():
     spec = problems.torus2d_separable(16)
     cfg = McConfig(T=0.5, dt_sim=1e-3, N=200, seed=3, x0=(0.25, 0.75),
@@ -320,10 +329,11 @@ def test_path_step_pins_reference_samples_over_chunks(monkeypatch, threads,
                                                      reference_chunks):
     # 9000 paths are three chunks, of 4096, 4096 and 808
     monkeypatch.setenv("NISIO_THREADS", threads)
-    for spec in (problems.torus_variable_sigma(32),
-                 problems.interval_two_control(32)):
-        cfg = McConfig(T=0.02, dt_sim=1e-3, N=9000, seed=5, x0=(0.5,),
-                       policy=np.arange(32) % 2)
+    for spec, x0, T in ((problems.torus_variable_sigma(32), (0.5,), 0.02),
+                        (problems.interval_two_control(32), (0.5,), 0.02),
+                        (_held_full_sigma_2d(), (0.25, 0.75), 0.07)):
+        cfg = McConfig(T=T, dt_sim=1e-3, N=9000, seed=5, x0=x0,
+                       policy=np.arange(spec.grid.size) % 2)
         got = cost_samples(spec, cfg)
         with monkeypatch.context() as m:
             m.setattr(mc, "_simulate_chunk", reference_chunks["seed"])
@@ -425,3 +435,93 @@ def test_non_finite_x0_is_rejected(bad):
     spec = frozen_spec(r="x1")
     with pytest.raises(ValidationError):
         cost_samples(spec, cfg_for(spec, x0=(bad,)))
+
+
+# ---------------------------------------------------------------------------
+# the blocked increments and the fmod fold
+# ---------------------------------------------------------------------------
+
+def _adversarial(period):
+    multiples = np.arange(-5, 6) * period
+    return np.concatenate([
+        [0.0, -0.0, period, -period, np.nextafter(period, 0),
+         -np.nextafter(period, 0), 5e-324, -5e-324, 1e-310, -1e-310,
+         1e300, -1e300, np.inf, -np.inf, np.nan],
+        multiples, np.nextafter(multiples, np.inf),
+        np.nextafter(multiples, -np.inf),
+        np.random.default_rng(0).standard_normal(2000) * 3 * period,
+        np.random.default_rng(1).standard_normal(200) * 1e-17])
+
+
+@pytest.mark.parametrize("extent", [1.0, 0.7, 2 * math.pi, 1e-3, 3.0])
+def test_fold_equals_np_mod_bitwise(extent):
+    # the torus wraps modulo extent, the interval's mirror modulo 2*extent
+    for period in (extent, 2.0 * extent):
+        x = _adversarial(period)
+        with np.errstate(invalid="ignore"):
+            expected = np.mod(x, period)
+            got = mc._fold(x, period)
+            in_place = x.copy()
+            mc._fold(in_place, period, out=in_place)
+        assert got.tobytes() == expected.tobytes(), period
+        assert in_place.tobytes() == expected.tobytes(), period
+
+
+def test_nearest_node_matches_clip_and_wrap():
+    x = np.random.default_rng(2).uniform(-1.5, 2.5, size=(500, 2))
+    for topology in ("interval", "torus"):
+        for d in (1, 2) if topology == "torus" else (1,):
+            grid = Grid(topology, n=16, d=d)
+            spec = ProblemSpec(grid=grid, controls=[(0.0,)], sigma=("1",),
+                               b=("0",) * d, r="0")
+            idx = np.rint(x[:, :d] / grid.h).astype(np.int64)
+            idx = (np.clip(idx, 0, 15) if topology == "interval"
+                   else idx % 16)
+            expected = idx[:, 0] if d == 1 else idx[:, 0] * 16 + idx[:, 1]
+            got = mc._nearest_node(spec, x[:, :d])
+            assert got.tobytes() == expected.astype(got.dtype).tobytes()
+
+
+def _held_full_sigma_2d():
+    return ProblemSpec(
+        grid=Grid("torus", n=8, d=2), controls=[(-1.0, 0.5), (1.0, -0.5)],
+        sigma=("1", "0.25", "0.25", "0.75"), b=("v1", "v2*cos(2*pi*x1)"),
+        r="cos(2*pi*x1)*sin(2*pi*x2) + 0.1*v1")
+
+
+@pytest.mark.parametrize("steps", [10, mc._BLOCK - 1, mc._BLOCK,
+                                   mc._BLOCK + 1, 2 * mc._BLOCK + 5])
+def test_block_boundaries_pin_reference_samples(monkeypatch, steps,
+                                                reference_chunks):
+    dt = 0.5 ** 10              # steps * dt is exact, so is the step count
+    for spec, x0 in [(_held_full_sigma_2d(), (0.25, 0.75)),
+                     (problems.torus_variable_sigma(16), (0.5,))]:
+        cfg = McConfig(T=steps * dt, dt_sim=dt, N=300, seed=13, x0=x0,
+                       policy=np.arange(spec.grid.size) % 2)
+        got = cost_samples(spec, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_simulate_chunk", reference_chunks["seed"])
+            expected = cost_samples(spec, cfg)
+        assert got.tobytes() == expected.tobytes(), spec.sigma
+
+
+@pytest.mark.parametrize("rows", [[[0]], [[0], [1]], [[0, 1], [0, 1]]])
+def test_increments_equal_einsum_bitwise(rows):
+    # signed zeros, subnormals, overflow and NaN in sigma; every entry
+    # that no row names is a structural zero
+    d, n_paths, steps, sqrt_dt = len(rows), 64, 5, math.sqrt(1e-3)
+    values = np.array([0.0, -0.0, 1.0, -0.5, 5e-324, 1e300, np.inf, np.nan])
+    sig = np.zeros((n_paths, d, d))
+    for i, row in enumerate(rows):
+        for j in row:
+            sig[:, i, j] = np.resize(np.roll(values, i + 3 * j), n_paths)
+    stream = np.random.default_rng(4)
+    noise = np.empty((steps, n_paths, d))
+    got = np.empty((steps, n_paths, d))
+    with np.errstate(all="ignore"):
+        mc._increments(np.random.default_rng(4), sig, rows, sqrt_dt, noise,
+                       got, np.empty((steps, n_paths)))
+        expected = [sqrt_dt * np.einsum("pij,pj->pi", sig,
+                                        stream.standard_normal((n_paths, d)))
+                    for _ in range(steps)]
+    assert got.tobytes() == np.stack(expected).tobytes()
