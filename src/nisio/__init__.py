@@ -19,6 +19,7 @@ from .errors import (
     ExprSyntaxError,
     NisioError,
     NoConvergence,
+    NonDeterministicMap,
     NonFiniteCoefficient,
     NonFiniteState,
     NonPositiveIterate,

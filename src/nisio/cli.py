@@ -34,6 +34,7 @@ from .errors import (
     NoConvergence,
     NonPositiveEta,
     NumericalError,
+    ValidationError,
 )
 from .generator import build_generator
 from .grid import Grid
@@ -205,7 +206,11 @@ def cmd_evolve(cfg: Config, args) -> dict:
 
 
 def cmd_matrix_cw(args) -> dict:
-    q = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
+    try:
+        q = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"--matrix {args.matrix}: {exc}",
+                              field="matrix") from exc
     lam, x = perron(q, tol=args.tol)
     ones = np.ones(q.shape[0])
     return {"command": "matrix-cw", "lambda": lam, "x": x.tolist(),

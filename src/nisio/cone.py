@@ -26,16 +26,23 @@ contracts geometrically for strongly positive maps, and
 :func:`fit_exponential_rate` extracts the contraction rate from its log.
 
 The orbit is recorded every ``stride`` iterations, and the records are
-halved (``stride`` doubled) whenever they pass a cap set by count and by
-bytes, ``max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 N)))`` iterates of
-``N`` floats, so a fine grid keeps fewer records, not more memory.  The
-growth, the fixed point and the stopping iteration never depend on the
-records.
+halved (``stride`` doubled) whenever they pass the cap
+``max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 N)))``.  A record holds
+four scalars and no iterate, so the cap bounds the number of bracket
+points, not memory; it keeps the rule of the byte-bounded records it
+replaced, so a grid of ``N`` nodes is recorded at the same iterations.
+The bracket is computed on first access by replaying the orbit from its
+normalized start with the loop's own operations (recomputation instead
+of storage, as in Griewank and Walther, ACM TOMS 26, 2000), so a solve
+that never reads it never pays for it.  The growth, the fixed point and
+the stopping iteration never depend on the records.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +50,7 @@ import numpy as np
 from .errors import (
     InsufficientData,
     NoConvergence,
+    NonDeterministicMap,
     NonPositiveEta,
     NonPositiveInput,
     NonPositiveIterate,
@@ -51,7 +59,7 @@ from .errors import (
 __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
            "fit_exponential_rate"]
 
-# Caps on the orbit records (see the module docstring); the count binds
+# Cap on the orbit records (see the module docstring); the count binds
 # for N <= 1024 nodes.
 _MAX_RECORDS = 4096
 _RECORD_BYTES = 32 * 2 ** 20
@@ -94,8 +102,8 @@ class OrbitStats:
     """Per-iteration diagnostics of a normalized power iteration.
 
     All arrays are aligned with ``iterations``.  Long runs are thinned by
-    halving, by count and by bytes (see the module docstring): grids of
-    more than 1024 nodes keep fewer than ``_MAX_RECORDS`` records.
+    halving (see the module docstring): grids of more than 1024 nodes
+    keep fewer than ``_MAX_RECORDS`` records.
     ``under_alpha``/``over_alpha`` are the cone bounds of the
     growth-rescaled orbit against the final iterate, ``eta`` their
     difference, ``rho_estimate`` the per-application upper growth estimate
@@ -105,6 +113,10 @@ class OrbitStats:
     ``zeta1`` (ratio bound of the reference) and ``p1_min`` are surfaced
     as diagnostics for the hypotheses behind exponential convergence;
     they are reported, never asserted.
+
+    The stats that :func:`power_iterate` returns compute ``under_alpha``,
+    ``over_alpha``, ``eta`` and ``p1_min`` on first access, by one replay
+    of the orbit, and keep them; the other fields never replay it.
     """
 
     iterations: np.ndarray
@@ -117,6 +129,30 @@ class OrbitStats:
     converged: bool
     zeta1: float
     p1_min: float | None = None
+
+
+class _ReplayedStats(OrbitStats):
+    """:class:`OrbitStats` whose bracket fields come from ``replay()``,
+    called on the first access to any of them; ``p1_min`` is ``None``
+    without a replay unless ``collect_p1``.  The lock keeps two threads
+    from replaying at once through the map's shared buffers."""
+
+    def __init__(self, replay, collect_p1, **fields):
+        vars(self).update(fields, _replay=replay, _collect_p1=collect_p1,
+                          _bracket=None, _lock=threading.Lock())
+
+    def _field(self, index):
+        with self._lock:
+            if self._bracket is None:
+                self._bracket = self._replay()
+                self._replay = None
+        return self._bracket[index]
+
+    under_alpha = property(lambda self: self._field(0))
+    over_alpha = property(lambda self: self._field(1))
+    eta = property(lambda self: self._field(2))
+    p1_min = property(
+        lambda self: self._field(3) if self._collect_p1 else None)
 
 
 @dataclass(frozen=True)
@@ -141,9 +177,15 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     passes a gate; the ``N`` logs of the stop test only where
     ``log(max r) - log(min r)`` passes it too.  Every closing band passes
     both (see the loop), so the iterates are exactly those of the plain
-    test.  ``map_fn`` may return a buffer that its next call overwrites,
-    but must not keep its argument and write into it later: the recorded
-    iterates are references, not copies.
+    test.  ``map_fn`` may return a buffer that its next call overwrites.
+
+    ``map_fn`` must be deterministic: the bracket fields of the stats are
+    computed on first access by running the orbit again, from the
+    normalized start, with the same operations (``n_iterations`` calls of
+    ``map_fn``, and two more per record under ``collect_p1``), so every
+    field has the bits it would have if the recorded iterates were kept.
+    If the replay does not end on the returned fixed point byte for byte,
+    that access raises :class:`NonDeterministicMap`.
 
     Returns ``(growth, fixed_point, stats)`` where ``growth`` is the
     geometric mean of the normalization factors over the last quarter of
@@ -161,8 +203,9 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     if max_iters < 1:
         raise NonPositiveInput("max_iters must be >= 1")
     g = g / np.max(g)
+    start = g       # for the replay: the loop rebinds g, never writes it
 
-    # (k, iterate, max ratio, sup norm, sum of log sup norms before k)
+    # (k, max ratio, sup norm, sum of log sup norms before k)
     records: list[tuple] = []
     stride = 1
     cap = max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 * g.size)))
@@ -227,8 +270,7 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
                     converged = bool(log_r.max() - log_r.min() < tol)
 
         if record:
-            # g itself: it is rebound below and never written in place
-            records.append((k, g, hi, s, cum))
+            records.append((k, hi, s, cum))
             if len(records) > cap:
                 records = records[::2]
                 stride *= 2
@@ -246,50 +288,22 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
 
     ref = g
     log_growth = math.log(growth)
-    # The bracket of each record against ref, as alpha_bounds gives it:
-    # ref is checked once, the records are never negative (see the loop),
-    # and min and max are exact, so rows reduced a block at a time (about
-    # 128 kB) give the bits of one alpha_bounds call per record.
     if ref.min() <= 0:
         raise NonPositiveInput("reference must be strictly positive")
-    rec_k, rec_g, rec_rho, rec_norm, rec_cum = zip(*records)
-    n_rec = len(rec_g)
-    lows = np.empty(n_rec)
-    highs = np.empty(n_rec)
-    rows = max(1, 16384 // ref.size)
-    buffer = np.empty((min(rows, n_rec),) + ref.shape)
-    axes = tuple(range(1, buffer.ndim))
-    for start in range(0, n_rec, rows):
-        chunk = rec_g[start:start + rows]
-        block = buffer[:len(chunk)]
-        np.stack(chunk, out=block)
-        block /= ref
-        block.min(axis=axes, out=lows[start:start + rows])
-        block.max(axis=axes, out=highs[start:start + rows])
+    rec_k, rec_rho, rec_norm, rec_cum = zip(*records)
     scale = np.array([math.exp(c - kk * log_growth)
                       for kk, c in zip(rec_k, rec_cum)])
-    under = scale * lows
-    over = scale * highs
-
-    p1_min = math.inf
-    if collect_p1:
-        # hypothesis diagnostic: the map must not annihilate both z and
-        # ref - z for any recorded iterate dominated by the reference
-        for gk in rec_g:
-            z = np.minimum(gk, ref)
-            value = float(np.max(np.abs(map_fn(ref - z))) + np.max(map_fn(z)))
-            p1_min = min(p1_min, value)
-    stats = OrbitStats(
+    # a copy of ref: the caller owns the returned fixed point
+    replay = functools.partial(_replay_bracket, map_fn, start, ref.copy(),
+                               rec_k, scale, k, collect_p1)
+    stats = _ReplayedStats(
+        replay, collect_p1,
         iterations=np.array(rec_k, dtype=int),
-        under_alpha=under,
-        over_alpha=over,
-        eta=over - under,
         rho_estimate=np.array(rec_rho),
         sup_norm=np.array(rec_norm),
         n_iterations=k,
         converged=converged,
         zeta1=float(np.max(ref) / np.min(ref)),
-        p1_min=None if not collect_p1 else p1_min,
     )
     if not converged:
         log_r = np.log(ratios)
@@ -299,6 +313,41 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
             f"iterations (last oscillation {osc:.3g})",
             best=(growth, ref, stats))
     return growth, ref, stats
+
+
+def _replay_bracket(map_fn, g, ref, rec_k, scale, n_iterations, collect_p1):
+    """``(under_alpha, over_alpha, eta, p1_min)`` of the orbit of
+    :func:`power_iterate` that starts at the normalized ``g``, recorded at
+    the iterations ``rec_k`` and ended after ``n_iterations`` on ``ref``.
+
+    Each recorded iterate is reduced against ``ref`` as
+    :func:`alpha_bounds` reduces it (``ref`` was checked positive, and the
+    iterates are never negative), and its bracket rescaled by ``scale``.
+    """
+    lows = np.empty(len(rec_k))
+    highs = np.empty(len(rec_k))
+    p1_min = math.inf
+    i = 0
+    for k in range(n_iterations):
+        if i < len(rec_k) and rec_k[i] == k:
+            lows[i], highs[i] = _cw_band(g, ref)
+            if collect_p1:
+                # hypothesis diagnostic: the map must not annihilate both z
+                # and ref - z for any recorded iterate dominated by ref
+                z = np.minimum(g, ref)
+                value = float(np.max(np.abs(map_fn(ref - z)))
+                              + np.max(map_fn(z)))
+                p1_min = min(p1_min, value)
+            i += 1
+        y = np.asarray(map_fn(g), dtype=float)
+        g = y / y.max()
+    if g.tobytes() != ref.tobytes():
+        raise NonDeterministicMap(
+            "replaying the orbit did not reproduce its fixed point: "
+            "the map is not deterministic")
+    under = scale * lows
+    over = scale * highs
+    return under, over, over - under, p1_min if collect_p1 else None
 
 
 def fit_exponential_rate(stats: OrbitStats, noise_floor: float = 1e-12) -> RateFit:

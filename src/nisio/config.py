@@ -21,6 +21,7 @@ rejected with the offending line number and the name of the invariant.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -162,6 +163,21 @@ def _parse_expr_for(items: _Items, key: str, raw: str):
         raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
 
 
+def _parse_integer(raw: str) -> int:
+    """An integer count, also when spelled as a float (``64.0``, ``1e2``)."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(value)
+
+
+def _parse_point(raw: str) -> tuple:
+    point = tuple(float(c) for c in _split_top(raw, ","))
+    if not all(math.isfinite(c) for c in point):
+        raise ValueError(f"components must be finite, got {raw!r}")
+    return point
+
+
 def _parse_controls(raw: str):
     vectors = []
     for part in _split_top(raw, ";"):
@@ -176,12 +192,13 @@ def loads(text: str) -> Config:
     topology = items.require("problem.topology")
     d = _convert(items, "problem.d", int, 1)
     items.require("problem.n")
-    n = _convert(items, "problem.n", lambda s: int(float(s)))
+    n = _convert(items, "problem.n", _parse_integer)
     extent = _convert(items, "problem.extent", float, 1.0)
     try:
         grid = Grid(topology=topology, n=n, d=d, extent=extent)
     except ValidationError as exc:
-        raise ConfigError(str(exc), items.line("problem.n")) from exc
+        key = f"problem.{exc.field}"
+        raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
 
     controls = _convert(items, "problem.controls", _parse_controls, ((0.0,),))
     sigma_raw = items.require("problem.sigma")
@@ -214,10 +231,8 @@ def loads(text: str) -> Config:
             raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
         solver[name] = value
 
-    x0_raw = items.get("mc.x0")
-    x0 = None
-    if x0_raw is not None:
-        x0 = tuple(float(c) for c in _split_top(x0_raw, ","))
+    x0 = _convert(items, "mc.x0", _parse_point)
+    if x0 is not None:
         if len(x0) != grid.d:
             raise ConfigError(f"mc.x0 needs {grid.d} components",
                               items.line("mc.x0"))
@@ -256,9 +271,13 @@ def load_config(path: str) -> Config:
     """Load and fully validate a config file.
 
     Raises :class:`ConfigError` with the offending line number for parse
-    failures, and :class:`ValidationError` naming the violated invariant
-    for semantic failures.
+    failures (and without one for a file that cannot be read), and
+    :class:`ValidationError` naming the violated invariant for semantic
+    failures.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return loads(text)

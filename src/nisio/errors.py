@@ -93,6 +93,10 @@ class NonPositiveIterate(NumericalError):
     """The iterated map produced a non-positive value from a positive input."""
 
 
+class NonDeterministicMap(NumericalError):
+    """Running the iterated map again did not reproduce its orbit."""
+
+
 class CycleDetected(NumericalError):
     """Policy iteration revisited a policy without converging."""
 

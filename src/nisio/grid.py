@@ -49,15 +49,19 @@ class Grid:
     def __post_init__(self):
         if self.topology not in (INTERVAL, TORUS):
             raise ValidationError(
-                f"topology must be '{INTERVAL}' or '{TORUS}', got {self.topology!r}")
+                f"topology must be '{INTERVAL}' or '{TORUS}', got {self.topology!r}",
+                field="topology")
         if self.n < 8:
-            raise ValidationError(f"n >= 8 required, got n = {self.n}")
+            raise ValidationError(f"n >= 8 required, got n = {self.n}",
+                                  field="n")
         if not (self.extent > 0 and np.isfinite(self.extent)):
-            raise ValidationError("extent must be a positive finite number")
+            raise ValidationError("extent must be a positive finite number",
+                                  field="extent")
         if self.topology == INTERVAL and self.d != 1:
-            raise ValidationError("interval topology implies d = 1")
+            raise ValidationError("interval topology implies d = 1", field="d")
         if self.topology == TORUS and self.d not in (1, 2):
-            raise ValidationError("torus topology supports d = 1 or d = 2")
+            raise ValidationError("torus topology supports d = 1 or d = 2",
+                                  field="d")
 
     @property
     def h(self) -> float:

@@ -414,3 +414,127 @@ def test_record_bytes_bound_on_2d_torus(monkeypatch):
     assert_same_array(pair.phi, free.phi)
     assert_same_array(pair.policy, free.policy)
     assert pair.stats.n_iterations == free.stats.n_iterations
+
+
+# ---------------------------------------------------------------------------
+# the bracket is replayed on demand, not stored
+# ---------------------------------------------------------------------------
+
+def test_solve_allocates_no_orbit_records():
+    import tracemalloc
+    gen = build_generator(problems.torus2d_separable(48))
+    tracemalloc.start()
+    try:
+        pair = solve_evolution(gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.stats.n_iterations > len(pair.stats.iterations)
+    assert peak <= 4 * 2 ** 20
+
+
+def test_replayed_bracket_pins_byte_capped_records():
+    # N = 2304: the byte rule, not the count, sets the cap, and the records
+    # thin; a plain loop that keeps the recorded iterates gives the bracket
+    import nisio.cone as cone
+    from nisio.generator import _envelope_map
+    gen = build_generator(problems.torus2d_separable(48))
+    dt = 0.9 * gen.dt_max                   # the solver's step and tolerance
+    one_step = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
+    growth, fp, stats = power_iterate(one_step, gen.grid.ones(), tol=0.5e-9 * dt)
+    cap = cone._RECORD_BYTES // (8 * gen.size)
+    assert cap < cone._MAX_RECORDS
+    assert stats.n_iterations > cap >= len(stats.iterations)
+
+    wanted = set(stats.iterations.tolist())
+    kept, cumlog = {}, {}
+    g, cum = gen.grid.ones(), 0.0
+    for k in range(stats.n_iterations):
+        if k in wanted:
+            kept[k], cumlog[k] = g.copy(), cum
+        y = one_step(g)
+        s = float(np.max(y))
+        cum += math.log(s)
+        g = y / s
+    assert_same_array(g, fp)
+    under, over = [], []
+    for k in stats.iterations.tolist():
+        lo, hi = alpha_bounds(kept[k], fp)
+        scale = math.exp(cumlog[k] - k * math.log(growth))
+        under.append(scale * lo)
+        over.append(scale * hi)
+    under, over = np.array(under), np.array(over)
+    assert_same_array(stats.under_alpha, under)
+    assert_same_array(stats.over_alpha, over)
+    assert_same_array(stats.eta, over - under)
+
+
+def _counted(map_fn):
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return map_fn(g)
+    return counted, calls
+
+
+@pytest.mark.parametrize("collect_p1", [False, True])
+def test_bracket_replays_the_map_once_on_demand(cosine_gen, collect_p1):
+    dt = 0.9 * cosine_gen.dt_max
+    counted, calls = _counted(lambda g: step(cosine_gen, g, dt))
+    _, _, stats = power_iterate(counted, cosine_gen.grid.ones(),
+                                tol=1e-6 * dt, collect_p1=collect_p1)
+    n = stats.n_iterations
+    assert calls[0] == n
+    for name in ("n_iterations", "iterations", "rho_estimate", "sup_norm",
+                 "converged", "zeta1"):
+        getattr(stats, name)
+    assert calls[0] == n
+    replay = n + (2 * len(stats.iterations) if collect_p1 else 0)
+    assert stats.eta[-1] >= 0.0
+    assert calls[0] == n + replay
+    stats.under_alpha, stats.over_alpha, stats.p1_min, stats.eta
+    assert calls[0] == n + replay
+    assert (stats.p1_min is not None) == collect_p1
+
+
+def test_bracket_replay_rejects_a_drifting_map():
+    from nisio.errors import NonDeterministicMap, NumericalError
+    q = random_irreducible(np.random.default_rng(3), 8)
+    drift = [False]
+
+    def drifting(g):
+        y = q @ g
+        if drift[0]:
+            y[0] = np.nextafter(y[0], np.inf)
+        return y
+    growth, _, stats = power_iterate(drifting, np.ones(8), tol=1e-12)
+    drift[0] = True
+    assert stats.n_iterations > 1 and stats.zeta1 >= 1.0
+    with pytest.raises(NonDeterministicMap, match="not deterministic") as err:
+        stats.eta
+    assert isinstance(err.value, NumericalError)
+
+
+def test_concurrent_first_reads_replay_once(cosine_gen):
+    import sys
+    import threading
+    dt = 0.9 * cosine_gen.dt_max
+    counted, calls = _counted(lambda g: step(cosine_gen, g, dt))
+    _, _, stats = power_iterate(counted, cosine_gen.grid.ones(), tol=1e-6 * dt)
+    n = calls[0]
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(stats.eta))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert calls[0] == 2 * n and len(results) == 4
+    assert all(r is results[0] for r in results)

@@ -1,12 +1,17 @@
 """Config parsing/validation and the command line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jsonschema
 
+from nisio import __version__ as nisio_version
 from nisio import build_generator, cli, eigensolver, solve_evolution, solve_max
 from nisio.cli import main
 from nisio.config import loads
@@ -117,6 +122,32 @@ def test_bad_problem_value_names_key_and_line(line):
     if line.startswith("problem.sigma"):
         text = text.replace('problem.sigma    = "1"\n', "")
     with pytest.raises(ConfigError, match=line.split(" ")[0]) as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+
+
+@pytest.mark.parametrize("line", [
+    "problem.topology = sphere", "problem.d = 3", "problem.extent = nan",
+    "problem.n = 16.5", "problem.n = inf", "problem.n = nan"])
+def test_bad_grid_value_names_key_and_line(line):
+    key = line.split(" ")[0]
+    text = MINIMAL.replace(f"{key:<16} = ", "# ") + f"\n{line}\nmc.seed = 3\n"
+    with pytest.raises(ConfigError, match=key) as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+
+
+@pytest.mark.parametrize("value, n", [("64", 64), ("64.0", 64), ("1e2", 100)])
+def test_integral_n_spellings_load(value, n):
+    cfg = loads(MINIMAL.replace("= 64", f"= {value}"))
+    assert cfg.problem.grid.n == n and type(cfg.problem.grid.n) is int
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
+def test_bad_mc_x0_names_key_and_line(value):
+    line = f"mc.x0 = {value}"
+    text = MINIMAL + f"\n{line}\nmc.seed = 3\n"
+    with pytest.raises(ConfigError, match=r"mc\.x0") as err:
         loads(text)
     assert err.value.line == text.splitlines().index(line) + 1
 
@@ -368,6 +399,42 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["matrix-cw", "--matrix", mat, "--out", tmp_path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["solve", "missing.cfg"], "ConfigError"),
+    (["matrix-cw", "--matrix", "words.csv"], "ValidationError"),
+    (["matrix-cw", "--matrix", "ragged.csv"], "ValidationError"),
+    (["matrix-cw", "--matrix", "missing.csv"], "ValidationError")],
+    ids=["missing-config", "non-numeric-csv", "ragged-csv", "missing-csv"])
+def test_cli_unreadable_input_files_print_json_error(tmp_path, capsys, argv,
+                                                      error):
+    (tmp_path / "words.csv").write_text("1,a\n2,3\n")
+    (tmp_path / "ragged.csv").write_text("1,2\n3\n")
+    path = tmp_path / argv[-1]
+    argv = [*argv[:-1], path, "--out", tmp_path / "out"]
+    assert run_cli(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and path.name in err["message"]
+
+
+def test_python_m_nisio_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def nisio(*args):
+        return subprocess.run([sys.executable, "-m", "nisio", *map(str, args)],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+
+    version = nisio("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == nisio_version
+    bad = nisio("solve", write_cfg(tmp_path, MINIMAL.replace("= 64", "= 4")))
+    assert bad.returncode == 1
+    assert json.loads(bad.stderr)["error"] == "ConfigError"
 
 
 def test_cli_json_only_names_no_csv(tmp_path):
