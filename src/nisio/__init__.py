@@ -65,7 +65,7 @@ from .variational import (
     dv_rate,
     hji_residual,
 )
-from .mc import McConfig, McEstimate, policy_sweep, simulate_cost
+from .mc import McConfig, McEstimate, McSettings, policy_sweep, simulate_cost
 
 __version__ = "0.1.0"
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cone import fit_exponential_rate
 from .config import Config, load_config
-from .eigensolver import solve_evolution, solve_max
+from .eigensolver import _step_size, solve_evolution, solve_max
 from .errors import (
     InsufficientData,
     NisioError,
@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .generator import build_generator
-from .grid import Grid
 from .mc import McConfig, _log_mean_exp, cost_samples, policy_sweep
 from .perron import cw_lower, cw_upper, perron
 from .semigroup import EvolveOptions, evolve
@@ -64,8 +63,7 @@ def _write_csv(path: Path, header, rows) -> None:
 def _apply_overrides(cfg: Config, args) -> Config:
     problem, mc, output = cfg.problem, cfg.mc, cfg.output
     if args.n is not None:
-        grid = Grid(topology=problem.grid.topology, n=args.n,
-                    d=problem.grid.d, extent=problem.grid.extent)
+        grid = dataclasses.replace(problem.grid, n=args.n)
         problem = dataclasses.replace(problem, grid=grid)
     if args.seed is not None:
         mc = dataclasses.replace(mc, seed=args.seed)
@@ -136,8 +134,8 @@ def cmd_hji_check(cfg: Config, args) -> dict:
 def cmd_simulate(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
     pair = solve_evolution(gen, cfg.solver)
-    mc_cfg = McConfig(T=cfg.mc.T, dt_sim=cfg.mc.dt_sim, N=cfg.mc.N,
-                      seed=cfg.mc.seed, x0=cfg.mc_start(), policy=pair.policy)
+    mc_cfg = McConfig(**{**dataclasses.asdict(cfg.mc), "x0": cfg.mc_start()},
+                      policy=pair.policy)
     samples = cost_samples(cfg.problem, mc_cfg)
     est = _log_mean_exp(samples, mc_cfg)
     payload = {"command": "simulate", "value": est.value, "stderr": est.stderr,
@@ -162,7 +160,7 @@ def cmd_simulate(cfg: Config, args) -> dict:
 
 def cmd_orbit(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
-    dt = gen.dt_max * cfg.solver.dt_factor
+    dt = _step_size(gen, cfg.solver)
     pair = solve_evolution(
         gen, dataclasses.replace(cfg.solver, collect_p1=True))
     stats = pair.stats
@@ -188,7 +186,7 @@ def cmd_orbit(cfg: Config, args) -> dict:
 
 def cmd_evolve(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
-    dt = gen.dt_max * cfg.solver.dt_factor
+    dt = _step_size(gen, cfg.solver)
     opts = EvolveOptions(dt=dt, t_final=args.t_final,
                          record_every=max(1, args.record_every))
     f, times, snaps = evolve(gen, gen.grid.ones(), opts)

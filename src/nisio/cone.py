@@ -36,11 +36,18 @@ normalized start with the loop's own operations (recomputation instead
 of storage, as in Griewank and Walther, ACM TOMS 26, 2000), so a solve
 that never reads it never pays for it.  The growth, the fixed point and
 the stopping iteration never depend on the records.
+
+The growth averages the log sup norms of the last quarter of the run, kept
+as float64; older ones are dropped in blocks of at least ``_LOG_BLOCK`` and
+a quarter of the kept length, so each value is moved a bounded number of
+times.
 """
 
 from __future__ import annotations
 
+import array
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -63,6 +70,7 @@ __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
 # for N <= 1024 nodes.
 _MAX_RECORDS = 4096
 _RECORD_BYTES = 32 * 2 ** 20
+_LOG_BLOCK = 1024      # least number of log sup norms dropped at once
 
 # Margin of the band gate in ``power_iterate``: 4 K eps with K = 16, the
 # exact power of two 2**-46.  K bounds the ulp error of numpy's float64
@@ -209,7 +217,8 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     records: list[tuple] = []
     stride = 1
     cap = max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 * g.size)))
-    log_factors: list[float] = []
+    log_factors = array.array("d")      # log s of the last iterations
+    log_limit = _LOG_BLOCK              # length at which to drop a block
     cum = 0.0
     converged = False
     gate_tol = tol * (1.0 + _GATE)
@@ -280,11 +289,18 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
         cum += log_s
         g = y / s
         k += 1
+        if len(log_factors) == log_limit:
+            # growth averages the last max(1, n // 4) of a run of n >= k
+            # iterations, and n - max(1, n // 4) never decreases with n
+            kept = max(1, k // 4)
+            del log_factors[:-kept]
+            log_limit = kept + max(_LOG_BLOCK, kept // 4)
         if converged:
             break
 
-    tail = log_factors[-max(1, len(log_factors) // 4):]
-    growth = math.exp(sum(tail) / len(tail))
+    n_tail = max(1, k // 4)
+    tail = itertools.islice(log_factors, len(log_factors) - n_tail, None)
+    growth = math.exp(sum(tail) / n_tail)     # Python floats, in iteration order
 
     ref = g
     log_growth = math.log(growth)

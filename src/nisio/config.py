@@ -15,39 +15,35 @@ components (split at the top level only, so function arguments like
     solver.tol       = 1e-9
     mc.seed          = 42
 
+Each section is read into one checked type, which holds the defaults of
+the keys left unset and checks the values: ``problem`` into
+:class:`~nisio.grid.Grid` and :class:`~nisio.generator.ProblemSpec`,
+``solver`` into :class:`~nisio.eigensolver.SolveOptions`, ``mc`` into
+:class:`~nisio.mc.McSettings` and ``output`` into :class:`OutputSection`.
+The key of a field is ``section.<field in lower case>``.  Integer keys
+(``problem.n``, ``problem.d``, ``mc.n``, ``mc.seed``, ``solver.max_iters``)
+also take an integral float spelling such as ``64.0`` or ``1e4``.
+
 Every invariant of the problem description is validated at load time and
 rejected with the offending line number and the name of the invariant.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-
 
 from .eigensolver import SolveOptions
 from .errors import ConfigError, ExprSyntaxError, UnknownIdentifier, ValidationError
 from .expr import parse
 from .generator import ProblemSpec
 from .grid import Grid
-from .mc import check_settings
+from .mc import McSettings
 
-__all__ = ["Config", "McSection", "OutputSection", "load_config"]
+__all__ = ["Config", "OutputSection", "load_config"]
 
 _KEY_RE = re.compile(r"^[a-z_][a-z0-9_]*\.[a-z_][a-z0-9_]*$")
 _FORMATS = ("json", "csv")
-_SOLVER_KEYS = (("dt_factor", float), ("tol", float), ("max_iters", int))
-_MC_KEYS = {"T": "mc.t", "dt_sim": "mc.dt_sim", "N": "mc.n", "seed": "mc.seed"}
-
-
-@dataclass(frozen=True)
-class McSection:
-    T: float = 20.0
-    dt_sim: float = 1e-3
-    N: int = 10_000
-    seed: int = 0
-    x0: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -55,12 +51,19 @@ class OutputSection:
     dir: str = "out"
     formats: tuple = _FORMATS
 
+    def __post_init__(self):
+        unknown = [f for f in self.formats if f not in _FORMATS]
+        if unknown:
+            raise ValidationError(f"unknown format {unknown[0]!r}, "
+                                  f"expected {' or '.join(_FORMATS)}",
+                                  field="formats")
+
 
 @dataclass(frozen=True)
 class Config:
     problem: ProblemSpec
     solver: SolveOptions = field(default_factory=SolveOptions)
-    mc: McSection = field(default_factory=McSection)
+    mc: McSettings = field(default_factory=McSettings)
     output: OutputSection = field(default_factory=OutputSection)
 
     def mc_start(self) -> tuple:
@@ -127,44 +130,55 @@ class _Items:
             self.data[key] = (value, lineno)
         self.used = set()
 
-    def get(self, key, default=None):
+    def get(self, key):
         self.used.add(key)
-        if key in self.data:
-            return self.data[key][0]
-        return default
+        return self.data[key][0] if key in self.data else None
 
     def line(self, key):
         return self.data[key][1] if key in self.data else None
 
+    def last_line(self, section):
+        """The line of the last key set in ``section``."""
+        return max((line for key, (_, line) in self.data.items()
+                    if key.startswith(f"{section}.")), default=None)
+
     def require(self, key):
-        value = self.get(key)
-        if value is None:
+        if self.get(key) is None:
             raise ConfigError(f"missing required key {key}")
-        return value
 
     def unused(self):
         return sorted(set(self.data) - self.used)
 
 
-def _convert(items: _Items, key: str, conv, default=None):
-    raw = items.get(key)
-    if raw is None:
-        return default
+def _section(items: _Items, section: str, cls, readers: dict, **fields):
+    """``cls(**fields)``, plus each field whose key ``section.<field in lower
+    case>`` is set, read by ``readers[field]``; unset keys keep the defaults
+    of ``cls``.  A :class:`ValidationError` of ``cls`` becomes a
+    :class:`ConfigError` naming the key of its field, at that key's line or,
+    for a field left at its default, at the last key set in ``section``."""
+    for name, reader in readers.items():
+        key = f"{section}.{name.lower()}"
+        raw = items.get(key)
+        if raw is None:
+            continue
+        try:
+            fields[name] = reader(raw)
+        except (ValueError, TypeError, ExprSyntaxError, UnknownIdentifier) as exc:
+            raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
     try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
-
-
-def _parse_expr_for(items: _Items, key: str, raw: str):
-    try:
-        return parse(raw)
-    except (ExprSyntaxError, UnknownIdentifier) as exc:
-        raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
+        return cls(**fields)
+    except ValidationError as exc:
+        key = f"{section}.{exc.field.lower()}"
+        line = items.line(key) or items.last_line(section)
+        raise ConfigError(f"{key}: {exc}", line) from exc
 
 
 def _parse_integer(raw: str) -> int:
-    """An integer count, also when spelled as a float (``64.0``, ``1e2``)."""
+    """An integer, also when spelled as a float (``64.0``, ``1e2``)."""
+    try:
+        return int(raw)     # exact beyond 2**53, as a large seed may be
+    except ValueError:
+        pass
     value = float(raw)
     if not value.is_integer():
         raise ValueError(f"expected an integer, got {raw!r}")
@@ -172,99 +186,54 @@ def _parse_integer(raw: str) -> int:
 
 
 def _parse_point(raw: str) -> tuple:
-    point = tuple(float(c) for c in _split_top(raw, ","))
-    if not all(math.isfinite(c) for c in point):
-        raise ValueError(f"components must be finite, got {raw!r}")
-    return point
+    return tuple(float(c) for c in _split_top(raw, ","))
 
 
-def _parse_controls(raw: str):
-    vectors = []
-    for part in _split_top(raw, ";"):
-        vectors.append(tuple(float(c) for c in _split_top(part, ",")))
-    return tuple(vectors)
+def _parse_names(raw: str) -> tuple:
+    return tuple(name.strip() for name in raw.split(","))
+
+
+def _parse_exprs(raw: str) -> tuple:
+    return tuple(parse(e) for e in _split_top(raw, ","))
+
+
+def _parse_matrix(raw: str) -> tuple:      # row-major
+    return tuple(e for row in _split_top(raw, ";") for e in _parse_exprs(row))
+
+
+def _parse_controls(raw: str) -> tuple:
+    return tuple(_parse_point(part) for part in _split_top(raw, ";"))
 
 
 def loads(text: str) -> Config:
     """Parse and validate config text (see :func:`load_config`)."""
     items = _Items(text)
 
-    topology = items.require("problem.topology")
-    d = _convert(items, "problem.d", int, 1)
-    items.require("problem.n")
-    n = _convert(items, "problem.n", _parse_integer)
-    extent = _convert(items, "problem.extent", float, 1.0)
-    try:
-        grid = Grid(topology=topology, n=n, d=d, extent=extent)
-    except ValidationError as exc:
-        key = f"problem.{exc.field}"
-        raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
-
-    controls = _convert(items, "problem.controls", _parse_controls, ((0.0,),))
-    sigma_raw = items.require("problem.sigma")
-    sigma_parts = [e for row in _split_top(sigma_raw, ";")
-                   for e in _split_top(row, ",")]
-    sigma = tuple(_parse_expr_for(items, "problem.sigma", e) for e in sigma_parts)
-    b_raw = items.require("problem.b")
-    b = tuple(_parse_expr_for(items, "problem.b", e)
-              for e in _split_top(b_raw, ","))
-    r = _parse_expr_for(items, "problem.r", items.require("problem.r"))
-    sense = items.get("problem.sense", "minimize")
-    eps_a = _convert(items, "problem.eps_a", float, 1e-8)
-
-    try:
-        problem = ProblemSpec(grid=grid, controls=controls, sigma=sigma,
-                              b=b, r=r, sense=sense, eps_a=eps_a)
-    except ValidationError as exc:
-        key = f"problem.{exc.field}"
-        raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
-
-    solver = {}
-    for name, conv in _SOLVER_KEYS:      # unset keys keep the dataclass defaults
-        key = f"solver.{name}"
-        value = _convert(items, key, conv)
-        if value is None:
-            continue
-        try:        # each field is checked on its own, so the error has its line
-            SolveOptions(**{name: value})
-        except ValidationError as exc:
-            raise ConfigError(f"{key}: {exc}", items.line(key)) from exc
-        solver[name] = value
-
-    x0 = _convert(items, "mc.x0", _parse_point)
-    if x0 is not None:
-        if len(x0) != grid.d:
-            raise ConfigError(f"mc.x0 needs {grid.d} components",
-                              items.line("mc.x0"))
-    mc = McSection(
-        T=_convert(items, "mc.t", float, 20.0),
-        dt_sim=_convert(items, "mc.dt_sim", float, 1e-3),
-        N=_convert(items, "mc.n", int, 10_000),
-        seed=_convert(items, "mc.seed", int, 0),
-        x0=x0)
-    try:
-        check_settings(mc.T, mc.dt_sim, mc.N, mc.seed)
-    except ValidationError as exc:
-        key = _MC_KEYS[exc.field]
-        # a default horizon is too short only for the dt_sim that was set
-        line = items.line(key) or items.line("mc.dt_sim")
-        raise ConfigError(f"{key}: {exc}", line) from exc
-
-    formats = tuple(f.strip() for f in
-                    items.get("output.formats", ",".join(_FORMATS)).split(","))
-    unknown = [f for f in formats if f not in _FORMATS]
-    if unknown:
-        raise ConfigError(f"output.formats: unknown format {unknown[0]!r}, "
-                          f"expected {' or '.join(_FORMATS)}",
-                          items.line("output.formats"))
-    output = OutputSection(dir=items.get("output.dir", "out"), formats=formats)
+    for name in ("topology", "n", "sigma", "b", "r"):
+        items.require(f"problem.{name}")
+    grid = _section(items, "problem", Grid, {
+        "topology": str, "n": _parse_integer, "d": _parse_integer,
+        "extent": float})
+    problem = _section(items, "problem", ProblemSpec, {
+        "controls": _parse_controls, "sigma": _parse_matrix, "b": _parse_exprs,
+        "r": parse, "sense": str, "eps_a": float},
+        grid=grid, controls=((0.0,),))
+    solver = _section(items, "solver", SolveOptions, {
+        "dt_factor": float, "tol": float, "max_iters": _parse_integer})
+    mc = _section(items, "mc", McSettings, {
+        "T": float, "dt_sim": float, "N": _parse_integer,
+        "seed": _parse_integer, "x0": _parse_point})
+    if mc.x0 is not None and len(mc.x0) != grid.d:
+        raise ConfigError(f"mc.x0 needs {grid.d} components",
+                          items.line("mc.x0"))
+    output = _section(items, "output", OutputSection, {
+        "dir": str, "formats": _parse_names})
 
     extra = items.unused()
     if extra:
         raise ConfigError(f"unknown keys: {', '.join(extra)}",
                           items.line(extra[0]))
-    return Config(problem=problem, solver=SolveOptions(**solver), mc=mc,
-                  output=output)
+    return Config(problem=problem, solver=solver, mc=mc, output=output)
 
 
 def load_config(path: str) -> Config:

@@ -67,13 +67,19 @@ class SolveOptions:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValidationError("tol must be positive")
+            raise ValidationError("tol must be positive", field="tol")
         if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+            raise ValidationError("max_iters must be >= 1", field="max_iters")
         if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError("dt must be positive and finite")
+            raise ValidationError("dt must be positive and finite", field="dt")
         if not (0 < self.dt_factor <= 1):
-            raise ValidationError("dt_factor must be in (0, 1]")
+            raise ValidationError("dt_factor must be in (0, 1]",
+                                  field="dt_factor")
+
+
+def _step_size(gen: DiscreteGenerator, opts: SolveOptions) -> float:
+    """The evolution step: ``opts.dt``, else ``dt_factor`` of the CFL bound."""
+    return opts.dt if opts.dt is not None else gen.dt_max * opts.dt_factor
 
 
 @dataclass
@@ -122,7 +128,7 @@ def solve_evolution(gen: DiscreteGenerator,
                     opts: SolveOptions | None = None) -> EigenPair:
     """Eigenpair via normalized power iteration on one semigroup step."""
     opts = opts or SolveOptions()
-    dt = opts.dt if opts.dt is not None else gen.dt_max * opts.dt_factor
+    dt = _step_size(gen, opts)
     _check_cfl(gen, dt)
     one_step = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)

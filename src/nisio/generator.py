@@ -109,6 +109,9 @@ class ProblemSpec:
         if any(len(v) != m for v in controls):
             raise ValidationError("all control vectors must have equal length",
                                   field="controls")
+        if not np.isfinite(controls).all():
+            raise ValidationError("control vectors must be finite",
+                                  field="controls")
         if len(sigma) not in (1, d * d):
             raise ValidationError(
                 f"sigma needs 1 (scalar, meaning sigma*I) or {d*d} expressions",

@@ -12,6 +12,9 @@ reflection), the torus wraps coordinates modulo the period.  The running
 cost integral uses left-endpoint quadrature, matching the filtration
 convention of the Euler step.
 
+:class:`McSettings` holds a run's settings, defaults and checks; it is the
+``mc`` section of a config, and :class:`McConfig` adds the policy.
+
 Each chunk sets up its work once: the control of every grid node (one
 gather per step then finds a path's control), one bindings dict holding
 views of the state and control buffers, and preallocated buffers that the
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,51 +61,57 @@ from .expr import evaluate
 from .generator import ProblemSpec
 from .grid import INTERVAL
 
-__all__ = ["McConfig", "McEstimate", "cost_samples", "simulate_cost",
-           "policy_sweep"]
+__all__ = ["McSettings", "McConfig", "McEstimate", "cost_samples",
+           "simulate_cost", "policy_sweep"]
 
 _CHUNK = 4096   # fixed so that chunk streams do not depend on worker count
 _BLOCK = 32     # steps per draw of increments: 1.25 MB of buffers for 1024 2-D paths
 
 
-def check_settings(T: float, dt_sim: float, N: int, seed: int) -> None:
-    """Raise :class:`ValidationError`, with ``field`` set, unless ``dt_sim``
-    is positive and finite, ``N >= 100``, ``T`` is finite and covers at
-    least 10 steps, and ``seed >= 0``."""
-    if not (dt_sim > 0 and math.isfinite(dt_sim)):
-        raise ValidationError("dt_sim must be positive and finite",
-                              field="dt_sim")
-    if not N >= 100:
-        raise ValidationError("at least 100 paths required", field="N")
-    if not (math.isfinite(T) and T >= 10 * dt_sim):
-        raise ValidationError("horizon must be finite and cover at least "
-                              "10 steps", field="T")
-    if not seed >= 0:
-        raise ValidationError("seed must be nonnegative", field="seed")
+@dataclass(frozen=True)
+class McSettings:
+    """Horizon ``T``, Euler step ``dt_sim``, ``N`` paths, master ``seed``
+    and start point ``x0`` (``None``: the caller picks it) of a simulation.
+    Checked in this order, each error naming its field: ``dt_sim`` positive
+    and finite, ``N >= 100``, ``T`` finite and at least 10 steps,
+    ``seed >= 0``, ``x0`` finite."""
+
+    T: float = 20.0
+    dt_sim: float = 1e-3
+    N: int = 10_000
+    seed: int = 0
+    x0: tuple | None = None
+
+    def __post_init__(self):
+        if self.x0 is not None:
+            object.__setattr__(self, "x0",
+                               tuple(float(c) for c in np.atleast_1d(self.x0)))
+        if not (self.dt_sim > 0 and math.isfinite(self.dt_sim)):
+            raise ValidationError("dt_sim must be positive and finite",
+                                  field="dt_sim")
+        if not self.N >= 100:
+            raise ValidationError("at least 100 paths required", field="N")
+        if not (math.isfinite(self.T) and self.T >= 10 * self.dt_sim):
+            raise ValidationError("horizon must be finite and cover at least "
+                                  "10 steps", field="T")
+        if not self.seed >= 0:
+            raise ValidationError("seed must be nonnegative", field="seed")
+        if self.x0 is not None and not all(map(math.isfinite, self.x0)):
+            raise ValidationError("x0 must be finite", field="x0")
 
 
 @dataclass(frozen=True)
-class McConfig:
-    """Simulation parameters for one cost estimate.
+class McConfig(McSettings):
+    """The settings of one cost estimate, with ``x0`` given, and a
+    ``policy`` that assigns a control index to every grid node; states
+    look up their control at the nearest node."""
 
-    ``policy`` assigns a control index to every grid node; states look up
-    their control at the nearest node.  ``x0`` is the common start point.
-    The other fields are checked by :func:`check_settings`.
-    """
-
-    T: float
-    dt_sim: float
-    N: int
-    seed: int
-    x0: tuple
-    policy: np.ndarray
+    policy: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "x0",
-                           tuple(float(c) for c in np.atleast_1d(self.x0)))
+        super().__post_init__()
         object.__setattr__(self, "policy",
                            np.asarray(self.policy, dtype=np.int64))
-        check_settings(self.T, self.dt_sim, self.N, self.seed)
 
 
 @dataclass(frozen=True)
@@ -240,10 +249,8 @@ def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
             f"policy must assign a control to each of {spec.grid.size} nodes")
     if np.min(cfg.policy) < 0 or np.max(cfg.policy) >= spec.n_controls:
         raise ValidationError("policy contains out-of-range control indices")
-    if len(cfg.x0) != spec.grid.d:
+    if cfg.x0 is None or len(cfg.x0) != spec.grid.d:
         raise ValidationError(f"x0 needs {spec.grid.d} components")
-    if not all(math.isfinite(c) for c in cfg.x0):
-        raise ValidationError("x0 must be finite")
     n_steps = int(round(cfg.T / cfg.dt_sim))
     chunks = [(c, min(_CHUNK, cfg.N - c * _CHUNK))
               for c in range((cfg.N + _CHUNK - 1) // _CHUNK)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .cone import _cw_band
 from .errors import NoConvergence, NonPositiveInput, NotIrreducible, ValidationError, ZeroVector
 
 __all__ = ["perron", "noda", "cw_lower", "cw_upper", "is_irreducible"]
@@ -129,11 +130,7 @@ def noda(a, x0=None, tol: float = 0.0):
     x = x / np.max(x)
     eye = sp.identity(n, format="csr")
 
-    def band(v):
-        ratios = (a @ v) / v
-        return float(np.min(ratios)), float(np.max(ratios))
-
-    lo, hi = band(x)
+    lo, hi = _cw_band(a @ x, x)
     for _ in range(_NODA_MAX_ITERS):
         if hi - lo <= tol:
             break
@@ -142,7 +139,7 @@ def noda(a, x0=None, tol: float = 0.0):
         if not np.min(y) > 0:        # the shift met the root in rounding
             break
         y = y / np.max(y)
-        lo_y, hi_y = band(y)
+        lo_y, hi_y = _cw_band(a @ y, y)
         if hi_y - lo_y >= hi - lo:
             break
         x, lo, hi = y, lo_y, hi_y

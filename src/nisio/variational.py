@@ -32,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cone import _cw_band
+from .eigensolver import SolveOptions, _step_size
 from .errors import NonPositiveInput, ValidationError
 from .generator import DiscreteGenerator, _envelope, apply_G
 from .grid import GridFunction, as_grid_function
@@ -86,7 +87,7 @@ def cw_search(gen: DiscreteGenerator,
     f = gen.grid.ones() if f0 is None else as_grid_function(gen.grid, f0)
     if np.min(f) <= 0:
         raise NonPositiveInput("starting function must be strictly positive")
-    dt = gen.dt_max * 0.9
+    dt = _step_size(gen, SolveOptions())
     opts = EvolveOptions(dt=dt, t_final=steps_per_iter * dt)
     reports = [cw_bounds(gen, f, f_label="iterate 0", rho=rho)]
     for k in range(1, iters + 1):

@@ -433,6 +433,23 @@ def test_solve_allocates_no_orbit_records():
     assert peak <= 4 * 2 ** 20
 
 
+def test_long_run_keeps_only_the_averaged_tail_of_log_norms():
+    # 10**5 iterations of a swap that never closes the band: the log sup
+    # norms before the last quarter, which growth never reads, are dropped
+    import tracemalloc
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoConvergence) as err:
+            power_iterate(lambda g: swap @ g, np.array([1.0, 2.0]),
+                          max_iters=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.best[2].n_iterations == 100_000
+    assert peak <= 2 * 2 ** 20
+
+
 def test_replayed_bracket_pins_byte_capped_records():
     # N = 2304: the byte rule, not the count, sets the cap, and the records
     # thin; a plain loop that keeps the recorded iterates gives the bracket

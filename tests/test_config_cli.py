@@ -152,6 +152,74 @@ def test_bad_mc_x0_names_key_and_line(value):
     assert err.value.line == text.splitlines().index(line) + 1
 
 
+INTEGER_KEYS = {
+    "problem.d": MINIMAL.replace('problem.b        = "0"', 'problem.b = "0, 0"'),
+    "mc.n": MINIMAL, "mc.seed": MINIMAL, "solver.max_iters": MINIMAL}
+
+
+@pytest.mark.parametrize("key, value, field, expected", [
+    ("problem.d", "2.0", lambda cfg: cfg.problem.grid.d, 2),
+    ("mc.n", "1e4", lambda cfg: cfg.mc.N, 10_000),
+    ("mc.seed", "3.0", lambda cfg: cfg.mc.seed, 3),
+    ("mc.seed", "18446744073709551617", lambda cfg: cfg.mc.seed, 2 ** 64 + 1),
+    ("solver.max_iters", "5e6", lambda cfg: cfg.solver.max_iters, 5_000_000)])
+def test_integer_keys_load_float_spellings_as_int(key, value, field, expected):
+    cfg = loads(INTEGER_KEYS[key] + f"\n{key} = {value}\n")
+    assert field(cfg) == expected and type(field(cfg)) is int
+
+
+@pytest.mark.parametrize("key", sorted(INTEGER_KEYS))
+@pytest.mark.parametrize("value", ["16.5", "nan"])
+def test_non_integer_value_names_key_and_line(key, value):
+    line = f"{key} = {value}"
+    text = INTEGER_KEYS[key] + f"\n{line}\nmc.t = 2.0\n"
+    with pytest.raises(ConfigError, match=rf"{key}: expected an integer") as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+
+
+def test_mc_section_is_mc_settings():
+    assert loads(MINIMAL).mc == mc.McSettings()
+    assert loads(TWO_CONTROL).mc == mc.McSettings(T=2.0, N=400, seed=11)
+
+
+@pytest.mark.parametrize("lines, key", [
+    # McSettings checks dt_sim before N; SolveOptions tol before max_iters
+    (["mc.n = 0", "mc.dt_sim = -1"], "mc.dt_sim"),
+    (["mc.seed = -1", "mc.n = 99"], "mc.n"),
+    (["solver.max_iters = 0", "solver.tol = 0"], "solver.tol"),
+    (["solver.dt_factor = 2", "solver.max_iters = 0"], "solver.max_iters")])
+def test_two_bad_keys_name_the_first_checked(lines, key):
+    text = MINIMAL + "\n" + "\n".join(lines) + "\n"
+    with pytest.raises(ConfigError, match=rf"{key}:") as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(
+        next(line for line in lines if line.startswith(key))) + 1
+
+
+@pytest.mark.parametrize("value", ["nan ; 1", "-1 ; inf"])
+def test_non_finite_control_names_key_and_line(value):
+    line = f"problem.controls = {value}"
+    text = MINIMAL + f"\n{line}\nmc.seed = 3\n"
+    with pytest.raises(ConfigError, match=r"problem\.controls") as err:
+        loads(text)
+    assert err.value.line == text.splitlines().index(line) + 1
+
+
+def test_simulate_passes_every_mc_value_to_cost_samples(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cost_samples", lambda spec, cfg: seen.append(cfg)
+                        or np.zeros(cfg.N))
+    text = (MINIMAL.replace("= 64", "= 16") + "mc.t = 0.5\nmc.dt_sim = 2e-3\n"
+            "mc.n = 123\nmc.seed = 17\nmc.x0 = 0.25\n")
+    assert run_cli(["simulate", write_cfg(tmp_path, text),
+                    "--out", tmp_path / "out"]) == 0
+    (cfg,) = seen
+    assert (cfg.T, cfg.dt_sim, cfg.N, cfg.seed, cfg.x0) == (
+        0.5, 2e-3, 123, 17, (0.25,))
+    assert cfg.policy.shape == (16,)
+
+
 def test_solver_section_is_solve_options():
     cfg = loads(MINIMAL + "\nsolver.tol = 1e-7\nsolver.max_iters = 123\n")
     assert cfg.solver == eigensolver.SolveOptions(tol=1e-7, max_iters=123)

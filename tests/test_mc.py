@@ -430,6 +430,14 @@ def test_x0_extra_coordinate_is_rejected():
         cost_samples(spec, cfg_for(spec, x0=(0.5, 0.25)))
 
 
+def test_missing_x0_is_rejected():
+    spec = frozen_spec()
+    cfg = McConfig(T=1.0, dt_sim=1e-3, N=200, seed=7,
+                   policy=np.zeros(spec.grid.size, dtype=int))
+    with pytest.raises(ValidationError, match="x0 needs 1 components"):
+        cost_samples(spec, cfg)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_x0_is_rejected(bad):
     spec = frozen_spec(r="x1")
