@@ -18,16 +18,26 @@ the eigenvalue).
 :func:`noda` is the sparse counterpart for irreducible Metzler matrices
 (nonnegative off the diagonal), such as the frozen-policy generators of
 policy iteration: Noda's shifted inverse iteration, with the shift kept
-at the Collatz-Weilandt upper bound.
+at the Collatz-Weilandt upper bound.  Its shifted system ``s I - a`` is
+formed once per call, straight from ``a``'s CSR arrays, and each sweep
+refills the diagonal and calls SuperLU's ``gssv`` as ``spsolve`` would
+(:func:`_csc_solve`), so a sweep has the bits of
+``spsolve((s * identity(n) - a).tocsc(), x)`` without building scipy
+matrices.  ``scipy.sparse.linalg`` is imported on the first solve, not
+with this module.
 """
 
 from __future__ import annotations
+
+import functools
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
 from .cone import _cw_band
 from .errors import NoConvergence, NonPositiveInput, NotIrreducible, ValidationError, ZeroVector
+from .generator import _stack_product
 
 __all__ = ["perron", "noda", "cw_lower", "cw_upper", "is_irreducible"]
 
@@ -91,6 +101,102 @@ def perron(m, tol: float = 1e-12, max_iters: int = 200_000):
         best=(lam, x))
 
 
+@functools.cache
+def _gssv():
+    """SuperLU's ``gssv``, the driver behind ``spsolve``, or ``None``.
+
+    Private, so it may move.  Imported on first use, not with the module:
+    it loads ``scipy.sparse.linalg``, which costs about 10 MB and 0.15 s.
+    """
+    try:
+        from scipy.sparse.linalg._dsolve._superlu import gssv
+    except ImportError:
+        return None
+    return gssv
+
+
+def _csc_solve(n: int, data, indices, indptr, b) -> np.ndarray:
+    """Solve ``m y = b`` for the canonical CSC matrix ``m`` (sorted row
+    indices, no duplicates), bit for bit as
+    ``spsolve(csc_matrix((data, indices, indptr)), b)``.
+
+    Calls SuperLU with the arguments ``spsolve`` passes for a vector
+    ``b`` (default column ordering) without building a matrix object or
+    running its format checks.  (``spsolve`` would call UMFPACK instead
+    where scikit-umfpack is installed; nisio does not depend on it.)  An
+    exactly singular ``m`` warns with ``MatrixRankWarning`` and gives NaNs,
+    as ``spsolve`` does.  Falls back to ``spsolve`` when the private driver
+    cannot be imported.
+    """
+    gssv = _gssv()
+    if gssv is None:
+        from scipy.sparse.linalg import spsolve
+        return spsolve(sp.csc_matrix((data, indices, indptr), shape=(n, n)), b)
+    y, info = gssv(n, len(data), data, indices.astype(np.intc, copy=False),
+                   indptr.astype(np.intc, copy=False), b, 1,
+                   options=dict(ColPerm=None))
+    if info != 0:
+        from scipy.sparse.linalg import MatrixRankWarning
+        warnings.warn("Matrix is exactly singular", MatrixRankWarning,
+                      stacklevel=2)
+        y.fill(np.nan)
+    return y
+
+
+class _ShiftedSystem:
+    """``s I - a`` in CSC form for a run of shifts ``s``, with the bits of
+    ``(s * identity(n) - a).tocsc()``.
+
+    scipy's subtraction keeps the off-diagonal entries ``0 - a_ij`` that
+    are nonzero and the diagonal entries ``s - a_ii``, and drops zeros;
+    ``tocsc`` sorts each column by row.  Only the diagonal depends on
+    ``s``, so the pattern is formed once, from ``a``'s CSR arrays, and
+    :meth:`solve` refills the diagonal.  For a non-canonical ``a``
+    (unsorted or duplicate entries) the pattern is read from ``a`` minus
+    an empty matrix, which sums duplicates as ``s * identity(n) - a``
+    does: in storage order, from 0.
+    """
+
+    def __init__(self, a: sp.csr_matrix):
+        n = self.n = a.shape[0]
+        if not a.has_canonical_format:
+            a = a - sp.csr_matrix(a.shape)
+        rows = np.repeat(np.arange(n), np.diff(a.indptr))
+        on_diag = a.indices == rows
+        off = ~on_diag & (a.data != 0)
+        self.off_diagonal = a.data[off]
+        self.a_diag = np.zeros(n)
+        self.a_diag[rows[on_diag]] = a.data[on_diag]
+        nodes = np.arange(n)
+        r = np.concatenate([rows[off], nodes])
+        c = np.concatenate([a.indices[off], nodes])
+        order = np.lexsort((r, c))          # by column, then by row
+        self.data = np.concatenate([-self.off_diagonal, np.zeros(n)])[order]
+        self.indices = r[order].astype(np.intc)
+        self.indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(c, minlength=n), out=self.indptr[1:])
+        # one diagonal entry per column, so these are in column order
+        self.diag_pos = np.flatnonzero(order >= len(self.off_diagonal))
+
+    def support(self) -> sp.csr_matrix:
+        """The pattern read as CSR: the support graph of ``a`` reversed, with
+        self-loops, which has the same strong components."""
+        return sp.csr_matrix((np.ones(len(self.data)), self.indices,
+                              self.indptr), shape=(self.n, self.n))
+
+    def solve(self, s, b) -> np.ndarray:
+        """``spsolve((s * identity(n) - a).tocsc(), b)``, bit for bit."""
+        diag = s - self.a_diag
+        self.data[self.diag_pos] = diag
+        if diag.all():
+            return _csc_solve(self.n, self.data, self.indices, self.indptr, b)
+        # a zero diagonal entry, which the subtraction drops
+        m = sp.csc_matrix((self.data, self.indices, self.indptr),
+                          shape=(self.n, self.n), copy=True)
+        m.eliminate_zeros()
+        return _csc_solve(self.n, m.data, m.indices, m.indptr, b)
+
+
 def noda(a, x0=None, tol: float = 0.0):
     """Principal pair of an irreducible Metzler matrix by Noda iteration.
 
@@ -104,42 +210,48 @@ def noda(a, x0=None, tol: float = 0.0):
     at most ``tol`` wide, or when a sweep no longer narrows it, which
     happens at rounding level.
 
+    The CSC pattern of ``s I - a`` is formed once per call; a sweep only
+    refills its diagonal ``s - a_ii`` and calls SuperLU directly (see
+    :class:`_ShiftedSystem` and :func:`_csc_solve`).  Every sweep has the
+    bits of ``spsolve((s * identity(n) - a).tocsc(), x)``, and the bands
+    those of ``a @ x``.
+
     Returns ``(lam, x)``: the midpoint of the final band, which contains
     the root, and the test vector ``x > 0`` with ``||x||_inf = 1``.  The
     caller certifies the pair.  Raises :class:`NotIrreducible` for a
     reducible support graph.
     """
-    from scipy.sparse.linalg import spsolve
-
     a = sp.csr_matrix(a, dtype=float)
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValidationError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a.data).all():
         raise ValidationError("matrix contains non-finite entries")
-    off = a - sp.diags(a.diagonal())
-    if off.nnz and np.min(off.data) < 0:
+    system = _ShiftedSystem(a)
+    if np.any(system.off_diagonal < 0):
         raise ValidationError("matrix must be nonnegative off the diagonal")
-    if not _strongly_connected(off > 0):
+    if not _strongly_connected(system.support()):
         raise NotIrreducible("support graph is not strongly connected")
     x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (n,):
         raise ValidationError(f"x0 must have shape ({n},)")
     if np.min(x) <= 0:
         raise NonPositiveInput("x0 must be strictly positive")
+    if not np.isfinite(x).all():
+        raise ValidationError("x0 must be finite")
     x = x / np.max(x)
-    eye = sp.identity(n, format="csr")
+    product = _stack_product(a)
 
-    lo, hi = _cw_band(a @ x, x)
+    lo, hi = _cw_band(product(x), x)
     for _ in range(_NODA_MAX_ITERS):
         if hi - lo <= tol:
             break
         s = hi + 4.0 * np.spacing(abs(hi))
-        y = spsolve((s * eye - a).tocsc(), x)
+        y = system.solve(s, x)
         if not np.min(y) > 0:        # the shift met the root in rounding
             break
         y = y / np.max(y)
-        lo_y, hi_y = _cw_band(a @ y, y)
+        lo_y, hi_y = _cw_band(product(y), y)
         if hi_y - lo_y >= hi - lo:
             break
         x, lo, hi = y, lo_y, hi_y

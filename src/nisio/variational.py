@@ -36,7 +36,7 @@ from .eigensolver import SolveOptions, _step_size
 from .errors import NonPositiveInput, ValidationError
 from .generator import DiscreteGenerator, _envelope, apply_G
 from .grid import GridFunction, as_grid_function
-from .perron import noda
+from .perron import _csc_solve, noda
 from .semigroup import EvolveOptions, evolve
 
 __all__ = ["SandwichReport", "DvReport", "HjiReport", "cw_bounds",
@@ -135,8 +135,6 @@ def dv_rate(gen: DiscreteGenerator, nu, maxiter: int = 2000) -> float:
     Always nonnegative; zero exactly at stationary distributions of ``L``.
     Tiny negative values from rounding are clamped to 0.
     """
-    from scipy.sparse.linalg import spsolve
-
     L = _single_control_L(gen)
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (gen.size,):
@@ -156,8 +154,22 @@ def dv_rate(gen: DiscreteGenerator, nu, maxiter: int = 2000) -> float:
     coef = nu[src] * coo.data[edge]
     base = float(nu @ (L @ np.ones(n)))
     nodes = np.arange(n)
-    h_rows = np.concatenate([src, dst, nodes])
-    h_cols = np.concatenate([dst, src, nodes])
+    # The Hessian's CSC pattern, once.  ``csc_matrix((values, (rows, cols)))``
+    # sorts the triplets by column, then row, and sums each entry's terms;
+    # an entry has at most two, -w_xy and -w_yx, so their order cannot
+    # change the sum (signed zeros included).
+    h_rows = np.concatenate([src, dst, nodes]).astype(np.int64)
+    h_cols = np.concatenate([dst, src, nodes]).astype(np.int64)
+    keys = h_cols * n + h_rows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    second = ~first
+    slot = (np.cumsum(first) - 1)[second]      # the entry of each second term
+    entries = keys[first]
+    h_indices = (entries % n).astype(np.intc)
+    h_indptr = np.searchsorted(entries, np.arange(n + 1) * n).astype(np.intc)
 
     def evaluate(psi):
         """Edge weights, the terms of ``J - base`` and ``J`` at ``psi``."""
@@ -175,10 +187,10 @@ def dv_rate(gen: DiscreteGenerator, nu, maxiter: int = 2000) -> float:
         grad = in_w - out_w
         diag = out_w + in_w
         shift = n * _EPS * float(np.max(diag))
-        hess = sp.csc_matrix(
-            (np.concatenate([-w, -w, diag + shift]), (h_rows, h_cols)),
-            shape=(n, n))
-        step = spsolve(hess, -grad)
+        h_terms = np.concatenate([-w, -w, diag + shift])[order]
+        h_data = h_terms[first]
+        h_data[slot] += h_terms[second]
+        step = _csc_solve(n, h_data, h_indices, h_indptr, -grad)
         decrement = -float(grad @ step)
         if not decrement > _EPS * (abs(base) + float(np.sum(np.abs(terms)))):
             break                           # rounding level, or a NaN solve

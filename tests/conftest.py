@@ -1,11 +1,15 @@
-"""Shared fixtures: the verification corpus, cached eigensolves, and the
-recursive expression walk that compiled evaluation is checked against."""
+"""Shared fixtures: the verification corpus, cached eigensolves, the
+recursive expression walk that compiled evaluation is checked against, and
+the scipy.sparse Noda loop that the direct SuperLU sweeps are pinned to."""
 
 import math
 
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
+from nisio import Grid, ProblemSpec
 from nisio import build_generator, solve_evolution, solve_policy_iteration
 from nisio import problems, to_source
 from nisio.errors import EvalError, UnboundVariable
@@ -61,6 +65,53 @@ def random_irreducible(rng, n):
         q[i, (i + 1) % n] += rng.uniform(0.1, 1.0)
         q[i, i] += rng.uniform(0.05, 0.5)
     return q
+
+
+def same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def mixed_torus(n, c, b=("v1", "v2 + 0.5*sin(2*pi*x1)")):
+    """A four-control 2-torus whose ``a12`` has the sign of ``c``."""
+    return ProblemSpec(
+        grid=Grid("torus", n=n, d=2),
+        controls=[(-1.0, 0.5), (1.0, -0.5), (0.0, 0.0), (-0.0, 1.0)],
+        sigma=("1 + 0.2*cos(2*pi*x2)", str(c), str(c), "0.9"), b=b,
+        r="cos(2*pi*x1) + sin(2*pi*x2) + 0.1*v1*v2")
+
+
+def reference_noda(a, x0=None, tol=0.0):
+    """``perron.noda`` as a loop of scipy.sparse calls, input checks left
+    out: every sweep solves ``spsolve((s * eye - a).tocsc(), x)`` and every
+    band comes from ``a @ x``.  Returns ``(lam, x, sweeps)``."""
+    from scipy.sparse.linalg import spsolve
+    a = sp.csr_matrix(a, dtype=float)
+    n = a.shape[0]
+    x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
+    x = x / np.max(x)
+    eye = sp.identity(n, format="csr")
+
+    def band(v):
+        ratios = (a @ v) / v
+        return float(np.min(ratios)), float(np.max(ratios))
+
+    lo, hi = band(x)
+    sweeps = 0
+    for _ in range(100):
+        if hi - lo <= tol:
+            break
+        s = hi + 4.0 * np.spacing(abs(hi))
+        y = spsolve((s * eye - a).tocsc(), x)
+        sweeps += 1
+        if not np.min(y) > 0:
+            break
+        y = y / np.max(y)
+        lo_y, hi_y = band(y)
+        if hi_y - lo_y >= hi - lo:
+            break
+        x, lo, hi = y, lo_y, hi_y
+    return 0.5 * (lo + hi), x, sweeps
 
 
 def _reference_evaluate(expr, bindings: dict):

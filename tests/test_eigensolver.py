@@ -16,8 +16,10 @@ from nisio import (
     solve_max,
     solve_policy_iteration,
 )
-from nisio import problems
+from nisio import eigensolver, problems
 from nisio.errors import CflViolation, NoConvergence, ValidationError
+
+from conftest import mixed_torus, reference_noda, same_bytes
 
 
 def test_constant_cost_exact_both_methods():
@@ -222,3 +224,17 @@ def test_start_of_wrong_length_rejected(length):
     gen = build_generator(problems.torus_two_control(32))
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve_evolution(gen, SolveOptions(f0=np.ones(length)))
+
+
+@pytest.mark.parametrize("spec", [problems.torus_two_control(128),
+                                  mixed_torus(16, 0.25)],
+                         ids=["torus_two_control128", "mixed16"])
+def test_policy_iteration_pins_the_spsolve_noda(spec, monkeypatch):
+    gen = build_generator(spec)
+    pair = solve_policy_iteration(gen)
+    monkeypatch.setattr(eigensolver, "noda",
+                        lambda a, x0, tol: reference_noda(a, x0, tol)[:2])
+    want = solve_policy_iteration(gen)
+    assert pair.policy_iterations == want.policy_iterations
+    for name in ("rho", "phi", "policy", "residual"):
+        assert same_bytes(getattr(pair, name), getattr(want, name)), name

@@ -12,6 +12,8 @@ from nisio.errors import (
 )
 from nisio import generator, problems
 
+from conftest import mixed_torus, same_bytes
+
 
 def uncontrolled(topology="torus", n=64, sigma="1", b="0", r="0", d=1):
     sig = (sigma,) if d == 1 else (sigma, "0", "0", sigma)
@@ -363,34 +365,20 @@ def reference_centered_gradient(grid, psi):
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-def _same_bytes(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
 def assert_pins_reference_stencil(spec, seed=0):
     """Stack arrays, ``dt_max`` and the gradient equal the references' bytes."""
     from nisio.variational import _centered_gradient
     gen = build_generator(spec)
     stack, dt_max = reference_build(spec)
     for name in ("indptr", "indices", "data"):
-        assert _same_bytes(getattr(gen.stack, name), getattr(stack, name)), name
+        assert same_bytes(getattr(gen.stack, name), getattr(stack, name)), name
     assert gen.stack.shape == stack.shape
-    assert _same_bytes(gen.dt_max, dt_max)
+    assert same_bytes(gen.dt_max, dt_max)
     rng = np.random.default_rng(seed)
     for psi in (rng.uniform(-3.0, 3.0, gen.size),
                 np.log(rng.uniform(0.1, 1.0, gen.size))):
-        assert _same_bytes(_centered_gradient(gen, psi),
+        assert same_bytes(_centered_gradient(gen, psi),
                            reference_centered_gradient(spec.grid, psi))
-
-
-def mixed_torus(n, c, b=("v1", "v2 + 0.5*sin(2*pi*x1)")):
-    """A four-control 2-torus whose ``a12`` has the sign of ``c``."""
-    return ProblemSpec(
-        grid=Grid("torus", n=n, d=2),
-        controls=[(-1.0, 0.5), (1.0, -0.5), (0.0, 0.0), (-0.0, 1.0)],
-        sigma=("1 + 0.2*cos(2*pi*x2)", str(c), str(c), "0.9"), b=b,
-        r="cos(2*pi*x1) + sin(2*pi*x2) + 0.1*v1*v2")
 
 
 @pytest.mark.parametrize("n", [8, 16, 33])

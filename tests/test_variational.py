@@ -18,7 +18,9 @@ from nisio import (
     solve_evolution,
 )
 from nisio.errors import NonPositiveInput, ValidationError
-from nisio import problems
+from nisio import problems, variational
+
+from conftest import reference_noda, same_bytes
 
 
 def test_bounds_at_ones(corpus):
@@ -258,6 +260,100 @@ def test_dv_rate_rejects_non_finite_nu(cosine_gen, bad):
     nu[5] = bad
     with pytest.raises(ValidationError, match="finite"):
         dv_rate(cosine_gen, nu)
+
+
+def reference_dv_rate(gen, nu, maxiter=2000):
+    """``dv_rate`` with each Newton step through ``spsolve`` on a Hessian
+    assembled by ``csc_matrix`` from its triplets; input checks left out."""
+    from scipy.sparse.linalg import spsolve
+    eps = float(np.finfo(float).eps)
+    L = (gen.mats[0] - sp.diags(gen.r_tables[0])).tocsr()
+    n = gen.size
+    coo = L.tocoo()
+    edge = (coo.row != coo.col) & (coo.data > 0) & (nu[coo.row] > 0)
+    src, dst = coo.row[edge], coo.col[edge]
+    coef = nu[src] * coo.data[edge]
+    base = float(nu @ (L @ np.ones(n)))
+    nodes = np.arange(n)
+    h_rows = np.concatenate([src, dst, nodes])
+    h_cols = np.concatenate([dst, src, nodes])
+
+    def evaluate(psi):
+        inc = psi[dst] - psi[src]
+        with np.errstate(over="ignore"):
+            w = coef * np.exp(inc)
+            terms = coef * np.expm1(inc)
+        return w, terms, base + float(np.sum(terms))
+
+    psi = np.zeros(n)
+    w, terms, j = evaluate(psi)
+    for _ in range(maxiter):
+        out_w = np.bincount(src, w, minlength=n)
+        in_w = np.bincount(dst, w, minlength=n)
+        grad = in_w - out_w
+        diag = out_w + in_w
+        shift = n * eps * float(np.max(diag))
+        hess = sp.csc_matrix(
+            (np.concatenate([-w, -w, diag + shift]), (h_rows, h_cols)),
+            shape=(n, n))
+        step = spsolve(hess, -grad)
+        decrement = -float(grad @ step)
+        if not decrement > eps * (abs(base) + float(np.sum(np.abs(terms)))):
+            break
+        t = 1.0
+        for _ in range(40):
+            trial = psi + t * step
+            trial -= np.max(trial)
+            w_t, terms_t, j_t = evaluate(trial)
+            if j_t <= j - 0.25 * t * decrement:
+                break
+            t *= 0.5
+        else:
+            break
+        psi, w, terms, j = trial, w_t, terms_t, j_t
+    return max(0.0, -j)
+
+
+def _pin_rate_cases():
+    """(generator, nu, maxiter): full support, half support and point
+    masses, whose edge weights decay to zero."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for spec in (problems.torus_cosine(32), problems.interval_cosine(32),
+                 problems.torus_cosine_drift(32), problems.torus2d_separable(8)):
+        gen = build_generator(spec)
+        for _ in range(2):
+            cases.append((gen, rng.dirichlet(np.ones(gen.size)), 2000))
+        half = rng.dirichlet(np.ones(gen.size))
+        half[rng.permutation(gen.size)[:gen.size // 2]] = 0.0
+        cases.append((gen, half / np.sum(half), 2000))
+    gen = build_generator(problems.torus_cosine(16))
+    for j in (0, 7):
+        cases.append((gen, np.eye(gen.size)[j], 20000))
+    return cases
+
+
+def test_dv_rate_pins_the_spsolve_newton():
+    for gen, nu, maxiter in _pin_rate_cases():
+        rate = dv_rate(gen, nu, maxiter=maxiter)
+        want = reference_dv_rate(gen, nu, maxiter=maxiter)
+        assert np.float64(rate).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("spec", [problems.torus_cosine(64),
+                                  problems.interval_cosine(33),
+                                  problems.torus2d_separable(12)],
+                         ids=["torus_cosine64", "interval_cosine33",
+                              "torus2d_separable12"])
+def test_dv_check_pins_the_spsolve_route(spec, monkeypatch):
+    gen = build_generator(spec)
+    report = dv_check(gen)
+    monkeypatch.setattr(variational, "noda",
+                        lambda a: reference_noda(a)[:2])
+    monkeypatch.setattr(variational, "dv_rate", reference_dv_rate)
+    want = dv_check(gen)
+    for name in ("rho", "certificate", "gap", "rate", "nu"):
+        assert same_bytes(getattr(report, name), getattr(want, name)), name
 
 
 # ---------------------------------------------------------------------------
