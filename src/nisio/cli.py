@@ -93,6 +93,9 @@ def cmd_solve(cfg: Config, args) -> dict:
     hist = np.bincount(pair.policy, minlength=gen.n_controls)
     payload = {"command": "solve", "rho": pair.rho, "beta": pair_max.rho,
                "residual": pair.residual, "beta_residual": pair_max.residual,
+               "dt": _step_size(gen, cfg.solver),
+               "iterations": pair.stats.n_iterations,
+               "beta_iterations": pair_max.stats.n_iterations,
                "policy_histogram": hist.tolist(), **_problem_meta(cfg)}
     nodes = gen.grid.nodes()
     _sidecar(cfg, payload, "phi",
@@ -185,10 +188,14 @@ def cmd_orbit(cfg: Config, args) -> dict:
 
 
 def cmd_evolve(cfg: Config, args) -> dict:
+    if args.record_every < 1:
+        raise ValidationError(
+            f"record_every must be >= 1, got {args.record_every}",
+            field="record_every")
     gen = build_generator(cfg.problem)
     dt = _step_size(gen, cfg.solver)
     opts = EvolveOptions(dt=dt, t_final=args.t_final,
-                         record_every=max(1, args.record_every))
+                         record_every=args.record_every)
     f, times, snaps = evolve(gen, gen.grid.ones(), opts)
     sup = np.max(np.abs(snaps), axis=1)
     rows = []

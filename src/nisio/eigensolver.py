@@ -52,10 +52,12 @@ class SolveOptions:
     """Tolerances and budgets for the eigensolvers.
 
     ``tol`` bounds the sup-norm eigen-residual ``||G phi - rho phi||_inf``
-    of the returned pair.  ``dt`` overrides the evolution step (must obey
-    the CFL bound, else :class:`CflViolation`); by default ``dt_factor``
-    of the bound is used.  The ``solver`` section of a config is one of
-    these (``tol``, ``max_iters`` and ``dt_factor``).
+    of the returned pair.  ``dt`` overrides the evolution step (must not
+    exceed the generator's step bound ``dt_max``, the longest step that
+    keeps every Euler matrix nonnegative, else :class:`CflViolation`); by
+    default ``dt_factor`` of ``dt_max`` is used.  The ``solver`` section
+    of a config is one of these (``tol``, ``max_iters`` and
+    ``dt_factor``).
     """
 
     tol: float = 1e-9
@@ -78,7 +80,7 @@ class SolveOptions:
 
 
 def _step_size(gen: DiscreteGenerator, opts: SolveOptions) -> float:
-    """The evolution step: ``opts.dt``, else ``dt_factor`` of the CFL bound."""
+    """The evolution step: ``opts.dt``, else ``dt_factor`` of ``dt_max``."""
     return opts.dt if opts.dt is not None else gen.dt_max * opts.dt_factor
 
 

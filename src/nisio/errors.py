@@ -106,7 +106,9 @@ class CycleDetected(NumericalError):
 
 
 class CflViolation(NumericalError):
-    """Requested time step exceeds the stability bound of the scheme."""
+    """Requested time step exceeds the generator's step bound ``dt_max``,
+    beyond which some Euler matrix ``I + dt A_v`` or ``I + dt L_v`` has a
+    negative diagonal entry."""
 
 
 class DegenerateDiffusion(ValidationError):

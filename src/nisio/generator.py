@@ -7,10 +7,10 @@ For each control value ``v`` the operator
 is discretized with central second differences for the diffusion part and
 first-order upwind differences for the drift (direction chosen per node by
 the sign of each drift component), which keeps every off-diagonal entry of
-the resulting matrix nonnegative.  Together with the explicit-Euler CFL
-bound this Metzler structure makes positivity, monotonicity and the
-envelope inequality of the induced semigroup hold exactly, not just up to
-discretization error.
+the resulting matrix nonnegative.  Together with the explicit-Euler step
+bound ``dt_max``, read from the assembled rows, this Metzler structure
+makes positivity, monotonicity and the envelope inequality of the induced
+semigroup hold exactly, not just up to discretization error.
 
 One assembler serves the interval, the circle and the 2-torus: it loops
 over the axes and takes every neighbour from :meth:`Grid.neighbour`, the
@@ -205,7 +205,11 @@ class DiscreteGenerator:
     caches: Euler stacks keyed by time step, and ``mats``).  ``stack`` is
     the CSR matrix ``vstack(A_v)`` of shape ``(n_controls * size, size)``;
     its row block ``mats[v]`` has nonnegative off-diagonal entries and
-    row sums equal to ``r_v`` up to rounding.
+    row sums equal to ``r_v`` up to rounding.  ``dt_max`` is the longest
+    Euler step for which every ``I + dt L_v`` is a Markov-chain step and
+    every ``I + dt A_v`` is entrywise nonnegative:
+    ``min(1 / max q_v, 1 / max(-diag A_v))``, with ``q_v`` the
+    off-diagonal row sum of ``mats[v]``.
     """
 
     grid: Grid
@@ -297,15 +301,13 @@ def build_generator(spec: ProblemSpec) -> DiscreteGenerator:
         raise DegenerateDiffusion(
             f"min eigenvalue of a(x) is {np.min(min_eig):.3g} < eps_a = {spec.eps_a:.3g}")
 
-    h = grid.h
-    mats = _assemble(grid, a, b, r)
+    mats, q_max = _assemble(grid, a, b, r)
 
-    # CFL: the classical bound from the coefficient tables, sharpened by
-    # the exact positivity bound 1/max(-diag A_v) so that I + dt A_v is
-    # entrywise nonnegative whenever dt <= dt_max.
-    amax = float(np.max(np.abs(a)))
-    bmax = float(np.max(np.sum(np.abs(b), axis=-1)))
-    dt_cap = h * h / (grid.d * amax + h * bmax)
+    # The step bound, read from the stencil: I + dt L_v is a Markov-chain
+    # step while dt <= 1/max q_v, q_v being the off-diagonal row sum (the
+    # jump rate) of L_v, and I + dt A_v is entrywise nonnegative while
+    # dt <= 1/max(-diag A_v).
+    dt_cap = 1.0 / q_max
     diag_min = min(float(A.diagonal().min()) for A in mats)
     if diag_min < 0:
         dt_cap = min(dt_cap, 1.0 / (-diag_min))
@@ -316,13 +318,16 @@ def build_generator(spec: ProblemSpec) -> DiscreteGenerator:
 
 
 def _assemble(grid: Grid, a: np.ndarray, b: np.ndarray,
-              r: np.ndarray) -> list:
-    """Upwind stencil matrices ``A_v = L_v + diag(r_v)``, one per control.
+              r: np.ndarray) -> tuple:
+    """Upwind stencil matrices ``A_v = L_v + diag(r_v)``, one per control,
+    and the largest jump rate ``max_{v,x} q_v(x)``.
 
     Per axis ``k``: central diffusion ``(a_kk - |a12|) / (2 h^2)`` (the
     ``|a12|`` term is 0 in 1D) plus the upwind drift, toward the ``+1``
     and ``-1`` neighbours.  On the 2-torus the sign-split mixed term adds
     the diagonal neighbours.  Neighbours come from :meth:`Grid.neighbour`.
+    The jump rate ``q_v(x)`` is the sum of row ``x``'s off-diagonal
+    entries, so the diagonal of ``L_v`` is ``-q_v``.
     """
     d, h, size = grid.d, grid.h, grid.size
     h2 = 2.0 * h * h
@@ -344,7 +349,7 @@ def _assemble(grid: Grid, a: np.ndarray, b: np.ndarray,
     rows = np.tile(nodes, len(offsets) + 1)
     cols = np.concatenate([nodes, *(grid.neighbour(off) for off in offsets)])
 
-    mats = []
+    mats, q_max = [], 0.0
     for bv, rv in zip(b, r):
         coefs = []
         for k in range(d):
@@ -356,10 +361,11 @@ def _assemble(grid: Grid, a: np.ndarray, b: np.ndarray,
         if d == 2:
             total = total + 2.0 * cpp + 2.0 * cpm
             coefs += [cpp, cpp, cpm, cpm]
+        q_max = max(q_max, float(total.max()))
         A = sp.coo_matrix((np.concatenate([rv - total, *coefs]), (rows, cols)),
                           shape=(size, size))
         mats.append(A.tocsr())
-    return mats
+    return mats, q_max
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 One step of size ``dt`` maps ``f`` to ``f + dt * G f``, realized as the
 pointwise envelope ``min_v (I + dt A_v) f``: one product with the stacked
-Euler matrices and one reduction over controls.  Under the CFL bound
-``dt <= gen.dt_max`` every ``I + dt A_v`` is entrywise nonnegative, which
-makes the discrete evolution share the structural properties of the
-continuous semigroup *exactly*:
+Euler matrices and one reduction over controls.  The step bound
+``gen.dt_max`` is read from the stencil as two conditions: at
+``dt <= 1 / max q_v`` (``q_v`` the off-diagonal row sum of ``L_v``)
+``I + dt L_v`` is a Markov-chain step, and at ``dt <= 1 / max(-diag A_v)``
+``I + dt A_v`` is entrywise nonnegative.  Under it the discrete evolution
+shares the structural properties of the continuous semigroup *exactly*:
 
 * monotone: ``f <= g`` implies ``step(f) <= step(g)`` entrywise,
 * positively 1-homogeneous (bit-exact for power-of-two factors),
@@ -14,7 +16,7 @@ continuous semigroup *exactly*:
 
 Explicit Euler is deliberately chosen over implicit stepping: it keeps
 these order properties machine-checkable per step instead of approximate,
-at an acceptable CFL cost for the grid sizes this library targets.
+at an acceptable step-bound cost for the grid sizes this library targets.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def step(gen: DiscreteGenerator, f: GridFunction, dt: float) -> GridFunction:
     """One explicit Euler step ``f + dt * G f``.
 
     Computed as ``min_v (I + dt A_v) f`` so that monotonicity and the
-    envelope inequality hold exactly under the CFL bound.
+    envelope inequality hold exactly for ``dt <= gen.dt_max``.
     """
     _check_cfl(gen, dt)
     f = as_grid_function(gen.grid, f)

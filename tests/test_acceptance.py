@@ -213,6 +213,7 @@ def test_criterion_10_donsker_varadhan(cosine_gen):
                f"I(stationary) <= 1e-6 ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_11_hji_residual(corpus):
     """Log-transform residual shrinks from n = 64 to n = 256; 0 for r = c."""
     makers = {
@@ -237,6 +238,7 @@ def test_criterion_11_hji_residual(corpus):
                "problems; exactly 0 for constant cost")
 
 
+@pytest.mark.slow
 def test_criterion_12_mc_cross_validation():
     """Simulated cost matches rho; frozen controls never beat it."""
     t0 = time.time()

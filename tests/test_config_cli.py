@@ -350,6 +350,8 @@ def test_cli_solve_single_control_solves_once(tmp_path, monkeypatch):
     assert pair_max.phi.tobytes() == pair.phi.tobytes()
     assert pair_max.policy.tobytes() == pair.policy.tobytes()
     assert pair_max.stats.n_iterations == pair.stats.n_iterations
+    assert payload["beta_iterations"] == payload["iterations"]
+    assert payload["iterations"] == pair.stats.n_iterations
 
 
 def test_cli_solve_two_controls_solves_max(tmp_path, monkeypatch):
@@ -359,6 +361,28 @@ def test_cli_solve_two_controls_solves_max(tmp_path, monkeypatch):
     assert calls == ["solve_evolution", "solve_max", "solve_evolution"]
     payload = read_report(out)
     assert payload["beta"] >= payload["rho"]
+
+
+def test_cli_solve_reports_step_and_iterations(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["solve", write_cfg(tmp_path, TWO_CONTROL),
+                    "--out", out]) == 0
+    payload = read_report(out)
+    cfg = loads(TWO_CONTROL)
+    gen = build_generator(cfg.problem)
+    assert payload["dt"] == cfg.solver.dt_factor * gen.dt_max
+    pair, pair_max = solve_evolution(gen, cfg.solver), solve_max(gen, cfg.solver)
+    assert payload["iterations"] == pair.stats.n_iterations
+    assert payload["beta_iterations"] == pair_max.stats.n_iterations
+    assert payload["beta"] == pair_max.rho
+    # the schema checks the new keys, and a report without them still passes
+    for key, bad in [("dt", 0.0), ("iterations", -1), ("iterations", 2.5),
+                     ("beta_iterations", -1), ("beta_iterations", "7")]:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**payload, key: bad}, SCHEMA)
+    jsonschema.validate({k: v for k, v in payload.items()
+                         if k not in ("dt", "iterations", "beta_iterations")},
+                        SCHEMA)
 
 
 def test_cli_bounds_ones(tmp_path):
@@ -393,6 +417,18 @@ def test_cli_dv_hji_orbit_evolve(tmp_path):
     payload = read_report(out)
     assert payload["t_final"] == pytest.approx(0.5)
     assert (out / "evolve.csv").exists()
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_cli_evolve_rejects_record_every_below_one(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    argv = ["evolve", write_cfg(tmp_path, MINIMAL), "--record-every", value,
+            "--out", out]
+    assert run_cli(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "record_every" in err["message"]
+    assert not out.exists()
 
 
 def test_cli_orbit_reports_certified_rho(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from nisio import ProblemSpec, Grid, apply_G, apply_linear, argmin_policy, build_generator
+from nisio import SolveOptions, solve_evolution
 from nisio.errors import (
     DegenerateDiffusion,
     NonFiniteCoefficient,
@@ -327,7 +328,12 @@ def _reference_assemble_2d_torus(grid, a, b, r, h):
 
 
 def reference_build(spec):
-    """``(stack, dt_max)`` as the per-topology assemblers built them."""
+    """``(stack, dt_max)`` as the per-topology assemblers built them.
+
+    This ``dt_max`` is the coefficient-table estimate
+    ``h^2 / (d max|a| + h max|b|_1)``, capped by ``1/max(-diag A_v)``,
+    which the stencil's own bound replaced.
+    """
     grid = spec.grid
     a, b, r = generator._axis_tables(spec, grid.nodes())
     h = grid.h
@@ -365,15 +371,36 @@ def reference_centered_gradient(grid, psi):
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
+def stencil_step_bounds(stack, size):
+    """``(1/max q_v, 1/max(-diag A_v))`` from the dense blocks of ``stack``.
+
+    ``q_v(x)`` is the off-diagonal row sum of ``A_v``, the jump rate of the
+    Markov chain that ``L_v`` generates; the second bound is ``inf`` when
+    no diagonal entry is negative.
+    """
+    rate = decay = 0.0
+    for start in range(0, stack.shape[0], size):
+        A = stack[start:start + size].toarray()
+        diag = np.diag(A)
+        rate = max(rate, float((A - np.diag(diag)).sum(axis=1).max()))
+        decay = max(decay, float(-diag.min()))
+    return 1.0 / rate, (1.0 / decay if decay > 0 else np.inf)
+
+
 def assert_pins_reference_stencil(spec, seed=0):
-    """Stack arrays, ``dt_max`` and the gradient equal the references' bytes."""
+    """Stack arrays and the gradient equal the references' bytes, and
+    ``dt_max`` is the bound read from the stencil's dense blocks."""
     from nisio.variational import _centered_gradient
     gen = build_generator(spec)
-    stack, dt_max = reference_build(spec)
+    stack, _ = reference_build(spec)
     for name in ("indptr", "indices", "data"):
         assert same_bytes(getattr(gen.stack, name), getattr(stack, name)), name
     assert gen.stack.shape == stack.shape
-    assert same_bytes(gen.dt_max, dt_max)
+    jump_dt, diag_dt = stencil_step_bounds(stack, gen.size)
+    if diag_dt < jump_dt * (1 - 1e-13):     # the diagonal clearly binds
+        assert same_bytes(gen.dt_max, diag_dt)
+    else:   # the row sums are added in another order than the assembler's
+        assert gen.dt_max == pytest.approx(min(jump_dt, diag_dt), rel=1e-14)
     rng = np.random.default_rng(seed)
     for psi in (rng.uniform(-3.0, 3.0, gen.size),
                 np.log(rng.uniform(0.1, 1.0, gen.size))):
@@ -398,6 +425,78 @@ def test_assembler_pins_reference_on_2d_tori(c):
     assert_pins_reference_stencil(problems.torus2d_separable(12))
     assert_pins_reference_stencil(mixed_torus(10, c), seed=1)
     assert_pins_reference_stencil(mixed_torus(13, c, b=("0", "0")), seed=2)
+
+
+# ---------------------------------------------------------------------------
+# the step bound read from the stencil
+# ---------------------------------------------------------------------------
+
+ROUNDING = 16 * np.finfo(float).eps
+
+
+def dense_euler_steps(gen, dt):
+    """Dense ``(I + dt A_v, I + dt L_v)`` for every control, with ``L_v``
+    the off-diagonal part of ``A_v`` less its row sums on the diagonal."""
+    eye = np.eye(gen.size)
+    for A in gen.mats:
+        A = A.toarray()
+        off = A - np.diag(np.diag(A))
+        yield eye + dt * A, eye + dt * (off - np.diag(off.sum(axis=1)))
+
+
+def assert_sharp_step_bound(spec):
+    """Every Euler step is nonnegative at ``dt_max`` and one is not a step
+    ``1e-9`` longer; ``dt_max`` is never below the coefficient-table
+    estimate, and keeps its bits where the diagonal bound that too."""
+    gen = build_generator(spec)
+    _, table_dt = reference_build(spec)
+    assert gen.dt_max >= table_dt
+    assert gen.step_stack(gen.dt_max).min() >= 0.0
+    for step_a, step_l in dense_euler_steps(gen, gen.dt_max):
+        assert step_a.min() >= 0.0
+        # the test's row sums may round a few ulps off the assembler's
+        assert step_l.min() >= -ROUNDING
+    assert min(min(step_a.min(), step_l.min()) for step_a, step_l
+               in dense_euler_steps(gen, gen.dt_max * (1 + 1e-9))) < 0.0
+    if table_dt == stencil_step_bounds(gen.stack, gen.size)[1]:
+        assert same_bytes(gen.dt_max, table_dt)
+
+
+@pytest.mark.parametrize("n", [8, 16, 33])
+def test_step_bound_is_sharp_on_corpus_1d(n):
+    for spec in problems.corpus_1d(n).values():
+        assert_sharp_step_bound(spec)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, -0.3, 0.45, -0.45])
+def test_step_bound_is_sharp_on_2d_tori(c):
+    assert_sharp_step_bound(problems.torus2d_separable(12))
+    assert_sharp_step_bound(mixed_torus(10, c))
+    assert_sharp_step_bound(mixed_torus(13, c, b=("0", "0")))
+
+
+def test_step_bound_moves_on_one_corpus_problem_and_the_mixed_torus():
+    for name, spec in problems.corpus_1d(64).items():
+        dt_max = build_generator(spec).dt_max
+        _, table_dt = reference_build(spec)
+        if name == "torus_variable_sigma":
+            assert dt_max > 1.003 * table_dt
+        else:
+            assert same_bytes(dt_max, table_dt), name
+    spec = mixed_torus(16, 0.25)
+    assert build_generator(spec).dt_max > 1.2 * reference_build(spec)[1]
+
+
+def test_longer_step_takes_fewer_iterations():
+    spec = mixed_torus(10, 0.3)
+    gen = build_generator(spec)
+    _, table_dt = reference_build(spec)
+    tol = SolveOptions().tol
+    new = solve_evolution(gen)
+    old = solve_evolution(gen, SolveOptions(dt=0.9 * table_dt))
+    assert new.stats.n_iterations < old.stats.n_iterations
+    assert new.residual <= tol and old.residual <= tol      # both certified
+    assert abs(new.rho - old.rho) <= 2 * tol
 
 
 def test_dominance_violation_matches_reference_message():

@@ -26,7 +26,7 @@ from test_cone import (
     assert_same_orbit,
     assert_same_stats,
 )
-from test_generator import assert_pins_reference_stencil
+from test_generator import assert_pins_reference_stencil, assert_sharp_step_bound
 
 coef = st.floats(-2.0, 2.0, allow_nan=False).map(lambda c: round(c, 3))
 scale = st.floats(0.5, 1.5, allow_nan=False).map(lambda s: round(s, 3))
@@ -81,6 +81,12 @@ def test_single_envelope_matches_per_control_products(case):
 def test_assembler_and_gradient_pin_references(case):
     spec, seed = case
     assert_pins_reference_stencil(spec, seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(specs())
+def test_step_bound_is_sharp(case):
+    assert_sharp_step_bound(case[0])
 
 
 def _evolution_outcome(gen):
