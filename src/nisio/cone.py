@@ -78,6 +78,8 @@ _LOG_BLOCK = 1024      # least number of log sup norms dropped at once
 # is), and the factor 4 absorbs the rounding of the gate's arithmetic.
 _GATE = 2.0 ** -46
 
+_FLOAT = np.dtype(float)
+
 
 def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
     """Cone bracket ``(min f/ref, max f/ref)`` of ``f`` against ``reference``.
@@ -179,13 +181,20 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
 
     Stops when ``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``, with
     the logs taken by numpy as written.  An iteration costs one call of
-    ``map_fn``, one division into a buffer and two reductions (``min`` of
-    the ratios, ``max`` of ``map(g)``).  The ``max`` of the ratios is taken
+    ``map_fn``, two divisions into buffers (the ratios and the normalized
+    iterate) and two reductions (``min`` of the ratios, ``max`` of
+    ``map(g)``, each a bare ufunc ``reduce``, the reduction that the array
+    methods dispatch to).  The ``max`` of the ratios is taken
     at recorded iterations, and where ``log(max map(g)) - log(min r)``
     passes a gate; the ``N`` logs of the stop test only where
     ``log(max r) - log(min r)`` passes it too.  Every closing band passes
     both (see the loop), so the iterates are exactly those of the plain
-    test.  ``map_fn`` may return a buffer that its next call overwrites.
+    test.  ``map_fn`` may return a buffer that its next call overwrites;
+    a float64 ``ndarray`` is used as it is, anything else (subclasses
+    too) goes through ``np.asarray``.  The normalized iterate is written
+    into one of two buffers of the iteration's own, in turn, never into
+    the start or the map's buffer, and the returned fixed point is the
+    last one written.
 
     ``map_fn`` must be deterministic: the bracket fields of the stats are
     computed on first access by running the orbit again, from the
@@ -211,7 +220,7 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     if max_iters < 1:
         raise NonPositiveInput("max_iters must be >= 1")
     g = g / np.max(g)
-    start = g       # for the replay: the loop rebinds g, never writes it
+    start = g       # for the replay: the loop never writes it
 
     # (k, max ratio, sup norm, sum of log sup norms before k)
     records: list[tuple] = []
@@ -224,23 +233,29 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     gate_tol = tol * (1.0 + _GATE)
 
     ratios = np.empty_like(g)
+    # g is written into these in turn, never into start or the map's buffer
+    buffers = (np.empty_like(g), np.empty_like(g))
+    least, greatest = np.minimum.reduce, np.maximum.reduce
     k = 0
     while k < max_iters:
-        y = np.asarray(map_fn(g), dtype=float)
+        y = map_fn(g)
+        if type(y) is not np.ndarray or y.dtype is not _FLOAT:
+            y = np.asarray(y, dtype=float)
         np.divide(y, g, out=ratios)
-        lo = ratios.min()
-        s = y.max()
+        lo = least(ratios)
+        s = greatest(y)
         record = k % stride == 0
-        hi = ratios.max() if record else None
+        hi = greatest(ratios) if record else None
         if not lo > 0:
             # Iterates are never negative: the start f0 / max(f0) is
             # nonnegative or all NaN after the checks above, and each later
             # one is y / max(y) for a y that passed this check (all NaN if
             # y has a NaN).  So lo > 0 (false for NaN) implies y > 0, and
             # the check on y runs whenever it could fire.
-            if y.min() <= 0:
+            if least(y) <= 0:
                 raise NonPositiveIterate(
                     "map produced a non-positive value from a positive iterate")
+            log_s = math.log(s)
         else:
             # Gate: with L = np.log(ratios) within K = 16 ulps, i.e.
             # |L_i - ln r_i| <= K eps |ln r_i|, the indices of lo and hi give
@@ -269,10 +284,10 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
             # inside the 4K eps margin with room for the roundings, so the
             # pre-gate too holds whenever the exact test can pass.
             b = math.log(lo)
-            a = math.log(s)
+            a = log_s = math.log(s)
             if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
                 if hi is None:
-                    hi = ratios.max()
+                    hi = greatest(ratios)
                 a = math.log(hi)
                 if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
                     log_r = np.log(ratios)
@@ -284,10 +299,9 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
                 records = records[::2]
                 stride *= 2
 
-        log_s = math.log(s)
         log_factors.append(log_s)
         cum += log_s
-        g = y / s
+        g = np.divide(y, s, out=buffers[k % 2])
         k += 1
         if len(log_factors) == log_limit:
             # growth averages the last max(1, n // 4) of a run of n >= k

@@ -44,7 +44,9 @@ __all__ = ["EigenPair", "SolveOptions", "solve_evolution",
            "solve_policy_iteration", "solve_max"]
 
 MAX_POLICY_ITERS = 100
-TIE_TOL = 1e-12     # keep the previous control this close to the envelope
+# keep the previous control where |best - current| <= TIE_TOL phi_x s,
+# with s = max(1, max |best / phi|) the scale of G phi / phi
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,11 @@ def solve_policy_iteration(gen: DiscreteGenerator,
         products = gen.stack @ phi
         best, greedy = _envelope(products, gen.size, gen.sense, with_arg=True)
         current = products[rows]
-        # best is on the envelope's side of current: one tie test, either sense
-        keep = (best - TIE_TOL <= current) & (current <= best + TIE_TOL)
+        # best is on the envelope's side of current: one tie test, either
+        # sense, relative to phi at the node, so that nodes where phi is
+        # tiny still update
+        tie = TIE_TOL * phi * max(1.0, float(np.max(np.abs(best / phi))))
+        keep = (best - tie <= current) & (current <= best + tie)
         new_policy = np.where(keep, policy, greedy)
         if np.array_equal(new_policy, policy):
             return _certified(_finish(gen, phi, "policy_iteration",

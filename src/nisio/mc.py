@@ -15,17 +15,29 @@ convention of the Euler step.
 :class:`McSettings` holds a run's settings, defaults and checks; it is the
 ``mc`` section of a config, and :class:`McConfig` adds the policy.
 
-Each chunk sets up its work once: the control of every grid node (one
-gather per step then finds a path's control), one bindings dict holding
-views of the state and control buffers, and preallocated buffers that the
-step updates in place (the dispersion matrix takes the entries that
-``ProblemSpec.sigma_entries`` names).  The step computes the plain formula
+Each chunk sets up its work once: a node table holding the control of
+every grid node, one bindings dict holding views of the state and control
+buffers, and preallocated buffers that the step updates in place (the
+dispersion matrix takes the entries that ``ProblemSpec.sigma_entries``
+names).  A path's node is its state rounded to the grid, clipped (interval)
+or wrapped (torus) on each axis.  The step computes the plain formula
 ``x + b dt + sqrt(dt) sigma dW`` with the same floating-point operations in
 the same order, so its bits do not depend on the buffering.  A coefficient
 without free variables, such as a constant ``sigma``, is evaluated at the
-first step only.  When the policy puts one control vector (the same bits)
-at every node, so are the control gather, each coefficient of the controls
-alone and, if no drift component varies, the step ``b dt``.
+first step only.
+
+Under a Markov policy a drift that reads the controls and nothing else,
+such as ``b = v1``, is a function of the node as well.  The node table then
+also holds each node's step ``(b + 0.0) dt``, evaluated once per chunk on the
+node controls, and one gather per step fills both a path's control and its
+step.  Where the table cannot be formed (an evaluation error, or a
+floating-point event such as an overflow of ``b dt``), even at a node that
+no path visits, the step evaluates the drift itself, as for a drift of the
+state, so that every error keeps its type, its message and its step.  When
+the policy puts one control vector (the same bits) at every node, the
+gather runs at the first step only, and so does the evaluation of each
+coefficient of the controls alone and, if no drift component varies, the
+step ``b dt``.
 
 The increments ``sqrt(dt) sigma dW`` are formed a block of ``_BLOCK`` steps
 at a time when no ``sigma`` entry varies along the chunk: one generator call
@@ -56,7 +68,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonFiniteState, ValidationError
+from .errors import EvalError, NonFiniteState, ValidationError
 from .expr import evaluate
 from .generator import ProblemSpec
 from .grid import INTERVAL
@@ -127,11 +139,19 @@ class McEstimate:
 
 
 def _nearest_node(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """Flat index of the nearest grid node for each row of ``x``."""
+    """Flat index of the nearest grid node for each row of ``x``: each axis
+    is clipped (interval) or wrapped (torus), then the axes are combined
+    by Horner's rule, row-major."""
     grid = spec.grid
     idx = np.rint(x / grid.h).astype(np.int64)
-    mode = "clip" if grid.topology == INTERVAL else "wrap"
-    return np.ravel_multi_index(tuple(idx.T), (grid.n,) * grid.d, mode=mode)
+    if grid.topology == INTERVAL:
+        np.clip(idx, 0, grid.n - 1, out=idx)
+    else:
+        idx %= grid.n
+    flat = idx[:, 0]
+    for j in range(1, grid.d):
+        flat = flat * grid.n + idx[:, j]
+    return flat
 
 
 def _fold(x: np.ndarray, period: float, out=None) -> np.ndarray:
@@ -161,6 +181,35 @@ def _increments(rng, sig, rows, sqrt_dt, noise, out, product) -> None:
     out *= sqrt_dt
 
 
+def _drift_table(spec: ProblemSpec, node_controls: np.ndarray, dt: float):
+    """The node table, one row per column of ``[v, (b + 0.0) * dt]`` and
+    one column per node, when the drift reads the controls and nothing
+    else, else ``None``.
+
+    Each step row is formed with the operations the step applies to the
+    gathered controls, so a gathered column has their bits.  A table that
+    fails (an :class:`EvalError`, or any floating-point event in the
+    product, overflow to a non-finite entry included) gives ``None`` too,
+    even where no path goes: the step then evaluates the drift itself, and
+    raises what it raises, at its own step."""
+    m = spec.m
+    table = np.empty((m + spec.grid.d, len(node_controls)))
+    table[:m] = node_controls.T
+    env = spec.control_bindings(table[:m].T)
+    names = [e.variables() for e in spec.b]
+    if not any(names) or not all(n <= env.keys() for n in names):
+        return None
+    try:
+        with np.errstate(all="raise"):
+            for i, e in enumerate(spec.b):
+                column = table[m + i]
+                np.add(evaluate(e, env), 0.0, out=column)
+                np.multiply(column, dt, out=column)
+    except (EvalError, FloatingPointError):
+        return None
+    return table
+
+
 def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                     n_paths: int, n_steps: int) -> np.ndarray:
     grid = spec.grid
@@ -172,28 +221,40 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     node_controls = np.asarray(spec.controls, dtype=float)[cfg.policy]
 
     x = np.tile(np.asarray(cfg.x0, dtype=float), (n_paths, 1))
-    v = np.empty((n_paths, spec.m))
-    env = {**spec.x_bindings(x), **spec.control_bindings(v)}   # views of x, v
-    acc = np.zeros(n_paths)
-    r = np.empty(n_paths)
-    r_dt = np.empty(n_paths)
-    b = np.empty((n_paths, d))
-    sig = np.zeros((n_paths, d, d))
-    step = np.empty((n_paths, d))
 
     # With one control vector at every node (same bits: -0.0 and +0.0
     # differ), v and every coefficient of the controls alone keep their
     # step-0 values.
     bits = node_controls.view(np.uint64)
     fixed = bool((bits == bits[0]).all())
-    held = set(spec.control_bindings(v)) if fixed else set()
+    held = set(spec.control_bindings(node_controls)) if fixed else set()
+
+    # A drift of the controls alone is a function of the node: its step
+    # b dt joins the controls in one node table, and one gather fills both.
+    # The table holds a row per column, so that every binding and the step
+    # are contiguous.
+    table = _drift_table(spec, node_controls, dt)
+    tabulated = table is not None
+    if not tabulated:
+        table = np.ascontiguousarray(node_controls.T)
+    row = np.empty((len(table), n_paths))
+    v = row[:spec.m].T
+
+    env = {**spec.x_bindings(x), **spec.control_bindings(v)}   # views of x, v
+    acc = np.zeros(n_paths)
+    r = np.empty(n_paths)
+    r_dt = np.empty(n_paths)
+    b = np.empty((n_paths, d))
+    sig = np.zeros((n_paths, d, d))
+    step = row[spec.m:].T if tabulated else np.empty((n_paths, d))
 
     # Coefficients in the order the step evaluates them, each with the
     # views its value fills; one whose free variables are all held is
     # evaluated at step 0 only.  Adding 0.0 turns -0.0 into +0.0, as the
     # zero bases of ``ProblemSpec.r_at``, ``b_at`` and ``sigma_at`` do.
-    coefficients = [(spec.r, (r,))] + [(e, (b[:, i],))
-                                       for i, e in enumerate(spec.b)]
+    coefficients = [(spec.r, (r,))]
+    if not tabulated:
+        coefficients += [(e, (b[:, i],)) for i, e in enumerate(spec.b)]
     coefficients += [(e, tuple(sig[:, i, j] for i, j in places))
                      for e, places in spec.sigma_entries()]
     varying = [(e, outs) for e, outs in coefficients if e.variables() - held]
@@ -208,13 +269,14 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     rows = [[j for j in range(d) if (i, j) in entries] for i in range(d)]
     for k in range(n_steps):
         if k == 0 or not fixed:
-            np.take(node_controls, _nearest_node(spec, x), axis=0, out=v)
+            np.take(table, _nearest_node(spec, x), axis=1, out=row,
+                    mode="clip")
         for e, outs in coefficients if k == 0 else varying:
             value = evaluate(e, env)
             for out in outs:
                 np.add(value, 0.0, out=out)
         acc += np.multiply(r, dt, out=r_dt)
-        if k == 0 or drift_varies:
+        if not tabulated and (k == 0 or drift_varies):
             np.multiply(b, dt, out=step)
         if k % block == 0:
             steps = min(block, n_steps - k)

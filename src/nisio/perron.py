@@ -36,7 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cone import _cw_band
-from .errors import NoConvergence, NonPositiveInput, NotIrreducible, ValidationError, ZeroVector
+from .errors import (NoConvergence, NonPositiveInput, NonPositiveIterate,
+                     NotIrreducible, ValidationError, ZeroVector)
 from .generator import _stack_product
 
 __all__ = ["perron", "noda", "cw_lower", "cw_upper", "is_irreducible"]
@@ -219,7 +220,9 @@ def noda(a, x0=None, tol: float = 0.0):
     Returns ``(lam, x)``: the midpoint of the final band, which contains
     the root, and the test vector ``x > 0`` with ``||x||_inf = 1``.  The
     caller certifies the pair.  Raises :class:`NotIrreducible` for a
-    reducible support graph.
+    reducible support graph, and :class:`NonPositiveIterate` when an entry
+    of the normalized iterate underflows to zero (an eigenvector whose
+    range passes float64's).
     """
     a = sp.csr_matrix(a, dtype=float)
     n = a.shape[0]
@@ -251,6 +254,11 @@ def noda(a, x0=None, tol: float = 0.0):
         if not np.min(y) > 0:        # the shift met the root in rounding
             break
         y = y / np.max(y)
+        if not np.min(y) > 0:
+            raise NonPositiveIterate(
+                f"Noda iterate underflowed: {np.count_nonzero(y == 0)} of {n} "
+                "entries of the normalized eigenvector rounded to zero, "
+                "beyond the float64 range")
         lo_y, hi_y = _cw_band(product(y), y)
         if hi_y - lo_y >= hi - lo:
             break

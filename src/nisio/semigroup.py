@@ -45,8 +45,9 @@ class EvolveOptions:
 
     ``dt`` is the requested step; :func:`evolve` snaps it *down* so that
     ``t_final`` is an integer number of steps (exact semigroup composition
-    tests rely on this).  ``record_every`` > 0 makes :func:`evolve` return
-    the recorded snapshots as well.
+    tests rely on this), and raises :class:`CflViolation` when it is above
+    the generator's ``dt_max``.  ``record_every`` > 0 makes :func:`evolve`
+    return the recorded snapshots as well.
     """
 
     dt: float
@@ -85,11 +86,15 @@ def step(gen: DiscreteGenerator, f: GridFunction, dt: float) -> GridFunction:
 
 
 def _resolve_steps(gen: DiscreteGenerator, opts: EvolveOptions):
+    """``(n, dt)``: the requested ``opts.dt``, checked against ``dt_max``,
+    snapped down so that ``n`` steps reach ``t_final``."""
+    _check_cfl(gen, opts.dt)
     n = opts.n_steps()
     if n == 0:
         return 0, opts.dt
     dt = opts.t_final / n
-    # guard against the snapped dt landing one ulp above dt_max
+    # the snapped dt may land just above the requested one (n_steps allows
+    # a 1e-9 slack, and t_final / n rounds): add steps until it fits
     while dt > gen.dt_max and n < 2 ** 62:
         n += 1
         dt = opts.t_final / n

@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from nisio import (
     solve_policy_iteration,
 )
 from nisio import eigensolver, problems
-from nisio.errors import CflViolation, NoConvergence, ValidationError
+from nisio.cone import alpha_bounds
+from nisio.errors import (CflViolation, NoConvergence, NonPositiveIterate,
+                          NumericalError, ValidationError)
+from nisio.expr import parse, to_source
 
 from conftest import mixed_torus, reference_noda, same_bytes
 
@@ -186,6 +190,42 @@ def test_policy_iteration_unreachable_tol_raises_with_best():
     assert isinstance(best, EigenPair)
     assert best.method == "policy_iteration"
     assert best.residual > 1e-17
+
+
+def _cost_scaled(spec, factor):
+    """``spec`` with its running cost ``r`` multiplied by ``factor``."""
+    return replace(spec, r=parse(f"{factor!r}*({to_source(spec.r)})"))
+
+
+@pytest.mark.parametrize("factor", [1e4, 1e6])
+@pytest.mark.parametrize("name", ["torus_two_control", "interval_two_control",
+                                  "torus_variable_sigma"])
+def test_policy_iteration_certifies_at_large_costs(name, factor):
+    # phi falls far below 1 where the cost is high; the tie test must still
+    # let the policy update there, or the band stays wide
+    gen = build_generator(_cost_scaled(getattr(problems, name)(256), factor))
+    pair = solve_policy_iteration(gen, SolveOptions(tol=1e-9 * factor))
+    assert pair.residual <= 1e-9 * factor
+
+
+def test_policy_iteration_at_large_cost_lies_in_the_evolution_band():
+    gen = build_generator(_cost_scaled(problems.torus_two_control(256), 1e4))
+    opts = SolveOptions(tol=1e-5)
+    howard = solve_policy_iteration(gen, opts)
+    evolution = solve_evolution(gen, opts)
+    lower, upper = alpha_bounds(apply_G(gen, evolution.phi), evolution.phi)
+    assert lower <= howard.rho <= upper
+    assert howard.rho == pytest.approx(1.5172348880e4, abs=1e-5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_policy_iteration_names_the_underflow_of_its_iterate():
+    # at r x 1e8 the eigenvector spans more than float64's range: the
+    # failure names that, before any NaN band or singular solve
+    gen = build_generator(_cost_scaled(problems.interval_two_control(256), 1e8))
+    with pytest.raises(NonPositiveIterate, match="underflowed") as err:
+        solve_policy_iteration(gen, SolveOptions(tol=1e-1))
+    assert isinstance(err.value, NumericalError)
 
 
 def test_policy_iteration_separable_2d():

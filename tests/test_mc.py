@@ -16,7 +16,7 @@ from nisio import (
     simulate_cost,
     solve_evolution,
 )
-from nisio.errors import NonFiniteState, ValidationError
+from nisio.errors import EvalError, NonFiniteState, ValidationError
 from nisio import mc
 from nisio.mc import cost_samples
 from nisio import problems
@@ -414,6 +414,131 @@ def test_nearest_node_once_per_chunk_under_a_fixed_control(monkeypatch):
         cost_samples(spec, McConfig(T=0.05, dt_sim=1e-3, N=5000, seed=2,
                                     x0=(0.5,), policy=policy))
         assert calls == [4096] * per_chunk + [904] * per_chunk
+
+
+# ---------------------------------------------------------------------------
+# the node table of a drift of the controls alone
+# ---------------------------------------------------------------------------
+
+def _assert_pins_reference(monkeypatch, reference_chunks, spec, cfg):
+    got = cost_samples(spec, cfg)
+    for name, chunk in reference_chunks.items():
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_simulate_chunk", chunk)
+            expected = cost_samples(spec, cfg)
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def _table_cases():
+    # two control components: the table evaluates contiguous rows where
+    # the reference evaluates strided columns of the gathered controls
+    strided = ProblemSpec(
+        grid=Grid("torus", n=8, d=2),
+        controls=[(-1.0, 0.5), (1.0, -0.5), (0.25, 1.0)],
+        sigma=("1", "0.25", "0.25*sin(2*pi*x2)", "1 + 0.1*cos(2*pi*x1)"),
+        b=("v1 - 0.5*v2", "v2*v1 + 0.125"),
+        r="cos(2*pi*x1) + sin(2*pi*x2) + 0.1*v1*v2")
+    yield "2-D, two control components", strided, dict(
+        x0=(0.25, 0.75), policy=np.arange(64) % 3)
+    transcendental = ProblemSpec(
+        grid=Grid("interval", n=16), controls=[(-1.3,), (0.7,), (2.1,)],
+        sigma=("0.5 + 0.2*x1",), b=("sin(v1) + exp(-v1^2)",),
+        r="cos(2*pi*x1) + tanh(v1)")
+    yield "transcendental drift", transcendental, dict(
+        x0=(0.5,), policy=np.arange(16) % 3)
+    constant = ProblemSpec(
+        grid=Grid("torus", n=16), controls=[(-1.0,), (0.75,)],
+        sigma=("1 + 0.2*sin(2*pi*x1)",), b=("log(2 + v1)*3",),
+        r="cos(2*pi*x1) + v1")
+    yield "constant policy", constant, dict(
+        x0=(0.5,), policy=np.ones(16, dtype=int))
+    # one component constant, the other of the controls
+    mixed = ProblemSpec(
+        grid=Grid("torus", n=8, d=2), controls=[(-1.0,), (1.0,)],
+        sigma=("1",), b=("-0.5", "v1*0.75"), r="x1*x2 + v1")
+    yield "constant and control components", mixed, dict(
+        x0=(0.5, 0.5), policy=np.arange(64) % 2)
+
+
+def test_drift_table_pins_reference_samples(monkeypatch, reference_chunks):
+    for label, spec, kw in _table_cases():
+        cfg = McConfig(T=0.05, dt_sim=1e-3, N=300, seed=11, **kw)
+        _assert_pins_reference(monkeypatch, reference_chunks, spec, cfg)
+
+
+def test_drift_table_only_for_a_drift_of_the_controls():
+    def table(spec, dt=1e-3):
+        policy = np.arange(spec.grid.size) % spec.n_controls
+        return mc._drift_table(
+            spec, np.asarray(spec.controls, dtype=float)[policy], dt)
+
+    two = table(problems.torus_two_control(16))
+    v = np.resize([-1.0, 1.0], 16)
+    assert two.tobytes() == np.stack([v, (v + 0.0) * 1e-3]).tobytes()
+    assert table(problems.torus_variable_sigma(16)) is None   # reads x1
+    assert table(problems.torus_cosine(16)) is None           # constant
+    assert table(_exp_drift_spec("1")) is None                # exp(1000)
+    huge = ProblemSpec(grid=Grid("torus", n=16), controls=[(1.0,), (1.7e308,)],
+                       sigma=("1",), b=("v1",), r="0")
+    assert table(huge, dt=2.0) is None                        # b dt overflows
+
+
+def _exp_drift_spec(sigma):
+    # exp(1000) is infinite: the drift fails at the nodes of control 1
+    return ProblemSpec(grid=Grid("interval", n=16),
+                       controls=[(0.5,), (1000.0,)], sigma=(sigma,),
+                       b=("exp(v1)",), r="x1 + v1")
+
+
+def test_drift_failing_where_no_path_goes_does_not_raise(monkeypatch,
+                                                         reference_chunks):
+    policy = np.zeros(16, dtype=int)
+    policy[15] = 1                      # x = 1; the paths stay near 0.3
+    cfg = McConfig(T=0.05, dt_sim=1e-3, N=300, seed=3, x0=(0.25,),
+                   policy=policy)
+    _assert_pins_reference(monkeypatch, reference_chunks,
+                           _exp_drift_spec("0.01"), cfg)
+
+
+def test_drift_failing_where_a_path_goes_raises_at_its_step(monkeypatch):
+    # without noise every path moves by exp(0.5) dt a step from 0.5 and
+    # meets control 1 at node 10; the drift raises at that step
+    spec, dt = _exp_drift_spec("0"), 1e-3
+    policy = np.where(np.arange(16) >= 10, 1, 0)
+    x, expected = 0.5, None
+    for k in range(200):
+        if np.rint(x / spec.grid.h) >= 10:
+            expected = k
+            break
+        x = (x + np.exp(0.5) * dt) + 0.0
+        x = 1.0 - abs(np.mod(x, 2.0) - 1.0)
+    assert expected is not None and expected > 50
+
+    steps = []
+    nearest = mc._nearest_node
+
+    def counted(spec, x):
+        steps.append(len(x))
+        return nearest(spec, x)
+
+    monkeypatch.setattr(mc, "_nearest_node", counted)
+    with pytest.raises(EvalError, match=r"non-finite result from 'exp\(v1\)'"):
+        cost_samples(spec, McConfig(T=0.2, dt_sim=dt, N=100, seed=3,
+                                    x0=(0.5,), policy=policy))
+    assert len(steps) == expected + 1       # step 0 to the failing step
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_drift_step_overflowing_where_a_path_goes_raises_at_its_step():
+    # b dt overflows only at the nodes of control 1, where x0 starts
+    spec = ProblemSpec(grid=Grid("interval", n=16),
+                       controls=[(1.0,), (1.7e308,)], sigma=("0.01",),
+                       b=("v1",), r="x1")
+    policy = np.where(np.arange(16) >= 8, 1, 0)
+    with pytest.raises(NonFiniteState) as err:
+        cost_samples(spec, McConfig(T=20.0, dt_sim=2.0, N=100, seed=1,
+                                    x0=(0.75,), policy=policy))
+    assert err.value.step == 0
 
 
 def test_x0_missing_a_coordinate_is_rejected():

@@ -34,6 +34,21 @@ def test_step_cfl_guard(two_control):
         step(two_control, f, two_control.dt_max * 1.01)
 
 
+@pytest.mark.parametrize("run", [
+    lambda gen, f, opts: evolve(gen, f, opts),
+    lambda gen, f, opts: evolve_linear(gen, 1, f, opts),
+], ids=["evolve", "evolve_linear"])
+def test_evolve_cfl_guard(run):
+    # a step above dt_max is refused, not shrunk by snapping to t_final
+    gen = build_generator(problems.torus_two_control(32))
+    f = gen.grid.ones()
+    for dt in (1.01 * gen.dt_max, 10 * gen.dt_max):
+        with pytest.raises(CflViolation):
+            run(gen, f, EvolveOptions(dt=dt, t_final=0.05))
+    out = run(gen, f, EvolveOptions(dt=gen.dt_max, t_final=0.05))
+    assert np.all(np.isfinite(out)) and np.all(out > 0)
+
+
 def test_step_at_eigenfunction(two_control):
     pair = solve_evolution(two_control)
     dt = two_control.dt_max * 0.9
