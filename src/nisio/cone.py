@@ -215,7 +215,7 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     g = np.asarray(f0, dtype=float).copy()
     if np.min(g) <= 0:
         raise NonPositiveInput("starting function must be strictly positive")
-    if tol <= 0:
+    if not tol > 0:
         raise NonPositiveInput("tol must be positive")
     if max_iters < 1:
         raise NonPositiveInput("max_iters must be >= 1")

@@ -9,11 +9,11 @@ Two independent routes compute the pair ``(rho, phi)`` with
   itself).
 * :func:`solve_policy_iteration` alternates an eigensolve for the frozen
   policy with a greedy policy update.  The frozen-policy matrix ``A_u``
-  is taken row by row from the generator's stack of the per-control
-  matrices, and its principal pair comes from Noda's shifted inverse
-  iteration, which solves with ``s I - A_u`` at the Collatz-Weilandt
-  upper bound ``s``: a nonsingular M-matrix with a nonnegative inverse,
-  so the whole chain stays monotone-matrix-theoretic.
+  is the stack of the one-control generator ``gen.frozen(u)``, and its
+  principal pair comes from Noda's shifted inverse iteration, which
+  solves with ``s I - A_u`` at the Collatz-Weilandt upper bound ``s``: a
+  nonsingular M-matrix with a nonnegative inverse, so the whole chain
+  stays monotone-matrix-theoretic.
 
 Both routes share one certificate: one product ``stack @ phi`` gives
 ``G phi`` and the policy, ``rho`` is the midpoint of the band
@@ -172,11 +172,10 @@ def solve_policy_iteration(gen: DiscreteGenerator,
     seen = set()
     phi = gen.grid.ones()
     for it in range(1, MAX_POLICY_ITERS + 1):
-        rows = policy * gen.size + nodes      # the rows of A_u in the stack
-        _, phi = noda(gen.stack[rows], phi, tol=opts.tol / 10)
+        _, phi = noda(gen.frozen(policy).stack, phi, tol=opts.tol / 10)
         products = gen.stack @ phi
         best, greedy = _envelope(products, gen.size, gen.sense, with_arg=True)
-        current = products[rows]
+        current = products[policy * gen.size + nodes]
         # best is on the envelope's side of current: one tie test, either
         # sense, relative to phi at the node, so that nodes where phi is
         # tiny still update

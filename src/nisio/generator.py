@@ -30,7 +30,6 @@ is bitwise the envelope of the separate products ``A_v @ f``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -201,19 +200,19 @@ class ProblemSpec:
 class DiscreteGenerator:
     """Per-control matrices ``A_v = L_v + diag(r_v)`` on a grid.
 
-    Immutable after construction (the only internal mutable state is
-    caches: Euler stacks keyed by time step, and ``mats``).  ``stack`` is
-    the CSR matrix ``vstack(A_v)`` of shape ``(n_controls * size, size)``;
-    its row block ``mats[v]`` has nonnegative off-diagonal entries and
+    Immutable after construction (the only internal mutable state is the
+    cache of Euler stacks keyed by time step).  ``stack`` is the CSR
+    matrix ``vstack(A_v)`` of shape ``(n_controls * size, size)``; its
+    row block ``v`` is ``A_v``, with nonnegative off-diagonal entries and
     row sums equal to ``r_v`` up to rounding.  ``dt_max`` is the longest
     Euler step for which every ``I + dt L_v`` is a Markov-chain step and
     every ``I + dt A_v`` is entrywise nonnegative:
     ``min(1 / max q_v, 1 / max(-diag A_v))``, with ``q_v`` the
-    off-diagonal row sum of ``mats[v]``.
+    off-diagonal row sum of ``A_v``.  A frozen policy is a generator with
+    one control, :meth:`frozen`.
     """
 
     grid: Grid
-    spec: ProblemSpec
     stack: sp.csr_matrix
     r_tables: np.ndarray      # (n_controls, size)
     a_table: np.ndarray       # (size, d, d)
@@ -239,14 +238,24 @@ class DiscreteGenerator:
             raise ValidationError("sense must be 'minimize' or 'maximize'")
         return replace(self, sense=sense)
 
-    def _blocks(self, stack: sp.csr_matrix) -> tuple:
+    def frozen(self, policy) -> "DiscreteGenerator":
+        """The one-control generator of the frozen policy ``u``, one control
+        index or one per node: row ``x`` of its ``stack`` is row ``x`` of
+        ``A_{u(x)}``, its cost ``r_{u(x)}(x)``.  Grid, sense and the
+        family's ``dt_max`` carry over (the frozen evolution steps at the
+        family's bound); the Euler cache is its own.  Raises
+        :class:`IndexError` for an index outside ``[0, n_controls)``."""
         n = self.size
-        return tuple(stack[v * n:(v + 1) * n] for v in range(self.n_controls))
-
-    @cached_property
-    def mats(self) -> tuple:
-        """Per-control matrices ``A_v``, the row blocks of ``stack``."""
-        return self._blocks(self.stack)
+        u = np.asarray(policy)
+        lo, hi = u.min(), u.max()
+        if lo < 0 or hi >= self.n_controls:
+            raise IndexError(f"control index {lo if lo < 0 else hi} out of "
+                             f"range [0, {self.n_controls})")
+        nodes = np.arange(n)
+        return DiscreteGenerator(
+            grid=self.grid, stack=self.stack[u * n + nodes],
+            r_tables=self.r_tables[u, nodes][None], a_table=self.a_table,
+            dt_max=self.dt_max, sense=self.sense)
 
     def step_stack(self, dt: float) -> sp.csr_matrix:
         """Stacked Euler step matrices ``vstack(I + dt A_v)`` (cached per ``dt``)."""
@@ -260,7 +269,8 @@ class DiscreteGenerator:
 
     def step_matrices(self, dt: float) -> tuple:
         """Euler step matrices ``I + dt A_v``, the row blocks of :meth:`step_stack`."""
-        return self._blocks(self.step_stack(dt))
+        n, stack = self.size, self.step_stack(dt)
+        return tuple(stack[v * n:(v + 1) * n] for v in range(self.n_controls))
 
 
 def _axis_tables(spec: ProblemSpec, nodes: np.ndarray):
@@ -313,7 +323,7 @@ def build_generator(spec: ProblemSpec) -> DiscreteGenerator:
         dt_cap = min(dt_cap, 1.0 / (-diag_min))
 
     return DiscreteGenerator(
-        grid=grid, spec=spec, stack=sp.vstack(mats, format="csr"),
+        grid=grid, stack=sp.vstack(mats, format="csr"),
         r_tables=r, a_table=a, dt_max=dt_cap, sense=spec.sense)
 
 
@@ -374,10 +384,7 @@ def _assemble(grid: Grid, a: np.ndarray, b: np.ndarray,
 
 def apply_linear(gen: DiscreteGenerator, v: int, f: GridFunction) -> GridFunction:
     """Apply the frozen-control operator ``(L_v + diag(r_v)) f``."""
-    if not 0 <= v < gen.n_controls:
-        raise IndexError(f"control index {v} out of range [0, {gen.n_controls})")
-    f = as_grid_function(gen.grid, f)
-    return gen.mats[v] @ f
+    return apply_G(gen.frozen(v), f)
 
 
 def _stack_product(stack: sp.csr_matrix, out: np.ndarray | None = None):

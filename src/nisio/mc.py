@@ -116,14 +116,19 @@ class McSettings:
 class McConfig(McSettings):
     """The settings of one cost estimate, with ``x0`` given, and a
     ``policy`` that assigns a control index to every grid node; states
-    look up their control at the nearest node."""
+    look up their control at the nearest node.  Policy entries must be
+    whole numbers (integral floats are accepted)."""
 
     policy: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "policy",
-                           np.asarray(self.policy, dtype=np.int64))
+        with np.errstate(invalid="ignore"):     # NaN and inf fail the test below
+            policy = np.asarray(self.policy).astype(np.int64)
+        if not np.array_equal(policy, self.policy):
+            raise ValidationError("policy entries must be whole numbers",
+                                  field="policy")
+        object.__setattr__(self, "policy", policy)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def perron(m, tol: float = 1e-12, max_iters: int = 200_000):
     q = _check_matrix(m)
     if not is_irreducible(q):
         raise NotIrreducible("support graph is not strongly connected")
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     n = q.shape[0]
     x = np.ones(n)

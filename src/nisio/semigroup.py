@@ -22,7 +22,7 @@ at an acceptable step-bound cost for the grid sizes this library targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,31 +85,24 @@ def step(gen: DiscreteGenerator, f: GridFunction, dt: float) -> GridFunction:
     return _envelope(gen.step_stack(dt) @ f, gen.size, gen.sense)
 
 
-def _resolve_steps(gen: DiscreteGenerator, opts: EvolveOptions):
-    """``(n, dt)``: the requested ``opts.dt``, checked against ``dt_max``,
-    snapped down so that ``n`` steps reach ``t_final``."""
+def evolve(gen: DiscreteGenerator, f: GridFunction, opts: EvolveOptions):
+    """Evolve ``f`` to time ``t_final`` by composed Euler steps.
+
+    ``opts.dt`` is checked against ``dt_max`` and snapped down so that a
+    whole number of steps reaches ``t_final``.  ``t_final = 0`` returns
+    ``f`` unchanged.  With ``record_every > 0`` returns ``(f_final, times,
+    snapshots)``; otherwise just ``f_final``.
+    """
+    f = as_grid_function(gen.grid, f)
     _check_cfl(gen, opts.dt)
     n = opts.n_steps()
-    if n == 0:
-        return 0, opts.dt
-    dt = opts.t_final / n
+    dt = opts.t_final / n if n else opts.dt
     # the snapped dt may land just above the requested one (n_steps allows
     # a 1e-9 slack, and t_final / n rounds): add steps until it fits
     while dt > gen.dt_max and n < 2 ** 62:
         n += 1
         dt = opts.t_final / n
     _check_cfl(gen, dt)
-    return n, dt
-
-
-def evolve(gen: DiscreteGenerator, f: GridFunction, opts: EvolveOptions):
-    """Evolve ``f`` to time ``t_final`` by composed Euler steps.
-
-    ``t_final = 0`` returns ``f`` unchanged.  With ``record_every > 0``
-    returns ``(f_final, times, snapshots)``; otherwise just ``f_final``.
-    """
-    f = as_grid_function(gen.grid, f)
-    n, dt = _resolve_steps(gen, opts)
     record = opts.record_every > 0
     times, snaps = [0.0], [f.copy()]
     if n:
@@ -128,15 +121,7 @@ def evolve(gen: DiscreteGenerator, f: GridFunction, opts: EvolveOptions):
 def evolve_linear(gen: DiscreteGenerator, v: int, f: GridFunction,
                   opts: EvolveOptions) -> GridFunction:
     """Frozen-control evolution ``T_t^v f`` (dominates :func:`evolve`)."""
-    if not 0 <= v < gen.n_controls:
-        raise IndexError(f"control index {v} out of range [0, {gen.n_controls})")
-    f = as_grid_function(gen.grid, f)
-    n, dt = _resolve_steps(gen, opts)
-    if n:
-        M = gen.step_matrices(dt)[v]
-        for _ in range(n):
-            f = M @ f
-    return f
+    return evolve(gen.frozen(v), f, replace(opts, record_every=0))
 
 
 def generator_limit_check(gen: DiscreteGenerator, f: GridFunction,

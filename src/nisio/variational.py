@@ -11,7 +11,8 @@ Three independent characterizations of ``rho`` are evaluated here:
   I(nu))`` with the rate function ``I(nu) = -inf_{f>0} int (L f / f) dnu``,
   the optimizer being the twisted stationary measure built from the left
   and right principal eigenvectors.  Every evaluated ``nu`` yields a
-  certified lower bound on ``rho``.
+  certified lower bound on ``rho``.  A frozen policy is a single-control
+  problem: ``dv_check(gen.frozen(u))`` checks the identity at ``u``.
 * Logarithmic transform: with ``psi = log phi``, the pair solves the
   ergodic Isaacs-type equation ``min_v [r + L_v psi] + 1/2 |sigma^T grad
   psi|^2 = rho`` up to discretization error, which must shrink under grid
@@ -101,11 +102,15 @@ def cw_search(gen: DiscreteGenerator,
 # Donsker-Varadhan rate function (single control)
 # ---------------------------------------------------------------------------
 
-def _single_control_L(gen: DiscreteGenerator) -> sp.csr_matrix:
+def _require_one_control(gen: DiscreteGenerator) -> None:
     if gen.n_controls != 1:
         raise ValidationError(
             "the rate function is defined for single-control generators only")
-    return (gen.mats[0] - sp.diags(gen.r_tables[0])).tocsr()
+
+
+def _generator_part(gen: DiscreteGenerator) -> sp.csr_matrix:
+    """The stacked generator parts ``vstack(L_v)``, ``L_v = A_v - diag(r_v)``."""
+    return gen.stack - sp.vstack([sp.diags(r) for r in gen.r_tables])
 
 
 _EPS = float(np.finfo(float).eps)
@@ -135,7 +140,8 @@ def dv_rate(gen: DiscreteGenerator, nu, maxiter: int = 2000) -> float:
     Always nonnegative; zero exactly at stationary distributions of ``L``.
     Tiny negative values from rounding are clamped to 0.
     """
-    L = _single_control_L(gen)
+    _require_one_control(gen)
+    L = _generator_part(gen)
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (gen.size,):
         raise ValidationError(f"nu must have shape ({gen.size},)")
@@ -230,10 +236,9 @@ def dv_check(gen: DiscreteGenerator) -> DvReport:
     midpoint of the Collatz-Weilandt band at the right eigenvector, so
     the reported gap isolates the rate-function evaluation.
     """
-    _single_control_L(gen)
-    A = gen.mats[0]
-    rho, phi = noda(A)
-    _, phi_hat = noda(A.T)
+    _require_one_control(gen)
+    rho, phi = noda(gen.stack)
+    _, phi_hat = noda(gen.stack.T)
     nu = phi * phi_hat
     nu = nu / np.sum(nu)
     rate = dv_rate(gen, nu)
@@ -282,8 +287,7 @@ def hji_residual(gen: DiscreteGenerator, pair) -> HjiReport:
     psi = np.log(phi)
     grad = _centered_gradient(gen, psi)
     quad = 0.5 * np.einsum("xi,xij,xj->x", grad, gen.a_table, grad)
-    linear = np.stack([(A - sp.diags(r)) @ psi + r
-                       for A, r in zip(gen.mats, gen.r_tables)])
+    linear = _generator_part(gen) @ psi + gen.r_tables.ravel()
     env = _envelope(linear, gen.size, gen.sense)
     residual = float(np.max(np.abs(env + quad - pair.rho)))
     return HjiReport(residual=residual, h=gen.grid.h, n=gen.grid.n)

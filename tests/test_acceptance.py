@@ -128,7 +128,7 @@ def test_criterion_05_eigensolver_oracle(corpus_pairs, corpus_policy_pairs):
     t0 = time.time()
     gen = build_generator(problems.torus_cosine(128))
     pair = solve_evolution(gen)
-    lam_oracle = float(np.max(np.linalg.eigvals(gen.mats[0].toarray()).real))
+    lam_oracle = float(np.max(np.linalg.eigvals(gen.frozen(0).stack.toarray()).real))
     assert pair.rho == pytest.approx(lam_oracle, rel=1e-6)
     for name, pe in corpus_pairs.items():
         pp = corpus_policy_pairs[name]

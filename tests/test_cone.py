@@ -137,6 +137,12 @@ def test_non_positive_iterate():
         power_iterate(lambda g: m @ g, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_power_iterate_rejects_a_tol_that_is_not_positive(tol):
+    with pytest.raises(NonPositiveInput, match="tol"):
+        power_iterate(lambda g: g, np.ones(2), tol=tol)
+
+
 def test_multi_start_uniqueness(cosine_gen):
     rng = np.random.default_rng(13)
     pairs = [solve_evolution(cosine_gen)]

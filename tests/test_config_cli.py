@@ -505,6 +505,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err["error"] == "NoConvergence"
 
 
+def test_cli_matrix_cw_rejects_a_nan_tol(tmp_path, capsys):
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, np.array([[1.0, 1.0], [2.0, 1.0]]), delimiter=",")
+    argv = ["matrix-cw", "--matrix", mat, "--tol", "nan", "--out", tmp_path]
+    assert run_cli(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "tol" in err["message"]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["solve", "missing.cfg"], "ConfigError"),
     (["matrix-cw", "--matrix", "words.csv"], "ValidationError"),

@@ -43,7 +43,7 @@ def test_constant_cost_policy_iteration_single_sweep():
 def test_cosine_dense_oracle_n128():
     gen = build_generator(problems.torus_cosine(128))
     pair = solve_evolution(gen)
-    lam_oracle = float(np.max(np.linalg.eigvals(gen.mats[0].toarray()).real))
+    lam_oracle = float(np.max(np.linalg.eigvals(gen.frozen(0).stack.toarray()).real))
     assert pair.rho == pytest.approx(lam_oracle, rel=1e-6)
     assert pair.residual <= 1e-9
 
@@ -160,7 +160,7 @@ def test_dt_override(cosine_gen):
 def dense_policy_root(gen, policy):
     """Oracle: largest real eigenvalue of the dense ``A_u`` at ``policy``."""
     rows = np.arange(gen.size)
-    a_u = np.stack([gen.mats[v].toarray() for v in range(gen.n_controls)])
+    a_u = np.stack([gen.frozen(v).stack.toarray() for v in range(gen.n_controls)])
     return float(np.max(np.linalg.eigvals(a_u[policy, rows]).real))
 
 
@@ -232,7 +232,7 @@ def test_policy_iteration_separable_2d():
     gen = build_generator(problems.torus2d_separable(64))
     pair = solve_policy_iteration(gen)
     gen1 = build_generator(problems.torus_cosine(64))
-    rho1 = float(np.max(np.linalg.eigvals(gen1.mats[0].toarray()).real))
+    rho1 = float(np.max(np.linalg.eigvals(gen1.frozen(0).stack.toarray()).real))
     assert abs(pair.rho - 2.0 * rho1) <= 1e-9
 
 

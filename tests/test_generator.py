@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from nisio import ProblemSpec, Grid, apply_G, apply_linear, argmin_policy, build_generator
-from nisio import SolveOptions, solve_evolution
+from nisio import EvolveOptions, SolveOptions, evolve_linear, solve_evolution
 from nisio.errors import (
     DegenerateDiffusion,
     NonFiniteCoefficient,
@@ -27,7 +27,7 @@ def uncontrolled(topology="torus", n=64, sigma="1", b="0", r="0", d=1):
 def test_torus_laplacian_row():
     gen = uncontrolled(n=64)
     h = gen.grid.h
-    A = gen.mats[0].toarray()
+    A = gen.frozen(0).stack.toarray()
     for i in (0, 5, 63):
         assert A[i, (i - 1) % 64] == 1.0 / (2 * h * h)
         assert A[i, (i + 1) % 64] == 1.0 / (2 * h * h)
@@ -81,7 +81,7 @@ def test_upwind_drift_on_linear_function():
 def test_metzler_and_row_sums():
     for spec in problems.corpus_1d(64).values():
         gen = build_generator(spec)
-        for A, r in zip(gen.mats, gen.r_tables):
+        for A, r in zip((gen.frozen(v).stack for v in range(gen.n_controls)), gen.r_tables):
             off = A - sp.diags(A.diagonal())
             assert off.min() >= 0.0                      # exact Metzler
             rowsum = np.asarray(A.sum(axis=1)).ravel()
@@ -149,6 +149,55 @@ def test_argmin_policy():
     assert np.array_equal(chosen, apply_G(gen3, f))
 
 
+def same_csr(a, b):
+    return all(same_bytes(getattr(a, k), getattr(b, k))
+               for k in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("spec", [problems.torus_two_control(16),
+                                  mixed_torus(8, 0.3)],
+                         ids=["torus_two_control16", "mixed8"])
+def test_frozen_policy_gathers_rows_of_the_stack(spec):
+    gen = build_generator(spec).with_sense(generator.MAXIMIZE)
+    n = gen.size
+    for v in range(gen.n_controls):
+        frozen = gen.frozen(v)
+        assert frozen.n_controls == 1
+        assert same_csr(frozen.stack, gen.stack[v * n:(v + 1) * n])
+        assert same_bytes(frozen.r_tables, gen.r_tables[v:v + 1])
+        assert (frozen.dt_max, frozen.sense) == (gen.dt_max, gen.sense)
+    policy = np.random.default_rng(6).integers(0, gen.n_controls, n)
+    frozen = gen.frozen(policy)
+    for x in range(n):
+        row = gen.stack[policy[x] * n + x]
+        assert same_bytes(frozen.stack[x].data, row.data)
+        assert same_bytes(frozen.stack[x].indices, row.indices)
+        assert frozen.r_tables[0, x] == gen.r_tables[policy[x], x]
+
+
+def test_frozen_generator_keeps_its_own_euler_cache():
+    gen = build_generator(problems.torus_two_control(16))
+    dt = 0.5 * gen.dt_max
+    gen.step_stack(dt)
+    frozen = gen.frozen(0)
+    assert frozen.step_stack(dt).shape == (gen.size, gen.size)
+    assert same_csr(frozen.step_stack(dt), gen.step_matrices(dt)[0])
+
+
+@pytest.mark.parametrize("v", [-1, 2])
+def test_out_of_range_control_raises_index_error(v):
+    gen = build_generator(problems.torus_two_control(16))
+    f = gen.grid.ones()
+    opts = EvolveOptions(dt=gen.dt_max, t_final=gen.dt_max)
+    policy = np.zeros(gen.size, dtype=int)
+    policy[3] = v
+    for call in (lambda: gen.frozen(v), lambda: gen.frozen(policy),
+                 lambda: apply_linear(gen, v, f),
+                 lambda: evolve_linear(gen, v, f, opts)):
+        with pytest.raises(IndexError, match="out of range"):
+            call()
+
+
 def test_cfl_bound_value():
     gen = uncontrolled(n=64)
     h = gen.grid.h
@@ -172,7 +221,7 @@ def test_2d_cross_term_consistency():
         # trace(a D^2 f)/2 = -(a11 + 2 a12 + a22)/2 * (2 pi)^2 * f
         exact = -0.5 * (1.09 + 0.6 + 1.0) * (2 * np.pi) ** 2 * f
         errs[n] = np.max(np.abs(apply_linear(gen, 0, f) - exact))
-        A = gen.mats[0]
+        A = gen.frozen(0).stack
         off = A - sp.diags(A.diagonal())
         assert off.min() >= 0.0
         rowsum = np.asarray(A.sum(axis=1)).ravel()
@@ -438,7 +487,7 @@ def dense_euler_steps(gen, dt):
     """Dense ``(I + dt A_v, I + dt L_v)`` for every control, with ``L_v``
     the off-diagonal part of ``A_v`` less its row sums on the diagonal."""
     eye = np.eye(gen.size)
-    for A in gen.mats:
+    for A in (gen.frozen(v).stack for v in range(gen.n_controls)):
         A = A.toarray()
         off = A - np.diag(np.diag(A))
         yield eye + dt * A, eye + dt * (off - np.diag(off.sum(axis=1)))

@@ -159,6 +159,18 @@ def test_unusable_settings_are_rejected(kw):
     assert err.value.field == next(iter(kw))
 
 
+@pytest.mark.parametrize("policy", [[0.5, 1.7], [0.0, math.nan], [math.inf, 1.0]])
+def test_non_integral_policy_is_rejected(policy):
+    with pytest.raises(ValidationError) as err:
+        McConfig(x0=(0.5,), policy=policy)
+    assert err.value.field == "policy"
+
+
+def test_integral_float_policy_is_kept():
+    cfg = McConfig(x0=(0.5,), policy=[0.0, 1.0])
+    assert cfg.policy.dtype == np.int64 and cfg.policy.tolist() == [0, 1]
+
+
 def test_torus_2d_simulation_runs():
     spec = problems.torus2d_separable(16)
     cfg = McConfig(T=0.5, dt_sim=1e-3, N=200, seed=3, x0=(0.25, 0.75),

@@ -137,9 +137,15 @@ def test_noda_rejects_bad_input():
         noda(sp.csr_matrix([[-1.0, 1.0], [1.0, -1.0]]), x0=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_perron_rejects_a_tol_that_is_not_positive(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        perron(np.array([[1.0, 1.0], [2.0, 1.0]]), tol=tol)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_noda_rejects_non_finite_x0(bad):
-    a = build_generator(problems.torus_cosine(16)).mats[0]
+    a = build_generator(problems.torus_cosine(16)).frozen(0).stack
     x0 = np.ones(16)
     x0[3] = bad
     with pytest.raises(ValidationError, match="x0"):
@@ -189,8 +195,8 @@ def pin_matrices():
         size = gen.size
         policy = rng.integers(0, gen.n_controls, size)
         out.append((f"{label}/policy", gen.stack[policy * size + np.arange(size)]))
-        out.append((f"{label}/A0", gen.mats[0]))
-        out.append((f"{label}/A0.T", gen.mats[0].T))
+        out.append((f"{label}/A0", gen.frozen(0).stack))
+        out.append((f"{label}/A0.T", gen.frozen(0).stack.T))
     out += [(f"non_canonical{n}", non_canonical_csr(rng, n)) for n in (3, 7, 12)]
     return out
 
@@ -248,7 +254,7 @@ def test_noda_calls_superlu_once_per_sweep(monkeypatch):
 
 def test_shifted_system_drops_a_zero_diagonal_like_spsolve():
     from scipy.sparse.linalg import spsolve
-    a = build_generator(problems.torus_cosine(16)).mats[0]
+    a = build_generator(problems.torus_cosine(16)).frozen(0).stack
     system = perron_module._ShiftedSystem(a)
     b = np.random.default_rng(0).uniform(0.5, 1.0, 16)
     eye = sp.identity(16, format="csr")

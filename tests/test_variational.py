@@ -16,11 +16,12 @@ from nisio import (
     hji_residual,
     perron,
     solve_evolution,
+    solve_policy_iteration,
 )
 from nisio.errors import NonPositiveInput, ValidationError
 from nisio import problems, variational
 
-from conftest import reference_noda, same_bytes
+from conftest import mixed_torus, reference_noda, same_bytes
 
 
 def test_bounds_at_ones(corpus):
@@ -100,7 +101,7 @@ def test_cw_search_validation(cosine_gen):
 
 def stationary_distribution(gen):
     """Left null vector of L via the Perron solve on the shifted transpose."""
-    L = (gen.mats[0] - sp.diags(gen.r_tables[0])).toarray()
+    L = (gen.frozen(0).stack - sp.diags(gen.r_tables[0])).toarray()
     c = abs(float(np.min(np.diag(L)))) + 1.0
     _, pi = perron(L.T + c * np.eye(gen.size), tol=1e-13)
     return pi / np.sum(pi)
@@ -118,7 +119,7 @@ def test_dv_rate_nonnegative_and_zero_at_stationary():
 
 def test_dv_rate_point_mass_oracle():
     gen = build_generator(problems.torus_cosine(16))
-    L = (gen.mats[0] - sp.diags(gen.r_tables[0])).toarray()
+    L = (gen.frozen(0).stack - sp.diags(gen.r_tables[0])).toarray()
     for j in (0, 7):
         nu = np.zeros(gen.size)
         nu[j] = 1.0
@@ -166,6 +167,23 @@ def test_dv_identity_zero_cost():
     assert rep.gap <= 1e-6
 
 
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+@pytest.mark.parametrize("spec", [problems.torus_two_control(128),
+                                  problems.interval_two_control(128),
+                                  problems.torus_variable_sigma(128),
+                                  mixed_torus(16, 0.3)],
+                         ids=["torus_two_control128", "interval_two_control128",
+                              "torus_variable_sigma128", "mixed16"])
+def test_dv_identity_at_the_controlled_optimum(spec, sense):
+    # the optimal policy frozen is an uncontrolled problem, whose rho the
+    # Donsker-Varadhan functional attains
+    gen = build_generator(spec).with_sense(sense)
+    pair = solve_policy_iteration(gen)
+    rep = dv_check(gen.frozen(pair.policy))
+    assert abs(rep.rho - pair.rho) <= 1e-10
+    assert rep.gap <= 1e-10
+
+
 def test_dv_certificates_never_exceed_rho(cosine_gen, cosine_pair):
     rng = np.random.default_rng(5)
     r_vec = cosine_gen.r_tables[0]
@@ -181,7 +199,7 @@ def lbfgs_multistart_rate(gen, nu):
     solve."""
     import scipy.optimize
 
-    L = (gen.mats[0] - sp.diags(gen.r_tables[0])).tocsr()
+    L = (gen.frozen(0).stack - sp.diags(gen.r_tables[0])).tocsr()
     LT = L.T.tocsr()
     nu = np.asarray(nu, dtype=float)
 
@@ -267,7 +285,7 @@ def reference_dv_rate(gen, nu, maxiter=2000):
     assembled by ``csc_matrix`` from its triplets; input checks left out."""
     from scipy.sparse.linalg import spsolve
     eps = float(np.finfo(float).eps)
-    L = (gen.mats[0] - sp.diags(gen.r_tables[0])).tocsr()
+    L = (gen.frozen(0).stack - sp.diags(gen.r_tables[0])).tocsr()
     n = gen.size
     coo = L.tocoo()
     edge = (coo.row != coo.col) & (coo.data > 0) & (nu[coo.row] > 0)
