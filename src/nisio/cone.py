@@ -215,8 +215,8 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     g = np.asarray(f0, dtype=float).copy()
     if np.min(g) <= 0:
         raise NonPositiveInput("starting function must be strictly positive")
-    if not tol > 0:
-        raise NonPositiveInput("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise NonPositiveInput("tol must be positive and finite")
     if max_iters < 1:
         raise NonPositiveInput("max_iters must be >= 1")
     g = g / np.max(g)

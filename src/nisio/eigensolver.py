@@ -70,10 +70,11 @@ class SolveOptions:
     collect_p1: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError("tol must be positive", field="tol")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1", field="max_iters")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError("tol must be positive and finite", field="tol")
+        if not (self.max_iters >= 1 and self.max_iters % 1 == 0):
+            raise ValidationError("max_iters must be a whole number >= 1",
+                                  field="max_iters")
         if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValidationError("dt must be positive and finite", field="dt")
         if not (0 < self.dt_factor <= 1):

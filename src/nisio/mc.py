@@ -16,15 +16,35 @@ convention of the Euler step.
 ``mc`` section of a config, and :class:`McConfig` adds the policy.
 
 Each chunk sets up its work once: a node table holding the control of
-every grid node, one bindings dict holding views of the state and control
-buffers, and preallocated buffers that the step updates in place (the
+every grid node, preallocated buffers that the step updates in place (the
 dispersion matrix takes the entries that ``ProblemSpec.sigma_entries``
-names).  A path's node is its state rounded to the grid, clipped (interval)
-or wrapped (torus) on each axis.  The step computes the plain formula
+names), and the bindings of every step, views of those buffers.  A path's
+node is its state rounded to the grid, clipped (interval) or wrapped
+(torus) on each axis.  The step computes the plain formula
 ``x + b dt + sqrt(dt) sigma dW`` with the same floating-point operations in
 the same order, so its bits do not depend on the buffering.  A coefficient
 without free variables, such as a constant ``sigma``, is evaluated at the
 first step only.
+
+The running cost never feeds back into the state, so each block of
+``_BLOCK`` steps (the blocks of the increments, below) runs in two passes.
+The state pass takes the steps one at a time without ``r``: the node
+gather, the drift and ``sigma`` where they vary, ``x + step + dW``, the
+finiteness and range checks, and the wrap or fold.  It writes each state
+into a ``(block + 1, paths, d)`` buffer and, when ``r`` reads a control
+under a varying policy, keeps each step's gathered node rows.  The cost
+pass then evaluates ``r`` once on the ``(block, paths)`` bindings, forms
+``(r + 0.0) dt``, and adds the rows to the running sums with one
+``np.add.reduce`` over ``[acc; r_0 dt; r_1 dt; ...]``: numpy adds the rows
+of an outer axis one after another, which has the bits of ``acc += r_k dt``
+taken step by step (one path, whose column numpy would sum pairwise, adds
+its rows one at a time).  A held ``r`` is evaluated once, at step 0.
+Errors keep their type, message and step.  A step evaluates ``r`` before
+``b`` and ``sigma`` and before it checks the state, so the state pass stops
+at its first event, at step ``j`` (an :class:`EvalError` of the drift or
+``sigma``, a :class:`NonFiniteState`), and raises it only after the cost
+pass over steps ``0..j`` has raised nothing; an ``r`` that fails in a block
+raises the error of its first failing step.
 
 Under a Markov policy a drift that reads the controls and nothing else,
 such as ``b = v1``, is a function of the node as well.  The node table then
@@ -77,7 +97,7 @@ __all__ = ["McSettings", "McConfig", "McEstimate", "cost_samples",
            "simulate_cost", "policy_sweep"]
 
 _CHUNK = 4096   # fixed so that chunk streams do not depend on worker count
-_BLOCK = 32     # steps per draw of increments: 1.25 MB of buffers for 1024 2-D paths
+_BLOCK = 32     # steps per draw of increments and per evaluation of r
 
 
 @dataclass(frozen=True)
@@ -219,20 +239,20 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                     n_paths: int, n_steps: int) -> np.ndarray:
     grid = spec.grid
     d = grid.d
+    m = spec.m
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_index,)))
     dt = cfg.dt_sim
     sqrt_dt = math.sqrt(dt)
     node_controls = np.asarray(spec.controls, dtype=float)[cfg.policy]
 
-    x = np.tile(np.asarray(cfg.x0, dtype=float), (n_paths, 1))
-
     # With one control vector at every node (same bits: -0.0 and +0.0
     # differ), v and every coefficient of the controls alone keep their
     # step-0 values.
     bits = node_controls.view(np.uint64)
     fixed = bool((bits == bits[0]).all())
-    held = set(spec.control_bindings(node_controls)) if fixed else set()
+    names = set(spec.control_bindings(node_controls))
+    held = names if fixed else set()
 
     # A drift of the controls alone is a function of the node: its step
     # b dt joins the controls in one node table, and one gather fills both.
@@ -242,71 +262,133 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     tabulated = table is not None
     if not tabulated:
         table = np.ascontiguousarray(node_controls.T)
-    row = np.empty((len(table), n_paths))
-    v = row[:spec.m].T
 
-    env = {**spec.x_bindings(x), **spec.control_bindings(v)}   # views of x, v
-    acc = np.zeros(n_paths)
-    r = np.empty(n_paths)
-    r_dt = np.empty(n_paths)
+    # Increments a block of steps at a time while sigma stays put.
+    block = 1 if any(e.variables() - held for e in spec.sigma) else _BLOCK
+    # The state pass writes the states of a block into ``states``, from the
+    # carried state in row 0, and the gathered node rows into ``rows``: one
+    # per step where r reads a control that varies, else one for all.
+    keep = bool(spec.r.variables() & (names - held))
+    states = np.empty((block + 1, n_paths, d))
+    states[0] = cfg.x0
+    rows = np.empty((block if keep else 1, len(table), n_paths))
+    costs = np.zeros((block + 1, n_paths))     # [acc; r_0 dt; r_1 dt; ...]
+    acc = costs[0]
     b = np.empty((n_paths, d))
     sig = np.zeros((n_paths, d, d))
-    step = row[spec.m:].T if tabulated else np.empty((n_paths, d))
+    if tabulated:
+        steps = [row[m:].T for row in rows]
+    else:
+        steps = [np.empty((n_paths, d))] * len(rows)
+    # the bindings of each step of a block, views of its state and row
+    envs = [{**spec.x_bindings(states[j]),
+             **spec.control_bindings(rows[j % len(rows), :m].T)}
+            for j in range(block)]
 
-    # Coefficients in the order the step evaluates them, each with the
-    # views its value fills; one whose free variables are all held is
-    # evaluated at step 0 only.  Adding 0.0 turns -0.0 into +0.0, as the
-    # zero bases of ``ProblemSpec.r_at``, ``b_at`` and ``sigma_at`` do.
-    coefficients = [(spec.r, (r,))]
-    if not tabulated:
-        coefficients += [(e, (b[:, i],)) for i, e in enumerate(spec.b)]
+    def cost_env(n):
+        """The bindings of r over steps 0..n-1 of a block."""
+        v = rows[:n, :m] if keep else rows[0, :m]
+        return {**spec.x_bindings(states[:n]),
+                **spec.control_bindings(v.swapaxes(-2, -1))}
+
+    # The coefficients of the state pass, in the order the step evaluates
+    # them, each with the views its value fills; one whose free variables
+    # are all held is evaluated at step 0 only.  Adding 0.0 turns -0.0 into
+    # +0.0, as the zero bases of ``ProblemSpec.r_at``, ``b_at`` and
+    # ``sigma_at`` do.
+    coefficients = [] if tabulated else [(e, (b[:, i],))
+                                         for i, e in enumerate(spec.b)]
     coefficients += [(e, tuple(sig[:, i, j] for i, j in places))
                      for e, places in spec.sigma_entries()]
     varying = [(e, outs) for e, outs in coefficients if e.variables() - held]
     drift_varies = any(e.variables() - held for e in spec.b)
+    r_varies = bool(spec.r.variables() - held)
+    full_env = cost_env(block)
 
-    # Increments a block of steps at a time while sigma stays put.
-    block = 1 if any(e.variables() - held for e in spec.sigma) else _BLOCK
     noise = np.empty((block, n_paths, d))
     diffusion = np.empty((block, n_paths, d))
     product = np.empty((block, n_paths))
     entries = {p for _, places in spec.sigma_entries() for p in places}
-    rows = [[j for j in range(d) if (i, j) in entries] for i in range(d)]
-    for k in range(n_steps):
-        if k == 0 or not fixed:
-            np.take(table, _nearest_node(spec, x), axis=1, out=row,
-                    mode="clip")
-        for e, outs in coefficients if k == 0 else varying:
-            value = evaluate(e, env)
-            for out in outs:
-                np.add(value, 0.0, out=out)
-        acc += np.multiply(r, dt, out=r_dt)
-        if not tabulated and (k == 0 or drift_varies):
-            np.multiply(b, dt, out=step)
-        if k % block == 0:
-            steps = min(block, n_steps - k)
-            _increments(rng, sig, rows, sqrt_dt, noise[:steps],
-                        diffusion[:steps], product[:steps])
-        x += step
-        x += diffusion[k % block]
-        if not np.isfinite(x).all():
-            raise NonFiniteState("simulated state left the finite range", step=k)
-        if grid.topology == INTERVAL:
-            np.copyto(x, _reflect_interval(x, grid.extent))
-            if not (x.min() >= 0.0 and x.max() <= grid.extent):
-                raise NonFiniteState(
-                    "reflected state left [0, extent]", step=k)
-        else:
-            _fold(x, grid.extent, out=x)
-    return acc
+    sigma_rows = [[j for j in range(d) if (i, j) in entries] for i in range(d)]
+    for start in range(0, n_steps, block):
+        count = min(block, n_steps - start)
+        # State pass: the step without r.  It stops at its first event, at
+        # step j; ``done`` counts the steps whose r the step-by-step order
+        # evaluates before it (r follows the gather).
+        event, done = None, 0
+        try:
+            for j in range(count):
+                k = start + j
+                row, step = rows[j % len(rows)], steps[j % len(rows)]
+                x, y = states[j], states[j + 1]
+                if k == 0 or not fixed:
+                    np.take(table, _nearest_node(spec, x), axis=1, out=row,
+                            mode="clip")
+                done = j + 1
+                for e, outs in coefficients if k == 0 else varying:
+                    value = evaluate(e, envs[j])
+                    for out in outs:
+                        np.add(value, 0.0, out=out)
+                if not tabulated and (k == 0 or drift_varies):
+                    np.multiply(b, dt, out=step)
+                if j == 0:
+                    _increments(rng, sig, sigma_rows, sqrt_dt, noise[:count],
+                                diffusion[:count], product[:count])
+                np.add(x, step, out=y)
+                y += diffusion[j]
+                if not np.isfinite(y).all():
+                    raise NonFiniteState("simulated state left the finite range",
+                                         step=k)
+                if grid.topology == INTERVAL:
+                    np.copyto(y, _reflect_interval(y, grid.extent))
+                    if not (y.min() >= 0.0 and y.max() <= grid.extent):
+                        raise NonFiniteState(
+                            "reflected state left [0, extent]", step=k)
+                else:
+                    _fold(y, grid.extent, out=y)
+        except Exception as exc:    # raised after the costs of steps 0..j
+            event = exc
+        # Cost pass: r over the steps done, once; a held r at step 0 only.
+        if done:
+            if start == 0 or r_varies:
+                try:
+                    r = evaluate(spec.r, full_env if done == block
+                                 else cost_env(done))
+                except EvalError:
+                    # step by step, for the first failing step's error (or
+                    # an overflow of an earlier step's r dt)
+                    for env in envs[:done]:
+                        np.multiply(np.add(evaluate(spec.r, env), 0.0), dt)
+                    raise
+            r_dt = costs[1:done + 1]
+            np.add(r, 0.0, out=r_dt)
+            r_dt *= dt
+            # acc += r_k dt, step by step: numpy adds the rows of an outer
+            # axis one after another, but sums a single column pairwise; one
+            # row is added directly
+            if n_paths > 1 and done > 1:
+                np.add.reduce(costs[:done + 1], axis=0, out=acc)
+            else:
+                for c in r_dt:
+                    acc += c
+        if event is not None:
+            raise event
+        states[0] = states[count]
+    return acc.copy()
 
 
 def _worker_count() -> int:
+    """``NISIO_THREADS``, a positive integer; 1 when it is unset."""
     raw = os.environ.get("NISIO_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValidationError(
+            f"NISIO_THREADS must be a positive integer, got {raw!r}",
+            field="NISIO_THREADS")
+    return workers
 
 
 def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:

@@ -30,6 +30,7 @@ with this module.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = ["perron", "noda", "cw_lower", "cw_upper", "is_irreducible"]
 
 # cap on Noda sweeps; the band normally reaches rounding level in under ten
 _NODA_MAX_ITERS = 100
+_TINY = np.finfo(float).tiny   # least normal float64
 
 
 def _check_matrix(m) -> np.ndarray:
@@ -85,8 +87,8 @@ def perron(m, tol: float = 1e-12, max_iters: int = 200_000):
     q = _check_matrix(m)
     if not is_irreducible(q):
         raise NotIrreducible("support graph is not strongly connected")
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValidationError("tol must be positive and finite")
     n = q.shape[0]
     x = np.ones(n)
     lam = float(np.max(q.sum(axis=1)))
@@ -221,8 +223,9 @@ def noda(a, x0=None, tol: float = 0.0):
     the root, and the test vector ``x > 0`` with ``||x||_inf = 1``.  The
     caller certifies the pair.  Raises :class:`NotIrreducible` for a
     reducible support graph, and :class:`NonPositiveIterate` when an entry
-    of the normalized iterate underflows to zero (an eigenvector whose
-    range passes float64's).
+    of the normalized iterate underflows below the least normal float64,
+    to a subnormal or to zero (an eigenvector whose range passes
+    float64's).
     """
     a = sp.csr_matrix(a, dtype=float)
     n = a.shape[0]
@@ -254,10 +257,12 @@ def noda(a, x0=None, tol: float = 0.0):
         if not np.min(y) > 0:        # the shift met the root in rounding
             break
         y = y / np.max(y)
-        if not np.min(y) > 0:
+        if not np.min(y) >= _TINY:
             raise NonPositiveIterate(
-                f"Noda iterate underflowed: {np.count_nonzero(y == 0)} of {n} "
-                "entries of the normalized eigenvector rounded to zero, "
+                f"Noda iterate underflowed: {np.count_nonzero(y < _TINY)} of "
+                f"{n} entries of the normalized eigenvector fell below the "
+                f"least normal float64, {_TINY:.4g} "
+                f"({np.count_nonzero(y == 0)} rounded to zero), "
                 "beyond the float64 range")
         lo_y, hi_y = _cw_band(product(y), y)
         if hi_y - lo_y >= hi - lo:

@@ -137,7 +137,7 @@ def test_non_positive_iterate():
         power_iterate(lambda g: m @ g, np.array([1.0, 1.0]))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_power_iterate_rejects_a_tol_that_is_not_positive(tol):
     with pytest.raises(NonPositiveInput, match="tol"):
         power_iterate(lambda g: g, np.ones(2), tol=tol)

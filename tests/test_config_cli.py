@@ -84,8 +84,8 @@ def test_unknown_and_duplicate_keys():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("tol", "nan"), ("tol", "-1"), ("tol", "0"), ("dt_factor", "1.5"),
-    ("dt_factor", "nan"), ("max_iters", "0")])
+    ("tol", "nan"), ("tol", "-1"), ("tol", "0"), ("tol", "inf"),
+    ("dt_factor", "1.5"), ("dt_factor", "nan"), ("max_iters", "0")])
 def test_bad_solver_value_names_key_and_line(key, value):
     line = f"solver.{key} = {value}"
     text = MINIMAL + f"\n{line}\nmc.seed = 3\n"
@@ -452,6 +452,19 @@ def test_cli_simulate_reproducible(tmp_path):
     assert p1["value"] >= p1["rho"] - 0.3      # loose sanity at small T/N
 
 
+@pytest.mark.parametrize("value", ["four", "0", "-2"])
+def test_cli_simulate_rejects_a_malformed_thread_count(tmp_path, capsys,
+                                                       monkeypatch, value):
+    monkeypatch.setenv("NISIO_THREADS", value)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", write_cfg(tmp_path, TWO_CONTROL),
+                    "--out", out]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "NISIO_THREADS" in err["message"]
+    assert not (out / "report.json").exists()
+
+
 def test_cli_simulate_histogram_reuses_samples(tmp_path, monkeypatch):
     chunks = []
     simulate = mc._simulate_chunk
@@ -512,6 +525,18 @@ def test_cli_matrix_cw_rejects_a_nan_tol(tmp_path, capsys):
     assert run_cli(argv) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError" and "tol" in err["message"]
+
+
+def test_cli_matrix_cw_rejects_an_infinite_tol(tmp_path, capsys):
+    # an infinite tol would stop the power iteration at once, at lambda = 3
+    # where the root is 1 + sqrt(2)
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, np.array([[1.0, 1.0], [2.0, 1.0]]), delimiter=",")
+    argv = ["matrix-cw", "--matrix", mat, "--tol", "inf", "--out", tmp_path]
+    assert run_cli(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "tol" in err["message"]
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("argv, error", [

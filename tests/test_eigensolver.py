@@ -138,9 +138,11 @@ def test_solve_options_validation():
 @pytest.mark.parametrize("bad", [
     {"tol": float("nan")}, {"tol": 0.0}, {"dt": float("nan")}, {"dt": 0.0},
     {"dt": -1e-4}, {"dt": float("inf")}, {"max_iters": 0},
-    {"max_iters": -3}], ids=["tol-nan", "tol-0", "dt-nan", "dt-0",
-                            "dt-negative", "dt-inf", "max_iters-0",
-                            "max_iters-negative"])
+    {"max_iters": -3}, {"tol": float("inf")}, {"max_iters": float("inf")},
+    {"max_iters": float("nan")}, {"max_iters": 2.5}],
+    ids=["tol-nan", "tol-0", "dt-nan", "dt-0", "dt-negative", "dt-inf",
+         "max_iters-0", "max_iters-negative", "tol-inf", "max_iters-inf",
+         "max_iters-nan", "max_iters-fractional"])
 def test_solve_options_rejects(bad):
     name = next(iter(bad))
     with pytest.raises(ValidationError, match=f"^{name} must be"):
@@ -224,6 +226,21 @@ def test_policy_iteration_names_the_underflow_of_its_iterate():
     # failure names that, before any NaN band or singular solve
     gen = build_generator(_cost_scaled(problems.interval_two_control(256), 1e8))
     with pytest.raises(NonPositiveIterate, match="underflowed") as err:
+        solve_policy_iteration(gen, SolveOptions(tol=1e-1))
+    assert isinstance(err.value, NumericalError)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, factor", [
+    ("torus_two_control", 1e8), ("torus_variable_sigma", 1e8),
+    ("torus_variable_sigma", 1e7)])
+def test_policy_iteration_names_a_subnormal_iterate(name, factor):
+    # here the least entries of the eigenvector are subnormal, not zero
+    # (down to 6.8e-322); unnamed, they end Howard in NoConvergence with a
+    # residual as large as rho
+    gen = build_generator(_cost_scaled(getattr(problems, name)(256), factor))
+    with pytest.raises(NonPositiveIterate,
+                       match="below the least normal float64") as err:
         solve_policy_iteration(gen, SolveOptions(tol=1e-1))
     assert isinstance(err.value, NumericalError)
 

@@ -18,6 +18,7 @@ from nisio import (
 )
 from nisio.errors import EvalError, NonFiniteState, ValidationError
 from nisio import mc
+from nisio.expr import evaluate
 from nisio.mc import cost_samples
 from nisio import problems
 
@@ -640,9 +641,11 @@ def test_block_boundaries_pin_reference_samples(monkeypatch, steps,
                                                 reference_chunks):
     dt = 0.5 ** 10              # steps * dt is exact, so is the step count
     for spec, x0 in [(_held_full_sigma_2d(), (0.25, 0.75)),
-                     (problems.torus_variable_sigma(16), (0.5,))]:
+                     (problems.torus_variable_sigma(16), (0.5,)),
+                     (problems.interval_two_control(16), (0.5,)),
+                     (problems.torus_cosine_drift(16), (0.5,))]:
         cfg = McConfig(T=steps * dt, dt_sim=dt, N=300, seed=13, x0=x0,
-                       policy=np.arange(spec.grid.size) % 2)
+                       policy=np.arange(spec.grid.size) % spec.n_controls)
         got = cost_samples(spec, cfg)
         with monkeypatch.context() as m:
             m.setattr(mc, "_simulate_chunk", reference_chunks["seed"])
@@ -670,3 +673,130 @@ def test_increments_equal_einsum_bitwise(rows):
                                         stream.standard_normal((n_paths, d)))
                     for _ in range(steps)]
     assert got.tobytes() == np.stack(expected).tobytes()
+
+
+@pytest.mark.parametrize("n_paths", [1, 2])
+def test_a_chunk_of_one_or_two_paths_pins_reference_samples(n_paths,
+                                                            reference_chunks):
+    # numpy sums a single column of the block's costs pairwise, not in
+    # step order; a chunk of one path must still add its costs step by step
+    n_steps = 2 * mc._BLOCK + 5
+    for spec in (problems.torus_two_control(16),
+                 problems.interval_two_control(16),
+                 problems.torus_variable_sigma(16)):
+        for seed in range(8):
+            cfg = McConfig(T=n_steps * 1e-3, dt_sim=1e-3, N=100, seed=seed,
+                           x0=(0.5,), policy=np.arange(16) % 2)
+            got = mc._simulate_chunk(spec, cfg, 1, n_paths, n_steps)
+            expected = reference_chunks["seed"](spec, cfg, 1, n_paths, n_steps)
+            assert got.tobytes() == expected.tobytes(), (spec.r, seed)
+
+
+# ---------------------------------------------------------------------------
+# the order of errors between the state pass and the cost pass
+# ---------------------------------------------------------------------------
+
+def _noiseless_interval_path(drift, x0, dt, steps):
+    """The states ``x_0, x_1, ...`` of a path with ``sigma = 0`` on [0, 1],
+    formed as the step forms them, ``x + (b + 0.0) dt`` and then folded,
+    where ``drift(x)`` gives ``b``; the last one is non-finite if a state
+    left the finite range."""
+    xs = [x0]
+    for _ in range(steps):
+        x = xs[-1] + (drift(xs[-1]) + 0.0) * dt
+        if not math.isfinite(x):
+            return xs + [x]
+        xs.append(1.0 - abs(float(np.mod(x, 2.0)) - 1.0))
+    return xs
+
+
+def _overflow_at_node_12(r):
+    """A noiseless path on [0, 1] that moves by 0.01 a step (dt = 2) until
+    it reaches node 12, where the control 1e308 makes ``b dt`` overflow;
+    its config, and its states."""
+    spec = ProblemSpec(grid=Grid("interval", n=16),
+                       controls=[(0.005,), (1e308,)], sigma=("0",),
+                       b=("v1",), r=r)
+    policy = np.where(np.arange(16) >= 12, 1, 0)
+    cfg = McConfig(T=200.0, dt_sim=2.0, N=100, seed=5, x0=(0.05,),
+                   policy=policy)
+    node = lambda x: min(max(round(x / spec.grid.h), 0), 15)
+    xs = _noiseless_interval_path(lambda x: (0.005, 1e308)[policy[node(x)]],
+                                  0.05, 2.0, 100)
+    return spec, cfg, xs
+
+
+@pytest.mark.filterwarnings("error")
+def test_cost_error_mid_block_comes_before_a_later_state_event():
+    spec, cfg, xs = _overflow_at_node_12("log(0.705 - x1) + v1")
+    fails = next(k for k, x in enumerate(xs) if x >= 0.705)
+    leaves = len(xs) - 2                    # the step whose state is inf
+    assert not math.isfinite(xs[-1]) and fails < leaves
+    assert fails // mc._BLOCK == leaves // mc._BLOCK
+    assert fails % mc._BLOCK and leaves % mc._BLOCK
+    with np.errstate(over="ignore"), pytest.raises(EvalError) as err:
+        cost_samples(spec, cfg)
+    assert str(err.value) == "log of non-positive value at offset 0"
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_event_comes_before_a_cost_error_of_a_later_step():
+    # r = x1 would fail on the non-finite state, a step after the event
+    spec, cfg, xs = _overflow_at_node_12("x1")
+    leaves = len(xs) - 2
+    assert not math.isfinite(xs[-1]) and leaves % mc._BLOCK
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as err:
+        cost_samples(spec, cfg)
+    assert err.value.step == leaves
+    assert str(err.value) == (
+        f"simulated state left the finite range (step {leaves})")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cost_error_comes_before_a_drift_error_at_the_same_step():
+    spec = ProblemSpec(grid=Grid("interval", n=16), controls=[(0.0,)],
+                       sigma=("0",), b=("0.005 + 0*log(0.705 - x1)",),
+                       r="log(0.705 - x1)")
+    xs = _noiseless_interval_path(lambda x: 0.005, 0.05, 2.0, 100)
+    fails = next(k for k, x in enumerate(xs) if x >= 0.705)
+    assert fails % mc._BLOCK
+    with pytest.raises(EvalError) as drift_err:
+        evaluate(spec.b[0], {"x1": xs[fails]})
+    with pytest.raises(EvalError) as err:
+        cost_samples(spec, McConfig(T=200.0, dt_sim=2.0, N=100, seed=5,
+                                    x0=(0.05,), policy=np.zeros(16, dtype=int)))
+    assert str(err.value) == "log of non-positive value at offset 0"
+    assert str(drift_err.value) != str(err.value)
+
+
+def test_cost_error_is_that_of_the_first_failing_step():
+    # from x0 = 0.6 the right log fails at step 0 and the left one, which
+    # is evaluated first, from step 11 on: a whole block's evaluation meets
+    # the left one's error first, the step-by-step order the right one's
+    spec = ProblemSpec(grid=Grid("interval", n=16), controls=[(0.0,)],
+                       sigma=("0",), b=("0.5",),
+                       r="log(0.705 - x1) + log(x1 - 0.68)")
+    errors = []
+    for x in (0.6, 0.75):
+        with pytest.raises(EvalError) as err:
+            evaluate(spec.r, {"x1": x})
+        errors.append(str(err.value))
+    assert errors[0] != errors[1]
+    with pytest.raises(EvalError) as err:
+        cost_samples(spec, McConfig(T=0.4, dt_sim=0.02, N=100, seed=5,
+                                    x0=(0.6,), policy=np.zeros(16, dtype=int)))
+    assert str(err.value) == errors[0]
+
+
+@pytest.mark.parametrize("value", ["four", "0", "-2", "2.5", ""])
+def test_malformed_thread_count_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("NISIO_THREADS", value)
+    spec = frozen_spec()
+    with pytest.raises(ValidationError, match="NISIO_THREADS") as err:
+        cost_samples(spec, cfg_for(spec))
+    assert err.value.field == "NISIO_THREADS"
+
+
+def test_unset_thread_count_means_one_worker(monkeypatch):
+    monkeypatch.delenv("NISIO_THREADS", raising=False)
+    assert mc._worker_count() == 1

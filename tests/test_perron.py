@@ -137,7 +137,7 @@ def test_noda_rejects_bad_input():
         noda(sp.csr_matrix([[-1.0, 1.0], [1.0, -1.0]]), x0=np.array([1.0, 0.0]))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_perron_rejects_a_tol_that_is_not_positive(tol):
     with pytest.raises(ValidationError, match="tol"):
         perron(np.array([[1.0, 1.0], [2.0, 1.0]]), tol=tol)
