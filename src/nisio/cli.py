@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .generator import build_generator
+from .generator import MAXIMIZE, build_generator
 from .mc import McConfig, _log_mean_exp, cost_samples, policy_sweep
 from .perron import cw_lower, cw_upper, perron
 from .semigroup import EvolveOptions, evolve
@@ -88,8 +88,10 @@ def _problem_meta(cfg: Config) -> dict:
 def cmd_solve(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
     pair = solve_evolution(gen, cfg.solver)
-    # one control: the max envelope is the min envelope, bit for bit
-    pair_max = pair if gen.n_controls == 1 else solve_max(gen, cfg.solver)
+    # one control: the max envelope is the min envelope, bit for bit; a
+    # maximize problem has solved the max envelope already
+    pair_max = (pair if gen.n_controls == 1 or gen.sense == MAXIMIZE
+                else solve_max(gen, cfg.solver))
     hist = np.bincount(pair.policy, minlength=gen.n_controls)
     payload = {"command": "solve", "rho": pair.rho, "beta": pair_max.rho,
                "residual": pair.residual, "beta_residual": pair_max.residual,
@@ -164,8 +166,7 @@ def cmd_simulate(cfg: Config, args) -> dict:
 def cmd_orbit(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
     dt = _step_size(gen, cfg.solver)
-    pair = solve_evolution(
-        gen, dataclasses.replace(cfg.solver, collect_p1=True))
+    pair = solve_evolution(gen, cfg.solver)
     stats = pair.stats
     try:
         fit = fit_exponential_rate(stats)

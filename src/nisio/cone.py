@@ -25,17 +25,15 @@ growth-rescaled orbit is).  The bracket width ``eta = over - under``
 contracts geometrically for strongly positive maps, and
 :func:`fit_exponential_rate` extracts the contraction rate from its log.
 
-The orbit is recorded every ``stride`` iterations, and the records are
-halved (``stride`` doubled) whenever they pass the cap
-``max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 N)))``.  A record holds
-four scalars and no iterate, so the cap bounds the number of bracket
-points, not memory; it keeps the rule of the byte-bounded records it
-replaced, so a grid of ``N`` nodes is recorded at the same iterations.
-The bracket is computed on first access by replaying the orbit from its
-normalized start with the loop's own operations (recomputation instead
-of storage, as in Griewank and Walther, ACM TOMS 26, 2000), so a solve
-that never reads it never pays for it.  The growth, the fixed point and
-the stopping iteration never depend on the records.
+The loop records nothing per iteration.  The orbit statistics are taken
+every ``S``-th iteration of a run of ``n``, where ``S`` is the least
+power of two with ``ceil(n / S) <= cap`` and
+``cap = max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 N)))`` for a grid
+of ``N`` nodes.  They are computed on first access by replaying the
+orbit from its normalized start with the loop's own operations
+(recomputation instead of storage, as in Griewank and Walther, ACM TOMS
+26, 2000), so a solve that never reads them never pays for them.  The
+growth, the fixed point and the stopping iteration never depend on them.
 
 The growth averages the log sup norms of the last quarter of the run, kept
 as float64; older ones are dropped in blocks of at least ``_LOG_BLOCK`` and
@@ -111,9 +109,9 @@ def _cw_band(gf: np.ndarray, f: np.ndarray) -> tuple[float, float]:
 class OrbitStats:
     """Per-iteration diagnostics of a normalized power iteration.
 
-    All arrays are aligned with ``iterations``.  Long runs are thinned by
-    halving (see the module docstring): grids of more than 1024 nodes
-    keep fewer than ``_MAX_RECORDS`` records.
+    All arrays are aligned with ``iterations``, every ``S``-th iteration
+    of the run (see the module docstring): grids of more than 1024 nodes
+    keep fewer than ``_MAX_RECORDS`` of them.
     ``under_alpha``/``over_alpha`` are the cone bounds of the
     growth-rescaled orbit against the final iterate, ``eta`` their
     difference, ``rho_estimate`` the per-application upper growth estimate
@@ -124,9 +122,10 @@ class OrbitStats:
     as diagnostics for the hypotheses behind exponential convergence;
     they are reported, never asserted.
 
-    The stats that :func:`power_iterate` returns compute ``under_alpha``,
-    ``over_alpha``, ``eta`` and ``p1_min`` on first access, by one replay
-    of the orbit, and keep them; the other fields never replay it.
+    The stats that :func:`power_iterate` returns compute every array
+    field but ``iterations``, and ``p1_min``, on the first access to any
+    of them, by one replay of the orbit, and keep them; ``iterations``,
+    ``n_iterations``, ``converged`` and ``zeta1`` never replay it.
     """
 
     iterations: np.ndarray
@@ -142,27 +141,28 @@ class OrbitStats:
 
 
 class _ReplayedStats(OrbitStats):
-    """:class:`OrbitStats` whose bracket fields come from ``replay()``,
-    called on the first access to any of them; ``p1_min`` is ``None``
-    without a replay unless ``collect_p1``.  The lock keeps two threads
-    from replaying at once through the map's shared buffers."""
+    """:class:`OrbitStats` whose replayed fields come from the dict that
+    ``replay()`` returns, called on the first access to any of them.  The
+    lock keeps two threads from replaying at once through the map's shared
+    buffers."""
 
-    def __init__(self, replay, collect_p1, **fields):
-        vars(self).update(fields, _replay=replay, _collect_p1=collect_p1,
-                          _bracket=None, _lock=threading.Lock())
+    def __init__(self, replay, **fields):
+        vars(self).update(fields, _replay=replay, _replayed=None,
+                          _lock=threading.Lock())
 
-    def _field(self, index):
+    def _field(self, name):
         with self._lock:
-            if self._bracket is None:
-                self._bracket = self._replay()
+            if self._replayed is None:
+                self._replayed = self._replay()
                 self._replay = None
-        return self._bracket[index]
+        return self._replayed[name]
 
-    under_alpha = property(lambda self: self._field(0))
-    over_alpha = property(lambda self: self._field(1))
-    eta = property(lambda self: self._field(2))
-    p1_min = property(
-        lambda self: self._field(3) if self._collect_p1 else None)
+    under_alpha = property(lambda self: self._field("under_alpha"))
+    over_alpha = property(lambda self: self._field("over_alpha"))
+    eta = property(lambda self: self._field("eta"))
+    rho_estimate = property(lambda self: self._field("rho_estimate"))
+    sup_norm = property(lambda self: self._field("sup_norm"))
+    p1_min = property(lambda self: self._field("p1_min"))
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,7 @@ class RateFit:
 
 
 def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
-                  max_iters: int = 1_000_000,
-                  collect_p1: bool = False):
+                  max_iters: int = 1_000_000):
     """Iterate ``g <- map_fn(g)/||map_fn(g)||_inf`` until the ratio band closes.
 
     Stops when ``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``, with
@@ -184,25 +183,26 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     ``map_fn``, two divisions into buffers (the ratios and the normalized
     iterate) and two reductions (``min`` of the ratios, ``max`` of
     ``map(g)``, each a bare ufunc ``reduce``, the reduction that the array
-    methods dispatch to).  The ``max`` of the ratios is taken
-    at recorded iterations, and where ``log(max map(g)) - log(min r)``
-    passes a gate; the ``N`` logs of the stop test only where
-    ``log(max r) - log(min r)`` passes it too.  Every closing band passes
-    both (see the loop), so the iterates are exactly those of the plain
-    test.  ``map_fn`` may return a buffer that its next call overwrites;
-    a float64 ``ndarray`` is used as it is, anything else (subclasses
-    too) goes through ``np.asarray``.  The normalized iterate is written
-    into one of two buffers of the iteration's own, in turn, never into
-    the start or the map's buffer, and the returned fixed point is the
-    last one written.
+    methods dispatch to).  The ``max`` of the ratios is taken only where
+    ``log(max map(g)) - log(min r)`` passes a gate; the ``N`` logs of the
+    stop test only where ``log(max r) - log(min r)`` passes it too.  Every
+    closing band passes both (see the loop), so the iterates are exactly
+    those of the plain test.  ``map_fn`` may return a buffer that its next
+    call overwrites; a float64 ``ndarray`` is used as it is, anything else
+    (subclasses too) goes through ``np.asarray``.  The normalized iterate
+    is written into one of two buffers of the iteration's own, in turn,
+    never into the start or the map's buffer, and the returned fixed point
+    is the last one written.  The loop keeps nothing per iteration but
+    the log sup norms that the growth averages.
 
-    ``map_fn`` must be deterministic: the bracket fields of the stats are
+    ``map_fn`` must be deterministic: every field of the stats but
+    ``iterations``, ``n_iterations``, ``converged`` and ``zeta1`` is
     computed on first access by running the orbit again, from the
     normalized start, with the same operations (``n_iterations`` calls of
-    ``map_fn``, and two more per record under ``collect_p1``), so every
-    field has the bits it would have if the recorded iterates were kept.
-    If the replay does not end on the returned fixed point byte for byte,
-    that access raises :class:`NonDeterministicMap`.
+    ``map_fn``, and two more per recorded iteration for ``p1_min``), so
+    every field has the bits it would have if the recorded iterates were
+    kept.  If the replay does not end on the returned fixed point byte
+    for byte, that access raises :class:`NonDeterministicMap`.
 
     Returns ``(growth, fixed_point, stats)`` where ``growth`` is the
     geometric mean of the normalization factors over the last quarter of
@@ -222,13 +222,8 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     g = g / np.max(g)
     start = g       # for the replay: the loop never writes it
 
-    # (k, max ratio, sup norm, sum of log sup norms before k)
-    records: list[tuple] = []
-    stride = 1
-    cap = max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 * g.size)))
     log_factors = array.array("d")      # log s of the last iterations
     log_limit = _LOG_BLOCK              # length at which to drop a block
-    cum = 0.0
     converged = False
     gate_tol = tol * (1.0 + _GATE)
 
@@ -244,8 +239,6 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
         np.divide(y, g, out=ratios)
         lo = least(ratios)
         s = greatest(y)
-        record = k % stride == 0
-        hi = greatest(ratios) if record else None
         if not lo > 0:
             # Iterates are never negative: the start f0 / max(f0) is
             # nonnegative or all NaN after the checks above, and each later
@@ -286,21 +279,12 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
             b = math.log(lo)
             a = log_s = math.log(s)
             if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
-                if hi is None:
-                    hi = greatest(ratios)
-                a = math.log(hi)
+                a = math.log(greatest(ratios))
                 if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
                     log_r = np.log(ratios)
                     converged = bool(log_r.max() - log_r.min() < tol)
 
-        if record:
-            records.append((k, hi, s, cum))
-            if len(records) > cap:
-                records = records[::2]
-                stride *= 2
-
         log_factors.append(log_s)
-        cum += log_s
         g = np.divide(y, s, out=buffers[k % 2])
         k += 1
         if len(log_factors) == log_limit:
@@ -317,20 +301,18 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     growth = math.exp(sum(tail) / n_tail)     # Python floats, in iteration order
 
     ref = g
-    log_growth = math.log(growth)
     if ref.min() <= 0:
         raise NonPositiveInput("reference must be strictly positive")
-    rec_k, rec_rho, rec_norm, rec_cum = zip(*records)
-    scale = np.array([math.exp(c - kk * log_growth)
-                      for kk, c in zip(rec_k, rec_cum)])
+    cap = max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 * g.size)))
+    stride = 1
+    while -(-k // stride) > cap:
+        stride *= 2
     # a copy of ref: the caller owns the returned fixed point
-    replay = functools.partial(_replay_bracket, map_fn, start, ref.copy(),
-                               rec_k, scale, k, collect_p1)
+    replay = functools.partial(_replay_orbit, map_fn, start, ref.copy(),
+                               stride, k, math.log(growth))
     stats = _ReplayedStats(
-        replay, collect_p1,
-        iterations=np.array(rec_k, dtype=int),
-        rho_estimate=np.array(rec_rho),
-        sup_norm=np.array(rec_norm),
+        replay,
+        iterations=np.arange(0, k, stride),
         n_iterations=k,
         converged=converged,
         zeta1=float(np.max(ref) / np.min(ref)),
@@ -345,39 +327,46 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     return growth, ref, stats
 
 
-def _replay_bracket(map_fn, g, ref, rec_k, scale, n_iterations, collect_p1):
-    """``(under_alpha, over_alpha, eta, p1_min)`` of the orbit of
-    :func:`power_iterate` that starts at the normalized ``g``, recorded at
-    the iterations ``rec_k`` and ended after ``n_iterations`` on ``ref``.
+def _replay_orbit(map_fn, g, ref, stride, n_iterations, log_growth):
+    """The replayed :class:`OrbitStats` fields, as a dict, of the orbit of
+    :func:`power_iterate` that starts at the normalized ``g``, is
+    recorded every ``stride`` iterations and ended after ``n_iterations``
+    on ``ref``, with the growth ``exp(log_growth)``.
 
     Each recorded iterate is reduced against ``ref`` as
     :func:`alpha_bounds` reduces it (``ref`` was checked positive, and the
-    iterates are never negative), and its bracket rescaled by ``scale``.
+    iterates are never negative), and its bracket is rescaled by the
+    accumulated growth.
     """
-    lows = np.empty(len(rec_k))
-    highs = np.empty(len(rec_k))
+    rows = []
     p1_min = math.inf
-    i = 0
+    cum = 0.0               # sum of the log sup norms before k
     for k in range(n_iterations):
-        if i < len(rec_k) and rec_k[i] == k:
-            lows[i], highs[i] = _cw_band(g, ref)
-            if collect_p1:
-                # hypothesis diagnostic: the map must not annihilate both z
-                # and ref - z for any recorded iterate dominated by ref
-                z = np.minimum(g, ref)
-                value = float(np.max(np.abs(map_fn(ref - z)))
-                              + np.max(map_fn(z)))
-                p1_min = min(p1_min, value)
-            i += 1
+        record = k % stride == 0
+        if record:
+            # hypothesis diagnostic: the map must not annihilate both z
+            # and ref - z for any recorded iterate dominated by ref
+            z = np.minimum(g, ref)
+            value = float(np.max(np.abs(map_fn(ref - z)))
+                          + np.max(map_fn(z)))
+            p1_min = min(p1_min, value)
         y = np.asarray(map_fn(g), dtype=float)
-        g = y / y.max()
+        s = y.max()
+        if record:
+            rows.append((np.max(y / g), s, math.exp(cum - k * log_growth))
+                        + _cw_band(g, ref))
+        cum += math.log(s)
+        g = y / s
     if g.tobytes() != ref.tobytes():
         raise NonDeterministicMap(
             "replaying the orbit did not reproduce its fixed point: "
             "the map is not deterministic")
+    rho_estimate, sup_norm, scale, lows, highs = map(np.array, zip(*rows))
     under = scale * lows
     over = scale * highs
-    return under, over, over - under, p1_min if collect_p1 else None
+    return dict(rho_estimate=rho_estimate, sup_norm=sup_norm,
+                under_alpha=under, over_alpha=over, eta=over - under,
+                p1_min=p1_min)
 
 
 def fit_exponential_rate(stats: OrbitStats, noise_floor: float = 1e-12) -> RateFit:

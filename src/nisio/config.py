@@ -38,7 +38,7 @@ from .errors import ConfigError, ExprSyntaxError, UnknownIdentifier, ValidationE
 from .expr import parse
 from .generator import ProblemSpec
 from .grid import Grid
-from .mc import McSettings
+from .mc import McSettings, _check_start
 
 __all__ = ["Config", "OutputSection", "load_config"]
 
@@ -223,9 +223,11 @@ def loads(text: str) -> Config:
     mc = _section(items, "mc", McSettings, {
         "T": float, "dt_sim": float, "N": _parse_integer,
         "seed": _parse_integer, "x0": _parse_point})
-    if mc.x0 is not None and len(mc.x0) != grid.d:
-        raise ConfigError(f"mc.x0 needs {grid.d} components",
-                          items.line("mc.x0"))
+    if mc.x0 is not None:
+        try:
+            _check_start(grid, mc.x0)
+        except ValidationError as exc:
+            raise ConfigError(f"mc.{exc}", items.line("mc.x0")) from exc
     output = _section(items, "output", OutputSection, {
         "dir": str, "formats": _parse_names})
 

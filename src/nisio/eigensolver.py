@@ -57,9 +57,11 @@ class SolveOptions:
     of the returned pair.  ``dt`` overrides the evolution step (must not
     exceed the generator's step bound ``dt_max``, the longest step that
     keeps every Euler matrix nonnegative, else :class:`CflViolation`); by
-    default ``dt_factor`` of ``dt_max`` is used.  The ``solver`` section
-    of a config is one of these (``tol``, ``max_iters`` and
-    ``dt_factor``).
+    default ``dt_factor`` of ``dt_max`` is used, from ``f0`` (ones by
+    default).  The ``solver`` section of a config is one of these
+    (``tol``, ``max_iters`` and ``dt_factor``).  No option selects orbit
+    statistics: the evolution route's :class:`OrbitStats`, ``p1_min``
+    included, are computed by a replay of the orbit when first read.
     """
 
     tol: float = 1e-9
@@ -67,7 +69,6 @@ class SolveOptions:
     dt: float | None = None
     dt_factor: float = 0.9
     f0: np.ndarray | None = None
-    collect_p1: bool = False
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
@@ -139,9 +140,8 @@ def solve_evolution(gen: DiscreteGenerator,
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the step ratios is ~ dt * oscillation of G f / f
     power_tol = 0.5 * opts.tol * dt
-    _, phi, stats = power_iterate(
-        one_step, f0, tol=power_tol, max_iters=opts.max_iters,
-        collect_p1=opts.collect_p1)
+    _, phi, stats = power_iterate(one_step, f0, tol=power_tol,
+                                  max_iters=opts.max_iters)
     return _certified(_finish(gen, phi, "evolution", stats=stats), opts.tol)
 
 

@@ -81,6 +81,7 @@ regardless of the worker count.  ``NISIO_THREADS`` caps the worker pool
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -391,6 +392,15 @@ def _worker_count() -> int:
     return workers
 
 
+def _check_start(grid, x0) -> None:
+    """``x0`` has a coordinate per axis of ``grid``, each in ``[0, extent]``."""
+    if x0 is None or len(x0) != grid.d:
+        raise ValidationError(f"x0 needs {grid.d} components", field="x0")
+    if not all(0.0 <= c <= grid.extent for c in x0):
+        raise ValidationError(
+            f"x0 {x0} lies outside the domain [0, {grid.extent}]", field="x0")
+
+
 def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
     """Per-path accumulated cost integrals ``A_p = sum_k r(x_k, v_k) dt``."""
     if cfg.policy.shape != (spec.grid.size,):
@@ -398,8 +408,7 @@ def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
             f"policy must assign a control to each of {spec.grid.size} nodes")
     if np.min(cfg.policy) < 0 or np.max(cfg.policy) >= spec.n_controls:
         raise ValidationError("policy contains out-of-range control indices")
-    if cfg.x0 is None or len(cfg.x0) != spec.grid.d:
-        raise ValidationError(f"x0 needs {spec.grid.d} components")
+    _check_start(spec.grid, cfg.x0)
     n_steps = int(round(cfg.T / cfg.dt_sim))
     chunks = [(c, min(_CHUNK, cfg.N - c * _CHUNK))
               for c in range((cfg.N + _CHUNK - 1) // _CHUNK)]
@@ -409,8 +418,12 @@ def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
         parts = [_simulate_chunk(spec, cfg, c, npaths, n_steps)
                  for c, npaths in chunks]
     else:
+        # each chunk runs in a copy of the caller's context, so that the
+        # workers see its numpy error state
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_simulate_chunk, spec, cfg, c, npaths, n_steps)
+            futures = [pool.submit(contextvars.copy_context().run,
+                                   _simulate_chunk, spec, cfg, c, npaths,
+                                   n_steps)
                        for c, npaths in chunks]
             parts = [f.result() for f in futures]   # fixed chunk order
     return np.concatenate(parts)

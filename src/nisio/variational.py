@@ -85,6 +85,8 @@ def cw_search(gen: DiscreteGenerator,
     """
     if iters < 1:
         raise ValidationError("iters must be >= 1")
+    if steps_per_iter < 1:
+        raise ValidationError("steps_per_iter must be >= 1")
     f = gen.grid.ones() if f0 is None else as_grid_function(gen.grid, f0)
     if np.min(f) <= 0:
         raise NonPositiveInput("starting function must be strictly positive")

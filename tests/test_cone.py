@@ -157,7 +157,7 @@ def test_multi_start_uniqueness(cosine_gen):
 
 def test_p1_p2_diagnostics(cosine_gen):
     from nisio.eigensolver import SolveOptions
-    pair = solve_evolution(cosine_gen, SolveOptions(collect_p1=True, tol=1e-6))
+    pair = solve_evolution(cosine_gen, SolveOptions(tol=1e-6))
     assert pair.stats.zeta1 >= 1.0
     assert pair.stats.p1_min is not None and pair.stats.p1_min > 0
 
@@ -166,8 +166,7 @@ def test_p1_p2_diagnostics(cosine_gen):
 # bitwise pin: the gated loop against the plain N-log loop
 # ---------------------------------------------------------------------------
 
-def _reference_power_iterate(map_fn, f0, tol=1e-12, max_iters=1_000_000,
-                             collect_p1=False):
+def _reference_power_iterate(map_fn, f0, tol=1e-12, max_iters=1_000_000):
     """The plain loop: N logs per iteration, a copy of every record."""
     g = np.asarray(f0, dtype=float).copy()
     if np.min(g) <= 0:
@@ -230,11 +229,10 @@ def _reference_power_iterate(map_fn, f0, tol=1e-12, max_iters=1_000_000,
         over[idx] = scale * hi
 
     p1_min = math.inf
-    if collect_p1:
-        for gk in rec_g:
-            z = np.minimum(gk, ref)
-            value = float(np.max(np.abs(map_fn(ref - z))) + np.max(map_fn(z)))
-            p1_min = min(p1_min, value)
+    for gk in rec_g:
+        z = np.minimum(gk, ref)
+        value = float(np.max(np.abs(map_fn(ref - z))) + np.max(map_fn(z)))
+        p1_min = min(p1_min, value)
     stats = OrbitStats(
         iterations=np.array(rec_k, dtype=int),
         under_alpha=under,
@@ -245,7 +243,7 @@ def _reference_power_iterate(map_fn, f0, tol=1e-12, max_iters=1_000_000,
         n_iterations=k,
         converged=converged,
         zeta1=float(np.max(ref) / np.min(ref)),
-        p1_min=None if not collect_p1 else p1_min,
+        p1_min=p1_min,
     )
     if not converged:
         raise NoConvergence(
@@ -275,10 +273,7 @@ def assert_same_stats(st_a, st_b):
     assert st_a.n_iterations == st_b.n_iterations
     assert st_a.converged == st_b.converged
     assert st_a.zeta1.hex() == st_b.zeta1.hex()
-    if st_a.p1_min is None:
-        assert st_b.p1_min is None
-    else:
-        assert st_a.p1_min.hex() == st_b.p1_min.hex()
+    assert st_a.p1_min.hex() == st_b.p1_min.hex()
 
 
 def assert_same_run(map_fn, f0, **kw):
@@ -367,12 +362,11 @@ def test_gated_loop_pins_where_logs_disagree():
             assert stats.n_iterations == 1
 
 
-def test_gated_loop_pins_collect_p1(cosine_gen):
+def test_gated_loop_pins_p1_min(cosine_gen):
     dt = 0.9 * cosine_gen.dt_max
     _, _, stats = assert_same_run(lambda g: step(cosine_gen, g, dt),
-                                  cosine_gen.grid.ones(), tol=1e-6 * dt,
-                                  collect_p1=True)
-    assert stats.p1_min is not None and stats.p1_min > 0
+                                  cosine_gen.grid.ones(), tol=1e-6 * dt)
+    assert stats.p1_min > 0
 
 
 def test_max_iters_exhaustion_reports_final_oscillation():
@@ -501,24 +495,28 @@ def _counted(map_fn):
     return counted, calls
 
 
-@pytest.mark.parametrize("collect_p1", [False, True])
-def test_bracket_replays_the_map_once_on_demand(cosine_gen, collect_p1):
+REPLAYED = ("under_alpha", "over_alpha", "eta", "rho_estimate", "sup_norm",
+            "p1_min")
+
+
+@pytest.mark.parametrize("first", REPLAYED)
+def test_bracket_replays_the_map_once_on_demand(cosine_gen, first):
     dt = 0.9 * cosine_gen.dt_max
     counted, calls = _counted(lambda g: step(cosine_gen, g, dt))
     _, _, stats = power_iterate(counted, cosine_gen.grid.ones(),
-                                tol=1e-6 * dt, collect_p1=collect_p1)
+                                tol=1e-6 * dt)
     n = stats.n_iterations
     assert calls[0] == n
-    for name in ("n_iterations", "iterations", "rho_estimate", "sup_norm",
-                 "converged", "zeta1"):
+    for name in ("n_iterations", "iterations", "converged", "zeta1"):
         getattr(stats, name)
     assert calls[0] == n
-    replay = n + (2 * len(stats.iterations) if collect_p1 else 0)
-    assert stats.eta[-1] >= 0.0
+    replay = n + 2 * len(stats.iterations)
+    getattr(stats, first)
     assert calls[0] == n + replay
-    stats.under_alpha, stats.over_alpha, stats.p1_min, stats.eta
+    for name in REPLAYED:
+        getattr(stats, name)
     assert calls[0] == n + replay
-    assert (stats.p1_min is not None) == collect_p1
+    assert stats.eta[-1] >= 0.0 and stats.p1_min > 0
 
 
 def test_bracket_replay_rejects_a_drifting_map():
@@ -559,5 +557,5 @@ def test_concurrent_first_reads_replay_once(cosine_gen):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert calls[0] == 2 * n and len(results) == 4
+    assert calls[0] == 2 * n + 2 * len(stats.iterations) and len(results) == 4
     assert all(r is results[0] for r in results)

@@ -143,13 +143,20 @@ def test_integral_n_spellings_load(value, n):
     assert cfg.problem.grid.n == n and type(cfg.problem.grid.n) is int
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "3.0", "-0.5",
+                                   "1.0000000000000002"])
 def test_bad_mc_x0_names_key_and_line(value):
     line = f"mc.x0 = {value}"
     text = MINIMAL + f"\n{line}\nmc.seed = 3\n"
     with pytest.raises(ConfigError, match=r"mc\.x0") as err:
         loads(text)
     assert err.value.line == text.splitlines().index(line) + 1
+
+
+@pytest.mark.parametrize("value", ["-0.0", "0", "1"])
+def test_mc_x0_on_the_domain_boundary_loads(value):
+    text = INTERVAL_START.replace("= 0.25", f"= {value}")
+    assert loads(text).mc_start() == (float(value),)
 
 
 INTEGER_KEYS = {
@@ -361,6 +368,16 @@ def test_cli_solve_two_controls_solves_max(tmp_path, monkeypatch):
     assert calls == ["solve_evolution", "solve_max", "solve_evolution"]
     payload = read_report(out)
     assert payload["beta"] >= payload["rho"]
+    # a maximize problem: the solve is the max solve, made once
+    calls.clear()
+    text = TWO_CONTROL + "problem.sense = maximize\n"
+    out = tmp_path / "max"
+    assert run_cli(["solve", write_cfg(tmp_path, text), "--out", out]) == 0
+    assert calls == ["solve_evolution"]
+    payload = read_report(out)
+    assert payload["beta"] == payload["rho"]
+    assert payload["beta_residual"] == payload["residual"]
+    assert payload["beta_iterations"] == payload["iterations"]
 
 
 def test_cli_solve_reports_step_and_iterations(tmp_path):

@@ -95,6 +95,12 @@ def test_cw_search_validation(cosine_gen):
         cw_search(cosine_gen, iters=0)
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_cw_search_rejects_steps_per_iter_below_one(cosine_gen, steps):
+    with pytest.raises(ValidationError, match="steps_per_iter"):
+        cw_search(cosine_gen, iters=2, steps_per_iter=steps)
+
+
 # ---------------------------------------------------------------------------
 # Donsker-Varadhan
 # ---------------------------------------------------------------------------
