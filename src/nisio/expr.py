@@ -3,12 +3,10 @@
 Problem coefficients (drift, diffusion, running cost) are given in config
 files as small arithmetic expressions over the space variables ``x1..xd``
 and control components ``v1..vm``.  This module parses such expressions
-into an immutable syntax tree.  The first evaluation of a tree compiles it
-into one flat Python function, cached on the tree, that runs the numpy
-operations of a post-order walk in the same order, so values and errors
-are exactly those of walking the tree.  Evaluation works on scalar or
-numpy array bindings, so the same expression serves both table
-construction on a grid and vectorized evaluation along simulated paths.
+into an immutable syntax tree and evaluates a tree by walking it in
+post-order.  Evaluation works on scalar or numpy array bindings, so the
+same expression serves both table construction on a grid and vectorized
+evaluation along simulated paths.
 
 Grammar (precedence low to high, ``^`` is right-associative)::
 
@@ -23,13 +21,21 @@ more).  Known constants: pi, e.  Any other bare name is a free variable
 to be supplied at evaluation time.  Unary minus binds tighter than ``*``
 and ``/`` but looser than ``^``, so ``-x1^2`` means ``-(x1^2)``.
 
-Trees are immutable after construction (the cached code aside) and safe
-to evaluate concurrently.
+A tree may be at most ``MAX_DEPTH`` nodes deep, and the source may nest
+parentheses, function arguments, unary minuses and exponents at most
+``MAX_DEPTH`` levels deep; :func:`parse` rejects deeper input with an
+:class:`ExprSyntaxError` at the offset where the bound is crossed, so
+that the recursive parser, walk and printer stay far from Python's
+recursion limit.
+
+Trees are immutable and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -39,6 +45,9 @@ from .errors import EvalError, ExprSyntaxError, UnboundVariable, UnknownIdentifi
 
 __all__ = ["Expr", "parse", "evaluate", "to_source"]
 
+#: bound on the depth of a tree and on the nesting of its source
+MAX_DEPTH = 200
+
 _FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -46,10 +55,13 @@ _FUNCTIONS = {
     "log": np.log,
     "abs": np.abs,
     "tanh": np.tanh,
-    # min/max are variadic and handled separately
-    "min": None,
-    "max": None,
+    # variadic: folded from the left over two or more arguments
+    "min": np.minimum,
+    "max": np.maximum,
 }
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": np.power}
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -64,8 +76,7 @@ _PREC_ATOM = 100
 class Expr:
     """Base class of expression nodes.  Instances are immutable."""
 
-    # the compiled evaluator, set on first evaluation (see ``_compile``)
-    __slots__ = ("_code",)
+    __slots__ = ()
 
     def variables(self) -> set[str]:
         """Free variable names of the expression."""
@@ -169,9 +180,12 @@ def _tokenize(source: str):
 # ---------------------------------------------------------------------------
 
 class _Parser:
+    """Each ``parse_*`` method returns ``(tree, depth of tree)``."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0        # parse_expr calls under way
 
     def peek(self):
         return self.tokens[self.i]
@@ -187,8 +201,16 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", off)
         return self.advance()
 
-    def parse_expr(self, min_prec=0) -> Expr:
-        left = self.parse_prefix()
+    @staticmethod
+    def bounded(depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested more than {MAX_DEPTH} levels deep", off)
+        return depth
+
+    def parse_expr(self, min_prec=0) -> tuple[Expr, int]:
+        self.nesting = self.bounded(self.nesting + 1, self.peek()[2])
+        left, depth = self.parse_prefix()
         while True:
             kind, text, off = self.peek()
             if kind != "op" or text not in "+-*/^":
@@ -200,23 +222,26 @@ class _Parser:
                 break
             self.advance()
             if text == "^":
-                right = self.parse_expr(prec - 1)  # right-associative
+                right, right_depth = self.parse_expr(prec - 1)  # right-associative
             else:
-                right = self.parse_expr(prec + 1)
+                right, right_depth = self.parse_expr(prec + 1)
             left = Bin(text, left, right, off)
-        return left
+            depth = self.bounded(1 + max(depth, right_depth), off)
+        self.nesting -= 1
+        return left, depth
 
-    def parse_prefix(self) -> Expr:
+    def parse_prefix(self) -> tuple[Expr, int]:
         kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.parse_expr(_PREC_NEG), off)
+            operand, depth = self.parse_expr(_PREC_NEG)
+            return Neg(operand, off), self.bounded(1 + depth, off)
         return self.parse_atom()
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(float(text), off)
+            return Num(float(text), off), 1
         if kind == "name":
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":
@@ -240,10 +265,11 @@ class _Parser:
                 elif len(args) != 1:
                     raise ExprSyntaxError(
                         f"{text} takes exactly one argument", off)
-                return Call(text, tuple(args), off)
+                trees, depths = zip(*args)
+                return Call(text, trees, off), self.bounded(1 + max(depths), off)
             if text in _CONSTANTS:
-                return Num(_CONSTANTS[text], off)
-            return Var(text, off)
+                return Num(_CONSTANTS[text], off), 1
+            return Var(text, off), 1
         if kind == "op" and text == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -255,12 +281,13 @@ def parse(source: str) -> Expr:
     """Parse expression source text into an :class:`Expr` tree.
 
     Raises :class:`ExprSyntaxError` (with character offset) on malformed
-    input and :class:`UnknownIdentifier` for unknown function names.
+    input or input nested deeper than ``MAX_DEPTH``, and
+    :class:`UnknownIdentifier` for unknown function names.
     """
     if not isinstance(source, str):
         raise ExprSyntaxError("expression source must be text", 0)
     parser = _Parser(_tokenize(source))
-    tree = parser.parse_expr()
+    tree, _ = parser.parse_expr()
     kind, text, off = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected {text!r} after expression", off)
@@ -268,7 +295,7 @@ def parse(source: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: each tree is compiled once into one flat Python function
+# evaluation: a post-order walk of the tree
 # ---------------------------------------------------------------------------
 
 def evaluate(expr: Expr, bindings: dict):
@@ -280,12 +307,8 @@ def evaluate(expr: Expr, bindings: dict):
     non-finite results raise :class:`EvalError`; the coefficient tables
     built from expressions must be finite.
     """
-    try:
-        code = expr._code
-    except AttributeError:
-        code = _compile(expr)
     with np.errstate(all="ignore"):
-        result = code(bindings)
+        result = _eval(expr, bindings)
     if np.ndim(result) == 0:
         result = float(result)
         if not math.isfinite(result):
@@ -297,82 +320,31 @@ def evaluate(expr: Expr, bindings: dict):
     return result
 
 
-_RUNTIME = {
-    "_any": np.any, "_asarray": np.asarray, "_power": np.power,
-    "_minimum": np.minimum, "_maximum": np.maximum,
-    "EvalError": EvalError, "UnboundVariable": UnboundVariable,
-}
-
-
-def _compile(expr: Expr):
-    """Compile ``expr`` into ``code(env)``, cache it on the tree, return it.
-
-    The body is the post-order walk of the tree written out as straight-line
-    statements, one per node: the same numpy calls on the same operands in
-    the same order, with each domain check just before the operation it
-    guards, so values, errors and their order are those of a recursive walk.
-    Literals are bound as globals of the function and keep their exact
-    value; the source holds only fixed templates, temporaries, known
-    function names and ``repr``'d strings.  Compiling is idempotent, so
-    threads racing on the first call of a tree at worst compile it twice.
-    """
-    lines: list[str] = []
-    names = dict(_RUNTIME)
-
-    def assign(rhs: str) -> str:
-        out = f"t{len(lines)}"
-        lines.append(f"{out} = {rhs}")
-        return out
-
-    def check(test: str, message: str) -> None:
-        lines.append(f"if {test}: raise EvalError({message!r})")
-
-    def emit(node: Expr) -> str:
-        """Append the statements computing ``node``; return its name."""
-        if isinstance(node, Num):
-            name = f"c{len(names)}"
-            names[name] = node.value
-            return name
-        if isinstance(node, Var):
-            return assign(f"env[{node.name!r}]")
-        if isinstance(node, Neg):
-            return assign(f"-{emit(node.operand)}")
-        if isinstance(node, Bin):
-            left, right = emit(node.left), emit(node.right)
-            if node.op in ("+", "-", "*"):
-                return assign(f"{left} {node.op} {right}")
-            if node.op == "/":
-                check(f"_any({right} == 0)",
-                      f"division by zero at offset {node.offset}")
-                return assign(f"{left} / {right}")
-            if node.op == "^":
-                return assign(f"_power({left}, {right})")
-            raise AssertionError(node.op)
-        if isinstance(node, Call):
-            args = [emit(a) for a in node.args]
-            if node.func in ("min", "max"):
-                out = args[0]
-                for a in args[1:]:
-                    out = assign(f"_{node.func}imum({out}, {a})")
-                return out
-            if node.func == "log":
-                check(f"_any(_asarray({args[0]}) <= 0)",
-                      f"log of non-positive value at offset {node.offset}")
-            names[f"_{node.func}"] = _FUNCTIONS[node.func]
-            return assign(f"_{node.func}({args[0]})")
-        raise AssertionError(type(node))
-
-    result = emit(expr)
-    body = "".join(f"        {line}\n" for line in lines) or "        pass\n"
-    source = ("def code(env):\n    try:\n" + body
-              + "    except KeyError as err:\n"
-              "        raise UnboundVariable("
-              "f'variable {err.args[0]!r} is not bound') from None\n"
-              f"    return {result}\n")
-    exec(compile(source, "<nisio.expr>", "exec"), names)
-    code = names["code"]
-    object.__setattr__(expr, "_code", code)
-    return code
+def _eval(node: Expr, env: dict):
+    """The value of ``node``: children first, left to right, each domain
+    check just before the operation it guards."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise UnboundVariable(
+                f"variable {node.name!r} is not bound") from None
+    if isinstance(node, Neg):
+        return -_eval(node.operand, env)
+    if isinstance(node, Bin):
+        left, right = _eval(node.left, env), _eval(node.right, env)
+        if node.op == "/" and np.any(right == 0):
+            raise EvalError(f"division by zero at offset {node.offset}")
+        return _OPERATORS[node.op](left, right)
+    if isinstance(node, Call):
+        args = [_eval(a, env) for a in node.args]
+        if node.func == "log" and np.any(np.asarray(args[0]) <= 0):
+            raise EvalError(f"log of non-positive value at offset {node.offset}")
+        func = _FUNCTIONS[node.func]
+        return func(args[0]) if len(args) == 1 else functools.reduce(func, args)
+    raise AssertionError(type(node))
 
 
 # ---------------------------------------------------------------------------

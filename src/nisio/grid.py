@@ -38,7 +38,8 @@ class Grid:
 
     ``n`` is the number of points per axis; the interval uses ``n`` nodes
     including both endpoints (spacing ``extent/(n-1)``), the torus uses
-    ``n`` distinct nodes per period (spacing ``extent/n``).
+    ``n`` distinct nodes per period (spacing ``extent/n``).  ``n`` and
+    ``d`` are whole numbers; an integral float is stored as an ``int``.
     """
 
     topology: str
@@ -51,6 +52,8 @@ class Grid:
             raise ValidationError(
                 f"topology must be '{INTERVAL}' or '{TORUS}', got {self.topology!r}",
                 field="topology")
+        object.__setattr__(self, "n", _whole_number(self.n, "n"))
+        object.__setattr__(self, "d", _whole_number(self.d, "d"))
         if self.n < 8:
             raise ValidationError(f"n >= 8 required, got n = {self.n}",
                                   field="n")
@@ -105,6 +108,18 @@ class Grid:
                 index = (n - 1) - np.abs((n - 1) - np.abs(index))
             flat = flat * n + index
         return flat.ravel()
+
+
+def _whole_number(value, field: str) -> int:
+    """``value`` as an ``int``: an integer, or a float with an integral
+    value such as ``64.0``; anything else raises :class:`ValidationError`
+    naming ``field``."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"{field} must be a whole number, got {value!r}",
+                          field=field)
 
 
 def as_grid_function(grid: Grid, values) -> GridFunction:

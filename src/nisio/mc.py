@@ -92,7 +92,7 @@ import numpy as np
 from .errors import EvalError, NonFiniteState, ValidationError
 from .expr import evaluate
 from .generator import ProblemSpec
-from .grid import INTERVAL
+from .grid import INTERVAL, _whole_number
 
 __all__ = ["McSettings", "McConfig", "McEstimate", "cost_samples",
            "simulate_cost", "policy_sweep"]
@@ -106,8 +106,9 @@ class McSettings:
     """Horizon ``T``, Euler step ``dt_sim``, ``N`` paths, master ``seed``
     and start point ``x0`` (``None``: the caller picks it) of a simulation.
     Checked in this order, each error naming its field: ``dt_sim`` positive
-    and finite, ``N >= 100``, ``T`` finite and at least 10 steps,
-    ``seed >= 0``, ``x0`` finite."""
+    and finite, ``N`` a whole number ``>= 100``, ``T`` finite and at least
+    10 steps, ``seed`` a whole number ``>= 0``, ``x0`` finite.  An integral
+    float ``N`` or ``seed`` is stored as an ``int``."""
 
     T: float = 20.0
     dt_sim: float = 1e-3
@@ -122,11 +123,13 @@ class McSettings:
         if not (self.dt_sim > 0 and math.isfinite(self.dt_sim)):
             raise ValidationError("dt_sim must be positive and finite",
                                   field="dt_sim")
+        object.__setattr__(self, "N", _whole_number(self.N, "N"))
         if not self.N >= 100:
             raise ValidationError("at least 100 paths required", field="N")
         if not (math.isfinite(self.T) and self.T >= 10 * self.dt_sim):
             raise ValidationError("horizon must be finite and cover at least "
                                   "10 steps", field="T")
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if not self.seed >= 0:
             raise ValidationError("seed must be nonnegative", field="seed")
         if self.x0 is not None and not all(map(math.isfinite, self.x0)):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CflViolation, ValidationError
 from .generator import DiscreteGenerator, _envelope, _envelope_map, apply_G
-from .grid import GridFunction, as_grid_function, require_positive
+from .grid import GridFunction, _whole_number, as_grid_function, require_positive
 
 __all__ = [
     "EvolveOptions",
@@ -46,8 +46,9 @@ class EvolveOptions:
     ``dt`` is the requested step; :func:`evolve` snaps it *down* so that
     ``t_final`` is an integer number of steps (exact semigroup composition
     tests rely on this), and raises :class:`CflViolation` when it is above
-    the generator's ``dt_max``.  ``record_every`` > 0 makes :func:`evolve`
-    return the recorded snapshots as well.
+    the generator's ``dt_max``.  ``record_every`` > 0, a whole number (an
+    integral float is stored as an ``int``), makes :func:`evolve` return
+    the recorded snapshots as well.
     """
 
     dt: float
@@ -59,8 +60,11 @@ class EvolveOptions:
             raise ValidationError("dt must be positive and finite")
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
             raise ValidationError("t_final must be nonnegative and finite")
+        object.__setattr__(self, "record_every",
+                           _whole_number(self.record_every, "record_every"))
         if self.record_every < 0:
-            raise ValidationError("record_every must be >= 0")
+            raise ValidationError("record_every must be >= 0",
+                                  field="record_every")
 
     def n_steps(self) -> int:
         if self.t_final == 0:

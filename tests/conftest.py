@@ -1,6 +1,6 @@
 """Shared fixtures: the verification corpus, cached eigensolves, the
-recursive expression walk that compiled evaluation is checked against, and
-the scipy.sparse Noda loop that the direct SuperLU sweeps are pinned to."""
+reference expression walk that ``evaluate`` is checked against, and the
+scipy.sparse Noda loop that the direct SuperLU sweeps are pinned to."""
 
 import math
 
@@ -115,7 +115,8 @@ def reference_noda(a, x0=None, tol=0.0):
 
 
 def _reference_evaluate(expr, bindings: dict):
-    """The recursive-walk ``evaluate`` that compiled evaluation replaced."""
+    """``evaluate`` written out as a recursive walk, independently of
+    ``nisio.expr``."""
     with np.errstate(all="ignore"):
         result = _reference_eval(expr, bindings)
     if np.ndim(result) == 0:
@@ -179,5 +180,5 @@ def _reference_eval(node, env: dict):
 
 @pytest.fixture(scope="session")
 def reference_evaluate():
-    """``evaluate`` as the recursive tree walk it was before compilation."""
+    """``evaluate`` as a recursive tree walk kept in the tests."""
     return _reference_evaluate

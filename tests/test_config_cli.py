@@ -74,6 +74,18 @@ def test_parse_error_names_key_and_line():
         assert err.line == 7
 
 
+DEEP_R = ["+".join(["x1"] * 1200), "(" * 400 + "x1" + ")" * 400,
+          "-" * 1000 + "x1"]
+
+
+@pytest.mark.parametrize("r", DEEP_R, ids=["sum", "parentheses", "unary-minus"])
+def test_deep_expression_names_key_and_line(r):
+    bad = MINIMAL.replace('"cos(2*pi*x1)"', f'"{r}"')
+    with pytest.raises(ConfigError, match=r"problem\.r: .*200 levels") as err:
+        loads(bad)
+    assert err.value.line == 7
+
+
 def test_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="unknown keys"):
         loads(MINIMAL + "\nproblem.shape = round\n")
@@ -533,6 +545,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["matrix-cw", "--matrix", mat, "--out", tmp_path]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergence"
+
+
+@pytest.mark.parametrize("r", DEEP_R, ids=["sum", "parentheses", "unary-minus"])
+def test_cli_deep_expression_prints_a_json_config_error(tmp_path, capsys, r):
+    cfg = write_cfg(tmp_path, MINIMAL.replace('"cos(2*pi*x1)"', f'"{r}"'))
+    assert run_cli(["solve", cfg, "--out", tmp_path / "out"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("line 7: problem.r: ")
 
 
 def test_cli_matrix_cw_rejects_a_nan_tol(tmp_path, capsys):

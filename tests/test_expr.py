@@ -180,7 +180,7 @@ def test_negative_literal_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# the compiled evaluator against the recursive tree walk it replaced
+# evaluate against the reference tree walk in conftest
 # ---------------------------------------------------------------------------
 
 def _outcome(fn, tree, bindings):
@@ -208,7 +208,7 @@ def test_compiled_evaluation_matches_tree_walk(reference_evaluate):
         for bindings in (scalar, array):
             expected = _outcome(reference_evaluate, tree, bindings)
             assert _outcome(evaluate, tree, bindings) == expected, to_source(tree)
-            assert _outcome(evaluate, tree, bindings) == expected   # cached
+            assert _outcome(evaluate, tree, bindings) == expected   # again
             if isinstance(expected[1], str):           # an error's text
                 seen[next(f for f in _FAILURES if expected[1].startswith(f))] += 1
             else:
@@ -236,6 +236,40 @@ def test_compiled_evaluation_is_thread_safe(reference_evaluate):
     with ThreadPoolExecutor(max_workers=2) as pool:
         for _ in range(50):
             for src in sources:
-                tree = parse(src)              # fresh: both threads compile it
+                tree = parse(src)              # fresh: both threads walk it at once
                 a, b = pool.map(lambda t: evaluate(t, env).tobytes(), [tree, tree])
                 assert a == b == reference_evaluate(tree, env).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the depth bound
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("src, offset", [
+    ("+".join(["x1"] * 1200), 599),                  # the 200th '+'
+    ("(" * 400 + "x1" + ")" * 400, 200),
+    ("-" * 1000 + "x1", 200),
+    ("^".join(["x1"] * 300), 600),                   # the 201st exponent
+    ("sin(" * 300 + "x1" + ")" * 300, 800)],
+    ids=["sum", "parentheses", "unary-minus", "power", "calls"])
+def test_expression_past_the_depth_bound_is_rejected_at_its_offset(src, offset):
+    with pytest.raises(ExprSyntaxError, match="more than 200 levels") as err:
+        parse(src)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("src", [
+    "+".join(["x1"] * 200),
+    "(" * 199 + "x1" + ")" * 199,
+    "-" * 199 + "x1",
+    "^".join(["x1"] * 200),
+    "sin(" * 199 + "x1" + ")" * 199,
+    "1-(" * 99 + "x1" + ")" * 99],
+    ids=["sum", "parentheses", "unary-minus", "power", "calls", "right-nested"])
+def test_expression_at_the_depth_bound_parses_evaluates_and_prints(
+        src, reference_evaluate):
+    tree = parse(src)
+    x1 = np.linspace(0.5, 1.0, 3)
+    assert evaluate(tree, {"x1": x1}).tobytes() == \
+        reference_evaluate(tree, {"x1": x1}).tobytes()
+    assert to_source(parse(to_source(tree))) == to_source(tree)

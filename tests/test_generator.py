@@ -272,6 +272,22 @@ def test_spec_validation():
         Grid("torus", n=4)
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(n=64.5), "n"), (dict(n=float("nan")), "n"), (dict(n="64"), "n"),
+    (dict(n=16, d=1.5), "d")])
+def test_non_integral_grid_sizes_are_rejected(kw, field):
+    with pytest.raises(ValidationError) as err:
+        Grid("torus", **kw)
+    assert err.value.field == field
+
+
+def test_integral_float_grid_sizes_are_stored_as_int():
+    grid = Grid("torus", n=16.0, d=np.float64(2.0))
+    assert type(grid.n) is int and type(grid.d) is int
+    assert grid == Grid("torus", n=16, d=2)
+    assert grid.ones().shape == (256,)
+
+
 def test_direct_csr_kernel_is_used():
     # scipy's CSR kernel is private: if a release moves it, the step product
     # falls back to ``stack @ g`` and this test, not only the timing, shows it

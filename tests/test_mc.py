@@ -153,7 +153,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("kw", [dict(T=math.inf), dict(T=math.nan),
                                 dict(dt_sim=math.inf), dict(dt_sim=math.nan),
-                                dict(seed=-1), dict(N=0)])
+                                dict(seed=-1), dict(N=0), dict(N=1000.5),
+                                dict(seed=1.5), dict(seed="7")])
 def test_unusable_settings_are_rejected(kw):
     with pytest.raises(ValidationError) as err:
         cfg_for(frozen_spec(), **kw)
@@ -170,6 +171,14 @@ def test_non_integral_policy_is_rejected(policy):
 def test_integral_float_policy_is_kept():
     cfg = McConfig(x0=(0.5,), policy=[0.0, 1.0])
     assert cfg.policy.dtype == np.int64 and cfg.policy.tolist() == [0, 1]
+
+
+def test_integral_float_path_count_and_seed_are_stored_as_int():
+    spec = frozen_spec(r="cos(2*pi*x1)")
+    cfg = cfg_for(spec, N=200.0, seed=np.float64(7.0))
+    assert type(cfg.N) is int and type(cfg.seed) is int
+    assert np.array_equal(cost_samples(spec, cfg),
+                          cost_samples(spec, cfg_for(spec, N=200, seed=7)))
 
 
 def test_torus_2d_simulation_runs():

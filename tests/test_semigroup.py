@@ -196,6 +196,18 @@ def test_evolve_options_validation():
         EvolveOptions(dt=1e-3, t_final=1.0, record_every=-1)
 
 
+def test_record_every_must_be_a_whole_number(cosine_gen):
+    with pytest.raises(ValidationError) as err:
+        EvolveOptions(dt=1e-3, t_final=1.0, record_every=2.5)
+    assert err.value.field == "record_every"
+    opts = EvolveOptions(dt=1e-3, t_final=1.0, record_every=16.0)
+    assert type(opts.record_every) is int
+    dt = cosine_gen.dt_max * 0.5
+    _, times, _ = evolve(cosine_gen, cosine_gen.grid.ones(),
+                         EvolveOptions(dt, 64 * dt, record_every=16.0))
+    assert len(times) == 5
+
+
 def test_record_snapshots(cosine_gen):
     f = cosine_gen.grid.ones()
     dt = cosine_gen.dt_max * 0.5
