@@ -10,6 +10,8 @@ simulation of the underlying stochastic cost provide independent
 cross-checks of every number the solvers produce.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CflViolation,
     ConfigError,
@@ -35,14 +37,12 @@ from .generator import (
     DiscreteGenerator,
     ProblemSpec,
     apply_G,
-    apply_linear,
     argmin_policy,
     build_generator,
 )
 from .semigroup import (
     EvolveOptions,
     evolve,
-    evolve_linear,
     generator_limit_check,
     step,
 )
@@ -52,7 +52,6 @@ from .eigensolver import (
     EigenPair,
     SolveOptions,
     solve_evolution,
-    solve_max,
     solve_policy_iteration,
 )
 from .variational import (
@@ -69,4 +68,5 @@ from .mc import McConfig, McEstimate, McSettings, policy_sweep, simulate_cost
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cone import fit_exponential_rate
 from .config import Config, load_config
-from .eigensolver import _step_size, solve_evolution, solve_max
+from .eigensolver import _step_size, solve_evolution
 from .errors import (
     InsufficientData,
     NisioError,
@@ -91,7 +91,7 @@ def cmd_solve(cfg: Config, args) -> dict:
     # one control: the max envelope is the min envelope, bit for bit; a
     # maximize problem has solved the max envelope already
     pair_max = (pair if gen.n_controls == 1 or gen.sense == MAXIMIZE
-                else solve_max(gen, cfg.solver))
+                else solve_evolution(gen.with_sense(MAXIMIZE), cfg.solver))
     hist = np.bincount(pair.policy, minlength=gen.n_controls)
     payload = {"command": "solve", "rho": pair.rho, "beta": pair_max.rho,
                "residual": pair.residual, "beta_residual": pair_max.residual,

@@ -20,9 +20,10 @@ Both routes share one certificate: one product ``stack @ phi`` gives
 ``[min Gphi/phi, max Gphi/phi]``, which contains the true discrete
 eigenvalue, and the residual must not exceed ``tol``.
 
-:func:`solve_max` runs the same algorithms with the pointwise maximum
-over controls and returns the companion pair ``(beta, psi)``; for
-minimization problems ``beta >= rho`` always.
+Either route on the view ``gen.with_sense("maximize")`` takes the
+pointwise maximum over controls and returns the companion pair
+``(beta, psi)``; for minimization problems ``beta >= rho`` always, with
+equality for a single control.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ import numpy as np
 
 from .cone import OrbitStats, _cw_band, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
-from .generator import (DiscreteGenerator, MAXIMIZE, _envelope,
-                        _envelope_map, argmin_policy)
-from .grid import GridFunction
+from .generator import (DiscreteGenerator, _envelope, _envelope_map,
+                        argmin_policy)
+from .grid import GridFunction, _whole_number
 from .perron import noda
 from .semigroup import _check_cfl
 
 __all__ = ["EigenPair", "SolveOptions", "solve_evolution",
-           "solve_policy_iteration", "solve_max"]
+           "solve_policy_iteration"]
 
 MAX_POLICY_ITERS = 100
 # keep the previous control where |best - current| <= TIE_TOL phi_x s,
@@ -59,9 +60,8 @@ class SolveOptions:
     keeps every Euler matrix nonnegative, else :class:`CflViolation`); by
     default ``dt_factor`` of ``dt_max`` is used, from ``f0`` (ones by
     default).  The ``solver`` section of a config is one of these
-    (``tol``, ``max_iters`` and ``dt_factor``).  No option selects orbit
-    statistics: the evolution route's :class:`OrbitStats`, ``p1_min``
-    included, are computed by a replay of the orbit when first read.
+    (``tol``, ``max_iters`` and ``dt_factor``).  ``max_iters`` is a whole
+    number; an integral float is stored as an ``int``.
     """
 
     tol: float = 1e-9
@@ -73,7 +73,9 @@ class SolveOptions:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValidationError("tol must be positive and finite", field="tol")
-        if not (self.max_iters >= 1 and self.max_iters % 1 == 0):
+        object.__setattr__(self, "max_iters",
+                           _whole_number(self.max_iters, "max_iters"))
+        if self.max_iters < 1:
             raise ValidationError("max_iters must be a whole number >= 1",
                                   field="max_iters")
         if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
@@ -132,7 +134,12 @@ def _certified(pair: EigenPair, tol: float) -> EigenPair:
 
 def solve_evolution(gen: DiscreteGenerator,
                     opts: SolveOptions | None = None) -> EigenPair:
-    """Eigenpair via normalized power iteration on one semigroup step."""
+    """Eigenpair via normalized power iteration on one semigroup step.
+
+    An orbit that does not settle within ``max_iters`` steps raises
+    :class:`NoConvergence` carrying, as ``best``, the pair at its last
+    iterate.
+    """
     opts = opts or SolveOptions()
     dt = _step_size(gen, opts)
     _check_cfl(gen, dt)
@@ -140,8 +147,13 @@ def solve_evolution(gen: DiscreteGenerator,
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the step ratios is ~ dt * oscillation of G f / f
     power_tol = 0.5 * opts.tol * dt
-    _, phi, stats = power_iterate(one_step, f0, tol=power_tol,
-                                  max_iters=opts.max_iters)
+    try:
+        _, phi, stats = power_iterate(one_step, f0, tol=power_tol,
+                                      max_iters=opts.max_iters)
+    except NoConvergence as exc:
+        _, phi, stats = exc.best
+        exc.best = _finish(gen, phi, "evolution", stats=stats)
+        raise
     return _certified(_finish(gen, phi, "evolution", stats=stats), opts.tol)
 
 
@@ -196,17 +208,3 @@ def solve_policy_iteration(gen: DiscreteGenerator,
         f"policy iteration did not stabilize in {MAX_POLICY_ITERS} sweeps",
         best=_finish(gen, phi, "policy_iteration"))
 
-
-def solve_max(gen: DiscreteGenerator, opts: SolveOptions | None = None,
-              method: str = "evolution") -> EigenPair:
-    """Companion pair ``(beta, psi)`` for the max-envelope over controls.
-
-    For a minimization generator, ``beta >= rho`` always, with equality
-    for a single control.
-    """
-    flipped = gen.with_sense(MAXIMIZE)
-    if method == "evolution":
-        return solve_evolution(flipped, opts)
-    if method == "policy_iteration":
-        return solve_policy_iteration(flipped, opts)
-    raise ValidationError(f"unknown method {method!r}")

@@ -26,7 +26,8 @@ parentheses, function arguments, unary minuses and exponents at most
 ``MAX_DEPTH`` levels deep; :func:`parse` rejects deeper input with an
 :class:`ExprSyntaxError` at the offset where the bound is crossed, so
 that the recursive parser, walk and printer stay far from Python's
-recursion limit.
+recursion limit.  ``ProblemSpec`` holds a tree built by hand to the same
+depth bound.
 
 Trees are immutable and safe to evaluate concurrently.
 """
@@ -80,9 +81,7 @@ class Expr:
 
     def variables(self) -> set[str]:
         """Free variable names of the expression."""
-        out: set[str] = set()
-        _collect_vars(self, out)
-        return out
+        return {node.name for node, _ in _walk(self) if isinstance(node, Var)}
 
     def __call__(self, **bindings):
         return evaluate(self, bindings)
@@ -129,17 +128,23 @@ class Call(Expr):
 
 
 
-def _collect_vars(node: Expr, out: set[str]) -> None:
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_vars(node.operand, out)
-    elif isinstance(node, Bin):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _collect_vars(a, out)
+def _walk(expr: Expr):
+    """Every ``(node, depth)`` of ``expr``, the root at depth 1.  The walk
+    keeps its own stack, so a tree of any depth, one built by hand past
+    ``MAX_DEPTH`` included, is walked without recursion."""
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, Neg):
+            children = (node.operand,)
+        elif isinstance(node, Bin):
+            children = (node.left, node.right)
+        elif isinstance(node, Call):
+            children = node.args
+        else:
+            children = ()
+        stack += [(child, depth + 1) for child in children]
 
 
 # ---------------------------------------------------------------------------

@@ -46,14 +46,13 @@ from .errors import (
     UnboundVariable,
     ValidationError,
 )
-from .expr import Expr, evaluate, parse
+from .expr import MAX_DEPTH, Expr, _walk, evaluate, parse
 from .grid import Grid, GridFunction, as_grid_function
 
 __all__ = [
     "ProblemSpec",
     "DiscreteGenerator",
     "build_generator",
-    "apply_linear",
     "apply_G",
     "argmin_policy",
 ]
@@ -63,8 +62,15 @@ MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
 
 
-def _as_expr(e) -> Expr:
-    return e if isinstance(e, Expr) else parse(e)
+def _as_expr(e, field: str) -> Expr:
+    """Source text parsed, or a tree checked against the depth bound that
+    :func:`parse` enforces, else :class:`ValidationError` naming ``field``."""
+    if not isinstance(e, Expr):
+        return parse(e)
+    if any(depth > MAX_DEPTH for _, depth in _walk(e)):
+        raise ValidationError(
+            f"expression nested more than {MAX_DEPTH} levels deep", field=field)
+    return e
 
 
 @dataclass(frozen=True)
@@ -91,11 +97,11 @@ class ProblemSpec:
         d = self.grid.d
         controls = tuple(tuple(float(c) for c in np.atleast_1d(v)) for v in self.controls)
         object.__setattr__(self, "controls", controls)
-        sigma = tuple(_as_expr(e) for e in self.sigma)
+        sigma = tuple(_as_expr(e, "sigma") for e in self.sigma)
         object.__setattr__(self, "sigma", sigma)
-        b = tuple(_as_expr(e) for e in self.b)
+        b = tuple(_as_expr(e, "b") for e in self.b)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "r", _as_expr(self.r))
+        object.__setattr__(self, "r", _as_expr(self.r, "r"))
         # each error names its field, which config.loads maps to a line
         if not controls:
             raise ValidationError("control set must be nonempty",
@@ -201,7 +207,7 @@ class DiscreteGenerator:
     """Per-control matrices ``A_v = L_v + diag(r_v)`` on a grid.
 
     Immutable after construction (the only internal mutable state is the
-    cache of Euler stacks keyed by time step).  ``stack`` is the CSR
+    Euler stack of the latest time step).  ``stack`` is the CSR
     matrix ``vstack(A_v)`` of shape ``(n_controls * size, size)``; its
     row block ``v`` is ``A_v``, with nonnegative off-diagonal entries and
     row sums equal to ``r_v`` up to rounding.  ``dt_max`` is the longest
@@ -233,7 +239,8 @@ class DiscreteGenerator:
         return float(np.max(np.abs(self.r_tables)))
 
     def with_sense(self, sense: str) -> "DiscreteGenerator":
-        """A view of the same discrete operators with the other envelope."""
+        """A view of the same discrete operators with the envelope of
+        ``sense``; the view shares this generator's Euler stack."""
         if sense not in (MINIMIZE, MAXIMIZE):
             raise ValidationError("sense must be 'minimize' or 'maximize'")
         return replace(self, sense=sense)
@@ -243,8 +250,10 @@ class DiscreteGenerator:
         index or one per node: row ``x`` of its ``stack`` is row ``x`` of
         ``A_{u(x)}``, its cost ``r_{u(x)}(x)``.  Grid, sense and the
         family's ``dt_max`` carry over (the frozen evolution steps at the
-        family's bound); the Euler cache is its own.  Raises
-        :class:`IndexError` for an index outside ``[0, n_controls)``."""
+        family's bound); the Euler stack is its own.  ``apply_G`` and
+        ``evolve`` on it give ``A_u f`` and the frozen-control evolution,
+        which dominate the envelope's.  Raises :class:`IndexError` for an
+        index outside ``[0, n_controls)``."""
         n = self.size
         u = np.asarray(policy)
         lo, hi = u.min(), u.max()
@@ -258,12 +267,15 @@ class DiscreteGenerator:
             dt_max=self.dt_max, sense=self.sense)
 
     def step_stack(self, dt: float) -> sp.csr_matrix:
-        """Stacked Euler step matrices ``vstack(I + dt A_v)`` (cached per ``dt``)."""
+        """Stacked Euler step matrices ``vstack(I + dt A_v)``.  The stack of
+        the latest ``dt`` is kept, so repeated steps of one size build it
+        once."""
         key = float(dt)
         stack = self._step_cache.get(key)
         if stack is None:
             eye = sp.identity(self.size, format="csr")
             stack = sp.vstack([eye] * self.n_controls) + dt * self.stack
+            self._step_cache.clear()
             self._step_cache[key] = stack
         return stack
 
@@ -382,11 +394,6 @@ def _assemble(grid: Grid, a: np.ndarray, b: np.ndarray,
 # operator application
 # ---------------------------------------------------------------------------
 
-def apply_linear(gen: DiscreteGenerator, v: int, f: GridFunction) -> GridFunction:
-    """Apply the frozen-control operator ``(L_v + diag(r_v)) f``."""
-    return apply_G(gen.frozen(v), f)
-
-
 def _stack_product(stack: sp.csr_matrix, out: np.ndarray | None = None):
     """``g -> stack @ g`` for repeated products with one CSR matrix.
 
@@ -468,8 +475,10 @@ def apply_G(gen: DiscreteGenerator, f: GridFunction) -> GridFunction:
     """Pointwise envelope over controls of the per-control applications.
 
     Minimum over controls for ``sense='minimize'``, maximum otherwise.
-    The per-control products are the same arrays :func:`apply_linear`
-    produces, so ``apply_G(f) <= apply_linear(v, f)`` holds exactly.
+    On the one-control generator ``gen.frozen(v)`` this is the
+    frozen-control operator ``(L_v + diag(r_v)) f``; its products are rows
+    of the same ``stack @ f``, so ``apply_G(gen, f) <= apply_G(gen.frozen(v),
+    f)`` holds exactly.
     """
     f = as_grid_function(gen.grid, f)
     return _envelope(gen.stack @ f, gen.size, gen.sense)

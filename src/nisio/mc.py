@@ -38,7 +38,8 @@ pass then evaluates ``r`` once on the ``(block, paths)`` bindings, forms
 ``np.add.reduce`` over ``[acc; r_0 dt; r_1 dt; ...]``: numpy adds the rows
 of an outer axis one after another, which has the bits of ``acc += r_k dt``
 taken step by step (one path, whose column numpy would sum pairwise, adds
-its rows one at a time).  A held ``r`` is evaluated once, at step 0.
+its rows one at a time).  An ``r`` without free variables is evaluated
+once, at step 0.
 Errors keep their type, message and step.  A step evaluates ``r`` before
 ``b`` and ``sigma`` and before it checks the state, so the state pass stops
 at its first event, at step ``j`` (an :class:`EvalError` of the drift or
@@ -55,9 +56,9 @@ floating-point event such as an overflow of ``b dt``), even at a node that
 no path visits, the step evaluates the drift itself, as for a drift of the
 state, so that every error keeps its type, its message and its step.  When
 the policy puts one control vector (the same bits) at every node, the
-gather runs at the first step only, and so does the evaluation of each
-coefficient of the controls alone and, if no drift component varies, the
-step ``b dt``.
+gather runs at the first step only; a coefficient of the controls alone
+is still evaluated at every step, on the same bindings, which gives the
+same bits and the same first error.
 
 The increments ``sqrt(dt) sigma dW`` are formed a block of ``_BLOCK`` steps
 at a time when no ``sigma`` entry varies along the chunk: one generator call
@@ -251,12 +252,9 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     node_controls = np.asarray(spec.controls, dtype=float)[cfg.policy]
 
     # With one control vector at every node (same bits: -0.0 and +0.0
-    # differ), v and every coefficient of the controls alone keep their
-    # step-0 values.
+    # differ), v keeps its step-0 value.
     bits = node_controls.view(np.uint64)
     fixed = bool((bits == bits[0]).all())
-    names = set(spec.control_bindings(node_controls))
-    held = names if fixed else set()
 
     # A drift of the controls alone is a function of the node: its step
     # b dt joins the controls in one node table, and one gather fills both.
@@ -268,11 +266,12 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
         table = np.ascontiguousarray(node_controls.T)
 
     # Increments a block of steps at a time while sigma stays put.
-    block = 1 if any(e.variables() - held for e in spec.sigma) else _BLOCK
+    block = 1 if any(e.variables() for e in spec.sigma) else _BLOCK
     # The state pass writes the states of a block into ``states``, from the
     # carried state in row 0, and the gathered node rows into ``rows``: one
     # per step where r reads a control that varies, else one for all.
-    keep = bool(spec.r.variables() & (names - held))
+    controls = set(spec.control_bindings(node_controls))
+    keep = not fixed and bool(spec.r.variables() & controls)
     states = np.empty((block + 1, n_paths, d))
     states[0] = cfg.x0
     rows = np.empty((block if keep else 1, len(table), n_paths))
@@ -296,17 +295,16 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                 **spec.control_bindings(v.swapaxes(-2, -1))}
 
     # The coefficients of the state pass, in the order the step evaluates
-    # them, each with the views its value fills; one whose free variables
-    # are all held is evaluated at step 0 only.  Adding 0.0 turns -0.0 into
-    # +0.0, as the zero bases of ``ProblemSpec.r_at``, ``b_at`` and
-    # ``sigma_at`` do.
+    # them, each with the views its value fills; one without free variables
+    # is evaluated at step 0 only.  Adding 0.0 turns -0.0 into +0.0, as the
+    # zero bases of ``ProblemSpec.r_at``, ``b_at`` and ``sigma_at`` do.
     coefficients = [] if tabulated else [(e, (b[:, i],))
                                          for i, e in enumerate(spec.b)]
     coefficients += [(e, tuple(sig[:, i, j] for i, j in places))
                      for e, places in spec.sigma_entries()]
-    varying = [(e, outs) for e, outs in coefficients if e.variables() - held]
-    drift_varies = any(e.variables() - held for e in spec.b)
-    r_varies = bool(spec.r.variables() - held)
+    varying = [(e, outs) for e, outs in coefficients if e.variables()]
+    drift_varies = any(e.variables() for e in spec.b)
+    r_varies = bool(spec.r.variables())
     full_env = cost_env(block)
 
     noise = np.empty((block, n_paths, d))
@@ -352,7 +350,7 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                     _fold(y, grid.extent, out=y)
         except Exception as exc:    # raised after the costs of steps 0..j
             event = exc
-        # Cost pass: r over the steps done, once; a held r at step 0 only.
+        # Cost pass: r over the steps done, once; a constant r at step 0 only.
         if done:
             if start == 0 or r_varies:
                 try:

@@ -12,7 +12,8 @@ shares the structural properties of the continuous semigroup *exactly*:
 * monotone: ``f <= g`` implies ``step(f) <= step(g)`` entrywise,
 * positively 1-homogeneous (bit-exact for power-of-two factors),
 * superadditive: ``step(f + g) >= step(f) + step(g)``,
-* dominated by every frozen-control evolution (envelope inequality).
+* dominated by every frozen-control evolution ``evolve(gen.frozen(v), ...)``
+  (envelope inequality).
 
 Explicit Euler is deliberately chosen over implicit stepping: it keeps
 these order properties machine-checkable per step instead of approximate,
@@ -22,7 +23,7 @@ at an acceptable step-bound cost for the grid sizes this library targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "EvolveOptions",
     "step",
     "evolve",
-    "evolve_linear",
     "generator_limit_check",
 ]
 
@@ -120,12 +120,6 @@ def evolve(gen: DiscreteGenerator, f: GridFunction, opts: EvolveOptions):
     if record:
         return f, np.array(times), np.array(snaps)
     return f
-
-
-def evolve_linear(gen: DiscreteGenerator, v: int, f: GridFunction,
-                  opts: EvolveOptions) -> GridFunction:
-    """Frozen-control evolution ``T_t^v f`` (dominates :func:`evolve`)."""
-    return evolve(gen.frozen(v), f, replace(opts, record_every=0))
 
 
 def generator_limit_check(gen: DiscreteGenerator, f: GridFunction,

@@ -20,14 +20,12 @@ from nisio import (
     dv_check,
     dv_rate,
     evolve,
-    evolve_linear,
     fit_exponential_rate,
     generator_limit_check,
     hji_residual,
     perron,
     simulate_cost,
     solve_evolution,
-    solve_max,
     solve_policy_iteration,
 )
 from nisio.mc import McConfig, policy_sweep
@@ -83,7 +81,7 @@ def test_criterion_02_semigroup_invariant_suite():
         rhs = sf + evolve(gen, h, opts)
         assert np.min(lhs - rhs) >= 0.0                           # superadd
         for v in range(gen.n_controls):
-            assert np.all(evolve_linear(gen, v, f, opts) >= sf)   # envelope
+            assert np.all(evolve(gen.frozen(v), f, opts) >= sf)   # envelope
         bound = np.exp(rmax)
         assert np.max(np.abs(sf)) <= bound * np.max(np.abs(f)) + 1e-9
         assert np.max(np.abs(sf - sg)) <= bound * np.max(np.abs(f - g)) + 1e-9
@@ -184,7 +182,7 @@ def test_criterion_08_uniqueness(cosine_gen):
 def test_criterion_09_max_version(corpus, corpus_pairs):
     """beta >= rho everywhere; equality for single-control problems."""
     for name, (spec, gen) in corpus.items():
-        beta = solve_max(gen).rho
+        beta = solve_evolution(gen.with_sense("maximize")).rho
         rho = corpus_pairs[name].rho
         assert beta >= rho - 1e-10, name
         if gen.n_controls == 1:

@@ -12,7 +12,7 @@ import pytest
 import jsonschema
 
 from nisio import __version__ as nisio_version
-from nisio import build_generator, cli, eigensolver, solve_evolution, solve_max
+from nisio import build_generator, cli, eigensolver, solve_evolution
 from nisio.cli import main
 from nisio.config import loads
 from nisio import mc
@@ -342,15 +342,15 @@ def test_cli_solve_constant_rho(tmp_path):
 
 
 def _count_solves(monkeypatch):
-    """Record every ``solve_evolution`` and ``solve_max`` call of the CLI."""
+    """Record every ``solve_evolution`` call of the CLI with the sense of
+    the generator it solves."""
     calls = []
 
     def counting(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
-    evolution = counting("solve_evolution", eigensolver.solve_evolution)
-    monkeypatch.setattr(eigensolver, "solve_evolution", evolution)
-    monkeypatch.setattr(cli, "solve_evolution", evolution)
-    monkeypatch.setattr(cli, "solve_max", counting("solve_max", cli.solve_max))
+        return lambda gen, *args: (calls.append((name, gen.sense))
+                                   or fn(gen, *args))
+    monkeypatch.setattr(cli, "solve_evolution",
+                        counting("solve_evolution", cli.solve_evolution))
     return calls
 
 
@@ -358,13 +358,14 @@ def test_cli_solve_single_control_solves_once(tmp_path, monkeypatch):
     calls = _count_solves(monkeypatch)
     out = tmp_path / "out"
     assert run_cli(["solve", write_cfg(tmp_path, MINIMAL), "--out", out]) == 0
-    assert calls == ["solve_evolution"]
+    assert calls == [("solve_evolution", "minimize")]
     payload = read_report(out)
     assert payload["beta"] == payload["rho"]
     assert payload["beta_residual"] == payload["residual"]
-    # the shortcut stands for a solve_max that agrees to the bit
+    # the shortcut stands for a max solve that agrees to the bit
     gen = build_generator(loads(MINIMAL).problem)
-    pair, pair_max = solve_evolution(gen), solve_max(gen)
+    pair = solve_evolution(gen)
+    pair_max = solve_evolution(gen.with_sense("maximize"))
     assert pair_max.rho == pair.rho and pair_max.residual == pair.residual
     assert pair_max.phi.tobytes() == pair.phi.tobytes()
     assert pair_max.policy.tobytes() == pair.policy.tobytes()
@@ -377,7 +378,8 @@ def test_cli_solve_two_controls_solves_max(tmp_path, monkeypatch):
     calls = _count_solves(monkeypatch)
     out = tmp_path / "out"
     assert run_cli(["solve", write_cfg(tmp_path, TWO_CONTROL), "--out", out]) == 0
-    assert calls == ["solve_evolution", "solve_max", "solve_evolution"]
+    assert calls == [("solve_evolution", "minimize"),
+                     ("solve_evolution", "maximize")]
     payload = read_report(out)
     assert payload["beta"] >= payload["rho"]
     # a maximize problem: the solve is the max solve, made once
@@ -385,7 +387,7 @@ def test_cli_solve_two_controls_solves_max(tmp_path, monkeypatch):
     text = TWO_CONTROL + "problem.sense = maximize\n"
     out = tmp_path / "max"
     assert run_cli(["solve", write_cfg(tmp_path, text), "--out", out]) == 0
-    assert calls == ["solve_evolution"]
+    assert calls == [("solve_evolution", "maximize")]
     payload = read_report(out)
     assert payload["beta"] == payload["rho"]
     assert payload["beta_residual"] == payload["residual"]
@@ -400,7 +402,8 @@ def test_cli_solve_reports_step_and_iterations(tmp_path):
     cfg = loads(TWO_CONTROL)
     gen = build_generator(cfg.problem)
     assert payload["dt"] == cfg.solver.dt_factor * gen.dt_max
-    pair, pair_max = solve_evolution(gen, cfg.solver), solve_max(gen, cfg.solver)
+    pair = solve_evolution(gen, cfg.solver)
+    pair_max = solve_evolution(gen.with_sense("maximize"), cfg.solver)
     assert payload["iterations"] == pair.stats.n_iterations
     assert payload["beta_iterations"] == pair_max.stats.n_iterations
     assert payload["beta"] == pair_max.rho

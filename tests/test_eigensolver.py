@@ -14,7 +14,6 @@ from nisio import (
     build_generator,
     power_iterate,
     solve_evolution,
-    solve_max,
     solve_policy_iteration,
 )
 from nisio import eigensolver, problems
@@ -92,7 +91,7 @@ def test_grid_refinement_cauchy():
 
 def test_max_version(corpus, corpus_pairs):
     for name, (spec, gen) in corpus.items():
-        beta_pair = solve_max(gen)
+        beta_pair = solve_evolution(gen.with_sense("maximize"))
         rho = corpus_pairs[name].rho
         assert beta_pair.rho >= rho - 1e-10, name
         if gen.n_controls == 1:
@@ -104,7 +103,7 @@ def test_max_version(corpus, corpus_pairs):
 
 def test_max_version_constant_cost():
     gen = build_generator(problems.constant_cost(0.4, 64, two_controls=True))
-    assert abs(solve_max(gen).rho - 0.4) <= 1e-10
+    assert abs(solve_evolution(gen.with_sense("maximize")).rho - 0.4) <= 1e-10
 
 
 def test_residual_definition(cosine_gen, cosine_pair):
@@ -147,6 +146,25 @@ def test_solve_options_rejects(bad):
     name = next(iter(bad))
     with pytest.raises(ValidationError, match=f"^{name} must be"):
         SolveOptions(**bad)
+
+
+def test_integral_float_max_iters_is_stored_as_int():
+    opts = SolveOptions(max_iters=100000.0)
+    assert type(opts.max_iters) is int and opts.max_iters == 100000
+
+
+def test_evolution_no_convergence_carries_the_pair_at_its_last_iterate(
+        cosine_gen):
+    opts = SolveOptions(max_iters=10)
+    with pytest.raises(NoConvergence, match="^power iteration did not close "
+                       "the ratio band within 10 iterations") as err:
+        solve_evolution(cosine_gen, opts)
+    best = err.value.best
+    assert isinstance(best, EigenPair) and best.method == "evolution"
+    assert best.residual > opts.tol
+    ratios = apply_G(cosine_gen, best.phi) / best.phi
+    assert ratios.min() <= best.rho <= ratios.max()
+    assert best.stats.n_iterations == opts.max_iters
 
 
 def test_dt_above_cfl_bound_is_cfl_violation(cosine_gen):

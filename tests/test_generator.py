@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nisio import ProblemSpec, Grid, apply_G, apply_linear, argmin_policy, build_generator
-from nisio import EvolveOptions, SolveOptions, evolve_linear, solve_evolution
+from nisio import ProblemSpec, Grid, apply_G, argmin_policy, build_generator
+from nisio import EvolveOptions, SolveOptions, evolve, solve_evolution
 from nisio.errors import (
     DegenerateDiffusion,
     NonFiniteCoefficient,
     ValidationError,
 )
 from nisio import generator, problems
+from nisio.expr import MAX_DEPTH, Bin, Var
 
 from conftest import mixed_torus, same_bytes
 
@@ -39,7 +40,7 @@ def test_annihilates_constants():
                 build_generator(problems.torus2d_separable(16))):
         for c in (1.0, 3.0):
             f = np.full(gen.size, c)
-            out = apply_linear(gen, 0, f) - gen.r_tables[0] * f
+            out = apply_G(gen.frozen(0), f) - gen.r_tables[0] * f
             assert np.max(np.abs(out)) <= 1e-12
 
 
@@ -51,7 +52,7 @@ def test_diffusion_second_order_torus():
         f = np.cos(2 * np.pi * x)
         exact = -0.5 * (2 * np.pi) ** 2 * f      # (1/2) a f'' with a = 1
         r_term = gen.r_tables[0] * f
-        errs[n] = np.max(np.abs(apply_linear(gen, 0, f) - r_term - exact))
+        errs[n] = np.max(np.abs(apply_G(gen.frozen(0), f) - r_term - exact))
     assert 3.5 < errs[64] / errs[128] < 4.5
     assert 3.5 < errs[128] / errs[256] < 4.5
 
@@ -63,7 +64,7 @@ def test_interval_neumann_second_order():
         x = gen.grid.nodes()[:, 0]
         f = np.cos(np.pi * x)                    # satisfies f'(0) = f'(1) = 0
         exact = -0.5 * np.pi ** 2 * f
-        errs[n] = np.max(np.abs(apply_linear(gen, 0, f) - exact))
+        errs[n] = np.max(np.abs(apply_G(gen.frozen(0), f) - exact))
     assert 3.5 < errs[64] / errs[128] < 4.6
     assert 3.5 < errs[128] / errs[256] < 4.6
 
@@ -73,7 +74,7 @@ def test_upwind_drift_on_linear_function():
         grid=Grid("interval", n=64), controls=[(0.0,)],
         sigma=("0.1",), b=("1",), r="0"))
     x = gen.grid.nodes()[:, 0]
-    out = apply_linear(gen, 0, x.copy())
+    out = apply_G(gen.frozen(0), x.copy())
     # forward difference of a linear function is exact; diffusion term vanishes
     assert np.max(np.abs(out[1:-1] - 1.0)) < 1e-9
 
@@ -92,7 +93,7 @@ def test_apply_G_examples():
     # single control: envelope degenerates to the linear operator
     gen = uncontrolled()
     f = np.random.default_rng(0).uniform(0.1, 1.0, gen.size)
-    assert np.array_equal(apply_G(gen, f), apply_linear(gen, 0, f))
+    assert np.array_equal(apply_G(gen, f), apply_G(gen.frozen(0), f))
 
     # G(1) = min_v r
     spec = problems.torus_two_control(64)
@@ -117,7 +118,7 @@ def test_envelope_below_every_control():
         f = rng.uniform(0.1, 2.0, gen.size)
         gf = apply_G(gen, f)
         for v in range(gen.n_controls):
-            assert np.all(gf <= apply_linear(gen, v, f))     # exact
+            assert np.all(gf <= apply_G(gen.frozen(v), f))     # exact
 
 
 def test_positive_homogeneity_exact():
@@ -144,7 +145,7 @@ def test_argmin_policy():
     gen3 = build_generator(problems.torus_two_control(64))
     f = np.random.default_rng(4).uniform(0.1, 1.0, gen3.size)
     pol = argmin_policy(gen3, f)
-    stacked = np.stack([apply_linear(gen3, v, f) for v in range(2)])
+    stacked = np.stack([apply_G(gen3.frozen(v), f) for v in range(2)])
     chosen = stacked[pol, np.arange(gen3.size)]
     assert np.array_equal(chosen, apply_G(gen3, f))
 
@@ -192,8 +193,8 @@ def test_out_of_range_control_raises_index_error(v):
     policy = np.zeros(gen.size, dtype=int)
     policy[3] = v
     for call in (lambda: gen.frozen(v), lambda: gen.frozen(policy),
-                 lambda: apply_linear(gen, v, f),
-                 lambda: evolve_linear(gen, v, f, opts)):
+                 lambda: apply_G(gen.frozen(v), f),
+                 lambda: evolve(gen.frozen(v), f, opts)):
         with pytest.raises(IndexError, match="out of range"):
             call()
 
@@ -220,7 +221,7 @@ def test_2d_cross_term_consistency():
         f = np.cos(2 * np.pi * (nodes[:, 0] + nodes[:, 1]))
         # trace(a D^2 f)/2 = -(a11 + 2 a12 + a22)/2 * (2 pi)^2 * f
         exact = -0.5 * (1.09 + 0.6 + 1.0) * (2 * np.pi) ** 2 * f
-        errs[n] = np.max(np.abs(apply_linear(gen, 0, f) - exact))
+        errs[n] = np.max(np.abs(apply_G(gen.frozen(0), f) - exact))
         A = gen.frozen(0).stack
         off = A - sp.diags(A.diagonal())
         assert off.min() >= 0.0
@@ -286,6 +287,39 @@ def test_integral_float_grid_sizes_are_stored_as_int():
     assert type(grid.n) is int and type(grid.d) is int
     assert grid == Grid("torus", n=16, d=2)
     assert grid.ones().shape == (256,)
+
+
+def _left_chain(depth):
+    """``x1 + x1 + ... + x1`` built by hand as a left-deep tree ``depth``
+    nodes deep."""
+    tree = Var("x1")
+    for _ in range(depth - 1):
+        tree = Bin("+", tree, Var("x1"))
+    return tree
+
+
+@pytest.mark.parametrize("field", ["r", "b", "sigma"])
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1500])
+def test_hand_built_tree_past_the_depth_bound_is_rejected(field, depth):
+    coefficients = dict(sigma=("1",), b=("0",), r="0")
+    chain = _left_chain(depth)
+    coefficients[field] = chain if field == "r" else (chain,)
+    with pytest.raises(ValidationError, match="nested more than") as err:
+        ProblemSpec(grid=Grid("torus", n=16), controls=[(0.0,)],
+                    **coefficients)
+    assert err.value.field == field
+
+
+def test_hand_built_tree_at_the_depth_bound_evaluates_like_its_parse():
+    source = " + ".join(["x1"] * MAX_DEPTH)
+    specs = [ProblemSpec(grid=Grid("torus", n=16), controls=[(0.0,)],
+                         sigma=("1",), b=(e,), r=e)
+             for e in (_left_chain(MAX_DEPTH), source)]
+    nodes = specs[0].grid.nodes()
+    assert same_bytes(specs[0].r_at(nodes, (0.0,)),
+                      specs[1].r_at(nodes, (0.0,)))
+    assert same_bytes(specs[0].b_at(nodes, (0.0,)),
+                      specs[1].b_at(nodes, (0.0,)))
 
 
 def test_direct_csr_kernel_is_used():

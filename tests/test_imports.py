@@ -3,6 +3,9 @@
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import nisio
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -15,6 +18,16 @@ def test_import_nisio_skips_heavy_scipy_modules():
     out = subprocess.run([sys.executable, "-c", code, str(SRC)],
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.split() == []
+
+
+def test_star_import_binds_no_module_and_no_retired_name():
+    exported = {name: getattr(nisio, name) for name in nisio.__all__}
+    assert not [n for n, v in exported.items() if isinstance(v, ModuleType)]
+    assert not {"apply_linear", "evolve_linear", "solve_max"} & set(exported)
+    for module, name in [(nisio.generator, "apply_linear"),
+                         (nisio.semigroup, "evolve_linear"),
+                         (nisio.eigensolver, "solve_max")]:
+        assert not hasattr(module, name)
 
 
 DV_CONFIG = """

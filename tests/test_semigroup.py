@@ -7,7 +7,6 @@ from nisio import (
     EvolveOptions,
     build_generator,
     evolve,
-    evolve_linear,
     generator_limit_check,
     solve_evolution,
     step,
@@ -36,7 +35,7 @@ def test_step_cfl_guard(two_control):
 
 @pytest.mark.parametrize("run", [
     lambda gen, f, opts: evolve(gen, f, opts),
-    lambda gen, f, opts: evolve_linear(gen, 1, f, opts),
+    lambda gen, f, opts: evolve(gen.frozen(1), f, opts),
 ], ids=["evolve", "evolve_linear"])
 def test_evolve_cfl_guard(run):
     # a step above dt_max is refused, not shrunk by snapping to t_final
@@ -87,7 +86,7 @@ def test_envelope_exact(two_control):
     f = rng.uniform(0.1, 1.0, two_control.size)
     sf = evolve(two_control, f, opts)
     for v in range(two_control.n_controls):
-        assert np.all(evolve_linear(two_control, v, f, opts) >= sf)
+        assert np.all(evolve(two_control.frozen(v), f, opts) >= sf)
 
 
 def test_homogeneity(two_control):
@@ -148,14 +147,14 @@ def test_evolve_linear_single_control_identical():
     gen = build_generator(problems.torus_cosine(64))
     f = np.random.default_rng(7).uniform(0.1, 1.0, gen.size)
     opts = EvolveOptions(dt=gen.dt_max * 0.9, t_final=0.5)
-    assert np.array_equal(evolve(gen, f, opts), evolve_linear(gen, 0, f, opts))
+    assert np.array_equal(evolve(gen, f, opts), evolve(gen.frozen(0), f, opts))
 
 
 def test_evolve_linear_constant_cost_exact():
     gen = build_generator(problems.constant_cost(0.5, 64, two_controls=True))
     dt = 2.0 ** -13
     k = 256
-    out = evolve_linear(gen, 1, gen.grid.ones(), EvolveOptions(dt, k * dt))
+    out = evolve(gen.frozen(1), gen.grid.ones(), EvolveOptions(dt, k * dt))
     assert np.max(np.abs(out - (1 + 0.5 * dt) ** k)) < 1e-12
 
 
@@ -237,3 +236,21 @@ def test_evolve_snapshots_match_single_steps(make):
     assert np.array_equal(np.array(want_snaps).view(np.uint64),
                           snaps.view(np.uint64))
     assert np.array_equal(want.view(np.uint64), final.view(np.uint64))
+
+
+def test_only_the_euler_stack_of_the_latest_step_is_kept():
+    gen = build_generator(problems.torus_two_control(16))
+    f = gen.grid.ones()
+    for k in range(50):
+        step(gen, f, gen.dt_max * (1.0 - k / 100))
+    generator_limit_check(gen, f, [0.1, 0.05, 0.025])
+    assert len(gen._step_cache) <= 1
+    dt = 0.5 * gen.dt_max
+    assert gen.step_stack(dt) is gen.step_stack(dt)
+    # the max solve on the with_sense view reuses the min solve's stack
+    solve_evolution(gen)
+    stacks = list(gen._step_cache.values())
+    flipped = gen.with_sense("maximize")
+    solve_evolution(flipped)
+    assert list(flipped._step_cache.values()) == stacks
+    assert list(gen._step_cache.values())[0] is stacks[0]
