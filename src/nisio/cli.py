@@ -36,7 +36,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .generator import MAXIMIZE, build_generator
+from .generator import MAXIMIZE, MINIMIZE, build_generator
 from .mc import McConfig, _log_mean_exp, cost_samples, policy_sweep
 from .perron import cw_lower, cw_upper, perron
 from .semigroup import EvolveOptions, evolve
@@ -87,11 +87,13 @@ def _problem_meta(cfg: Config) -> dict:
 
 def cmd_solve(cfg: Config, args) -> dict:
     gen = build_generator(cfg.problem)
-    pair = solve_evolution(gen, cfg.solver)
     # one control: the max envelope is the min envelope, bit for bit; a
-    # maximize problem has solved the max envelope already
-    pair_max = (pair if gen.n_controls == 1 or gen.sense == MAXIMIZE
-                else solve_evolution(gen.with_sense(MAXIMIZE), cfg.solver))
+    # maximize problem solves the max envelope alone
+    if gen.n_controls == 1 or gen.sense == MAXIMIZE:
+        pair = pair_max = solve_evolution(gen, cfg.solver)
+    else:
+        pair, pair_max = solve_evolution(gen, cfg.solver,
+                                         senses=(MINIMIZE, MAXIMIZE))
     hist = np.bincount(pair.policy, minlength=gen.n_controls)
     payload = {"command": "solve", "rho": pair.rho, "beta": pair_max.rho,
                "residual": pair.residual, "beta_residual": pair_max.residual,

@@ -39,6 +39,13 @@ The growth averages the log sup norms of the last quarter of the run, kept
 as float64; older ones are dropped in blocks of at least ``_LOG_BLOCK`` and
 a quarter of the kept length, so each value is moved a bounded number of
 times.
+
+On short vectors an iteration is bound by call overhead, so
+:func:`_lockstep_iterate` advances several orbits of one start together:
+one call per iteration for the maps of all of them and one for each
+bookkeeping step over the ``(B, N)`` batch, with the band gate of
+:func:`_band_gate` per orbit.  Each orbit keeps the bits of its own
+:func:`power_iterate`.
 """
 
 from __future__ import annotations
@@ -70,13 +77,14 @@ _MAX_RECORDS = 4096
 _RECORD_BYTES = 32 * 2 ** 20
 _LOG_BLOCK = 1024      # least number of log sup norms dropped at once
 
-# Margin of the band gate in ``power_iterate``: 4 K eps with K = 16, the
+# Margin of the band gate, :func:`_band_gate`: 4 K eps with K = 16, the
 # exact power of two 2**-46.  K bounds the ulp error of numpy's float64
 # ``log`` with room (numpy's own accuracy tests hold it to 1 ulp, as libm
 # is), and the factor 4 absorbs the rounding of the gate's arithmetic.
 _GATE = 2.0 ** -46
 
 _FLOAT = np.dtype(float)
+_least, _greatest = np.minimum.reduce, np.maximum.reduce
 
 
 def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
@@ -186,14 +194,14 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     methods dispatch to).  The ``max`` of the ratios is taken only where
     ``log(max map(g)) - log(min r)`` passes a gate; the ``N`` logs of the
     stop test only where ``log(max r) - log(min r)`` passes it too.  Every
-    closing band passes both (see the loop), so the iterates are exactly
-    those of the plain test.  ``map_fn`` may return a buffer that its next
-    call overwrites; a float64 ``ndarray`` is used as it is, anything else
-    (subclasses too) goes through ``np.asarray``.  The normalized iterate
-    is written into one of two buffers of the iteration's own, in turn,
-    never into the start or the map's buffer, and the returned fixed point
-    is the last one written.  The loop keeps nothing per iteration but
-    the log sup norms that the growth averages.
+    closing band passes both (see :func:`_band_gate`), so the iterates are
+    exactly those of the plain test.  ``map_fn`` may return a buffer that
+    its next call overwrites; a float64 ``ndarray`` is used as it is,
+    anything else (subclasses too) goes through ``np.asarray``.  The
+    normalized iterate is written into one of two buffers of the
+    iteration's own, in turn, never into the start or the map's buffer,
+    and the returned fixed point is the last one written.  The loop keeps
+    nothing per iteration but the log sup norms that the growth averages.
 
     ``map_fn`` must be deterministic: every field of the stats but
     ``iterations``, ``n_iterations``, ``converged`` and ``zeta1`` is
@@ -212,16 +220,8 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     Raises :class:`NonPositiveIterate` if the map fails strong positivity
     at this discretization and :class:`NoConvergence` after ``max_iters``.
     """
-    g = np.asarray(f0, dtype=float).copy()
-    if np.min(g) <= 0:
-        raise NonPositiveInput("starting function must be strictly positive")
-    if not 0 < tol < math.inf:
-        raise NonPositiveInput("tol must be positive and finite")
-    if max_iters < 1:
-        raise NonPositiveInput("max_iters must be >= 1")
-    g = g / np.max(g)
-    start = g       # for the replay: the loop never writes it
-
+    # the loop never writes start, which the replay reads
+    g = start = _normalized_start(f0, tol, max_iters)
     log_factors = array.array("d")      # log s of the last iterations
     log_limit = _LOG_BLOCK              # length at which to drop a block
     converged = False
@@ -230,72 +230,208 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     ratios = np.empty_like(g)
     # g is written into these in turn, never into start or the map's buffer
     buffers = (np.empty_like(g), np.empty_like(g))
-    least, greatest = np.minimum.reduce, np.maximum.reduce
+    least, greatest = _least, _greatest
     k = 0
     while k < max_iters:
         y = map_fn(g)
         if type(y) is not np.ndarray or y.dtype is not _FLOAT:
             y = np.asarray(y, dtype=float)
         np.divide(y, g, out=ratios)
-        lo = least(ratios)
         s = greatest(y)
-        if not lo > 0:
-            # Iterates are never negative: the start f0 / max(f0) is
-            # nonnegative or all NaN after the checks above, and each later
-            # one is y / max(y) for a y that passed this check (all NaN if
-            # y has a NaN).  So lo > 0 (false for NaN) implies y > 0, and
-            # the check on y runs whenever it could fire.
-            if least(y) <= 0:
-                raise NonPositiveIterate(
-                    "map produced a non-positive value from a positive iterate")
-            log_s = math.log(s)
-        else:
-            # Gate: with L = np.log(ratios) within K = 16 ulps, i.e.
-            # |L_i - ln r_i| <= K eps |ln r_i|, the indices of lo and hi give
-            #   max L - min L >= ln hi - ln lo - K eps (|ln hi| + |ln lo|),
-            # and the rounded difference is at least (1 - eps/2) times that,
-            # so "max L - min L < tol" forces
-            #   ln hi - ln lo < tol (1 + eps) + K eps (|ln hi| + |ln lo|).
-            # math.log is within one ulp, so a - b exceeds ln hi - ln lo
-            # by at most about eps (|a| + |b|), and the test below (margin
-            # 4K eps, computed with a few roundings) holds whenever the
-            # exact test can pass: it only skips iterations that the exact
-            # test would not stop at.
-            #
-            # Pre-gate: the same test with s = max y in place of hi, which
-            # spares the max of the ratios on most iterations.  Here g is
-            # x / max(x) for a positive x with a finite max (else g has a
-            # NaN and lo is NaN), so g <= 1 and max g == 1 exactly, as
-            # rounding is monotone and x_j / x_j is 1.  So every ratio
-            # y_i / g_i rounds to at least y_i, giving hi >= s, and lo is at
-            # most the ratio y_j <= s where g_j == 1: ln lo <= ln s <= ln hi.
-            # With D = ln hi - ln lo >= ln s - ln lo and
-            # |ln hi| <= |ln s| + D, the condition above gives
-            #   ln s - ln lo <= D < (tol (1 + eps) + K eps (|ln s| + |ln lo|))
-            #                       / (1 - K eps),
-            # at most tol (1 + (2K + 2) eps) + 2K eps (|ln s| + |ln lo|):
-            # inside the 4K eps margin with room for the roundings, so the
-            # pre-gate too holds whenever the exact test can pass.
-            b = math.log(lo)
-            a = log_s = math.log(s)
-            if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
-                a = math.log(greatest(ratios))
-                if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
-                    log_r = np.log(ratios)
-                    converged = bool(log_r.max() - log_r.min() < tol)
-
+        log_s, converged = _band_gate(least(ratios), s, ratios, y, tol,
+                                      gate_tol)
         log_factors.append(log_s)
         g = np.divide(y, s, out=buffers[k % 2])
         k += 1
         if len(log_factors) == log_limit:
-            # growth averages the last max(1, n // 4) of a run of n >= k
-            # iterations, and n - max(1, n // 4) never decreases with n
-            kept = max(1, k // 4)
-            del log_factors[:-kept]
-            log_limit = kept + max(_LOG_BLOCK, kept // 4)
+            log_limit = _drop_old_logs((log_factors,), k)
         if converged:
             break
+    return _orbit_result(map_fn, start, g, k, log_factors, converged, ratios,
+                         max_iters)
 
+
+def _lockstep_iterate(map_fns, batch_for, f0: np.ndarray,
+                      tol: float = 1e-12, max_iters: int = 1_000_000) -> list:
+    """:func:`power_iterate` of each of ``map_fns`` from the one start
+    ``f0``, all advanced in one loop.
+
+    ``batch_for(orbits)``, for a list of indices into ``map_fns``, returns
+    a function that maps a ``(B, N)`` float64 array ``g``, ``B =
+    len(orbits)``, to a ``(B, N)`` float64 array whose row ``j`` is
+    ``map_fns[orbits[j]](g[j])``, bit for bit; it may return a buffer that
+    its next call overwrites.  Each iteration makes one call of it and then
+    one call each over the ``B`` rows for the ratios, their least per row,
+    the ``max`` of each row of ``map(g)`` and the normalized iterates, and
+    runs :func:`_band_gate` per orbit.  Each of these acts on a row with
+    the operation and the bits that :func:`power_iterate` applies to its
+    vector, so every orbit has the iterates, the stopping iteration, the
+    growth, the fixed point and the replayable stats (the replay calls the
+    orbit's ``map_fn``) that ``power_iterate(map_fn, f0, tol, max_iters)``
+    gives.  An orbit leaves the batch at the iteration where it stops, and
+    the others go on in a batch of their own.
+
+    Returns one entry per map: the triple :func:`power_iterate` returns,
+    or the error it would raise (:class:`NonPositiveIterate`, or
+    :class:`NoConvergence` with its ``best``).  A failed orbit ends the
+    orbits after it that are still running, and their entries are
+    ``None``.  A bad ``f0``, ``tol`` or ``max_iters`` raises as in
+    :func:`power_iterate`.
+    """
+    start = _normalized_start(f0, tol, max_iters)
+    gate_tol = tol * (1.0 + _GATE)
+    outcomes = [None] * len(map_fns)
+    logs = [array.array("d") for _ in map_fns]
+    n_logs, log_limit = 0, _LOG_BLOCK   # every running orbit has n_logs
+    running = list(range(len(map_fns)))
+    g = np.tile(start, (len(running), 1))
+    least, greatest, gate = _least, _greatest, _band_gate
+    k = 0
+    while running:
+        # a batch of the running orbits, until one of them ends
+        apply = batch_for(running)
+        orbit_logs = [logs[i] for i in running]
+        ratios, g_next = np.empty_like(g), np.empty_like(g)
+        s = np.empty((len(running), 1))
+        lows, highs = np.empty(len(running)), s[:, 0]
+        ratio_rows = list(ratios)
+        y = None
+        ended = {}      # position -> its NonPositiveIterate, or None if closed
+        while True:
+            values = apply(g)
+            if values is not y:
+                y, y_rows = values, list(values)
+            np.divide(y, g, out=ratios)
+            least(ratios, 1, out=lows)
+            greatest(y, 1, out=highs)
+            for i, (lo, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+                try:
+                    log_s, closed = gate(lo, high, ratio_rows[i], y_rows[i],
+                                         tol, gate_tol)
+                except NonPositiveIterate as exc:
+                    ended[i] = exc
+                    s[i] = 1.0      # its max may be 0: keep the division quiet
+                    continue
+                orbit_logs[i].append(log_s)
+                if closed:
+                    ended[i] = None
+            np.divide(y, s, out=g_next)
+            k += 1
+            n_logs += 1
+            if n_logs == log_limit:
+                log_limit = _drop_old_logs(orbit_logs, k)
+                n_logs = max(1, k // 4)
+            if ended or k == max_iters:
+                break
+            g, g_next = g_next, g
+
+        keep, failed = [], False
+        for i, orbit in enumerate(running):
+            if i not in ended and k < max_iters:
+                if not failed:
+                    keep.append(i)
+                continue
+            outcome = ended.get(i)
+            if outcome is None:
+                try:
+                    outcome = _orbit_result(map_fns[orbit], start,
+                                            g_next[i].copy(), k, orbit_logs[i],
+                                            i in ended, ratio_rows[i],
+                                            max_iters)
+                except (NoConvergence, NonPositiveInput) as exc:
+                    outcome = exc
+            outcomes[orbit] = outcome
+            failed = failed or isinstance(outcome, Exception)
+        running = [running[i] for i in keep]
+        g = g_next[keep]
+    return outcomes
+
+
+def _normalized_start(f0, tol: float, max_iters: int) -> np.ndarray:
+    """``f0 / max(f0)`` in a new array, after the input checks of
+    :func:`power_iterate`."""
+    g = np.asarray(f0, dtype=float).copy()
+    if np.min(g) <= 0:
+        raise NonPositiveInput("starting function must be strictly positive")
+    if not 0 < tol < math.inf:
+        raise NonPositiveInput("tol must be positive and finite")
+    if max_iters < 1:
+        raise NonPositiveInput("max_iters must be >= 1")
+    return g / np.max(g)
+
+
+def _band_gate(lo, s, ratios, y, tol: float, gate_tol: float):
+    """``(log s, closed)`` for one iteration ``y = map(g)`` of the power
+    iteration, with ``ratios = y / g``, ``lo`` their least and ``s`` the
+    ``max`` of ``y``; ``closed`` is the plain stop test
+    ``max log(ratios) - min log(ratios) < tol``, evaluated only where two
+    gates (``gate_tol = tol * (1 + _GATE)``) let it pass.  Raises
+    :class:`NonPositiveIterate` where ``y`` has a value that is not
+    positive."""
+    if not lo > 0:
+        # Iterates are never negative: the start f0 / max(f0) is
+        # nonnegative or all NaN after the checks of _normalized_start, and
+        # each later one is y / max(y) for a y that passed this check (all
+        # NaN if y has a NaN).  So lo > 0 (false for NaN) implies y > 0,
+        # and the check on y runs whenever it could fire.
+        if _least(y) <= 0:
+            raise NonPositiveIterate(
+                "map produced a non-positive value from a positive iterate")
+        return math.log(s), False
+    # Gate: with L = np.log(ratios) within K = 16 ulps, i.e.
+    # |L_i - ln r_i| <= K eps |ln r_i|, the indices of lo and hi give
+    #   max L - min L >= ln hi - ln lo - K eps (|ln hi| + |ln lo|),
+    # and the rounded difference is at least (1 - eps/2) times that,
+    # so "max L - min L < tol" forces
+    #   ln hi - ln lo < tol (1 + eps) + K eps (|ln hi| + |ln lo|).
+    # math.log is within one ulp, so a - b exceeds ln hi - ln lo
+    # by at most about eps (|a| + |b|), and the test below (margin
+    # 4K eps, computed with a few roundings) holds whenever the
+    # exact test can pass: it only skips iterations that the exact
+    # test would not stop at.
+    #
+    # Pre-gate: the same test with s = max y in place of hi, which
+    # spares the max of the ratios on most iterations.  Here g is
+    # x / max(x) for a positive x with a finite max (else g has a
+    # NaN and lo is NaN), so g <= 1 and max g == 1 exactly, as
+    # rounding is monotone and x_j / x_j is 1.  So every ratio
+    # y_i / g_i rounds to at least y_i, giving hi >= s, and lo is at
+    # most the ratio y_j <= s where g_j == 1: ln lo <= ln s <= ln hi.
+    # With D = ln hi - ln lo >= ln s - ln lo and
+    # |ln hi| <= |ln s| + D, the condition above gives
+    #   ln s - ln lo <= D < (tol (1 + eps) + K eps (|ln s| + |ln lo|))
+    #                       / (1 - K eps),
+    # at most tol (1 + (2K + 2) eps) + 2K eps (|ln s| + |ln lo|):
+    # inside the 4K eps margin with room for the roundings, so the
+    # pre-gate too holds whenever the exact test can pass.
+    b = math.log(lo)
+    a = log_s = math.log(s)
+    if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
+        a = math.log(_greatest(ratios))
+        if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
+            log_r = np.log(ratios)
+            return log_s, bool(log_r.max() - log_r.min() < tol)
+    return log_s, False
+
+
+def _drop_old_logs(logs, k: int) -> int:
+    """Keep the last ``max(1, k // 4)`` of each of the log sup norms
+    ``logs`` after ``k`` iterations, and return the length at which to
+    drop again.  The growth of a run of ``n >= k`` iterations averages the
+    last ``max(1, n // 4)``, and ``n - max(1, n // 4)`` never decreases
+    with ``n``, so the kept ones hold that tail."""
+    kept = max(1, k // 4)
+    for log_factors in logs:
+        del log_factors[:-kept]
+    return kept + max(_LOG_BLOCK, kept // 4)
+
+
+def _orbit_result(map_fn, start, g, k: int, log_factors, converged: bool,
+                  ratios, max_iters: int):
+    """``(growth, fixed_point, stats)`` of an orbit of :func:`power_iterate`
+    that started at ``start`` and ended on ``g`` after ``k`` iterations,
+    with the kept log sup norms ``log_factors`` and the last ``ratios``;
+    :class:`NoConvergence` carrying that triple if it did not converge."""
     n_tail = max(1, k // 4)
     tail = itertools.islice(log_factors, len(log_factors) - n_tail, None)
     growth = math.exp(sum(tail) / n_tail)     # Python floats, in iteration order

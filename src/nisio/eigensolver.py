@@ -23,7 +23,10 @@ eigenvalue, and the residual must not exceed ``tol``.
 Either route on the view ``gen.with_sense("maximize")`` takes the
 pointwise maximum over controls and returns the companion pair
 ``(beta, psi)``; for minimization problems ``beta >= rho`` always, with
-equality for a single control.
+equality for a single control.  ``solve_evolution(gen, opts,
+senses=("minimize", "maximize"))`` returns both pairs from one loop that
+advances the two orbits in lockstep on the shared Euler step, each pair
+the one-sense solve's to the bit.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import OrbitStats, _cw_band, power_iterate
+from .cone import OrbitStats, _cw_band, _lockstep_iterate, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
-from .generator import (DiscreteGenerator, _envelope, _envelope_map,
-                        argmin_policy)
+from .generator import (DiscreteGenerator, _envelope, _envelope_batch,
+                        _envelope_map, argmin_policy)
 from .grid import GridFunction, _whole_number
 from .perron import noda
 from .semigroup import _check_cfl
@@ -133,28 +136,60 @@ def _certified(pair: EigenPair, tol: float) -> EigenPair:
 
 
 def solve_evolution(gen: DiscreteGenerator,
-                    opts: SolveOptions | None = None) -> EigenPair:
+                    opts: SolveOptions | None = None, *, senses=None):
     """Eigenpair via normalized power iteration on one semigroup step.
 
     An orbit that does not settle within ``max_iters`` steps raises
     :class:`NoConvergence` carrying, as ``best``, the pair at its last
     iterate.
+
+    With ``senses``, a tuple of ``"minimize"`` and ``"maximize"``, returns
+    a tuple with the pair of each view ``gen.with_sense(sense)``, in that
+    order, from one loop that advances every orbit on the shared Euler
+    step (:func:`nisio.cone._lockstep_iterate`).  Each pair is the one
+    ``solve_evolution(gen.with_sense(sense), opts)`` returns, to the bit,
+    and the error raised is the one that those calls, made in turn, raise
+    first.
     """
     opts = opts or SolveOptions()
     dt = _step_size(gen, opts)
     _check_cfl(gen, dt)
-    one_step = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
+    stack = gen.step_stack(dt)
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the step ratios is ~ dt * oscillation of G f / f
     power_tol = 0.5 * opts.tol * dt
-    try:
-        _, phi, stats = power_iterate(one_step, f0, tol=power_tol,
-                                      max_iters=opts.max_iters)
-    except NoConvergence as exc:
-        _, phi, stats = exc.best
-        exc.best = _finish(gen, phi, "evolution", stats=stats)
-        raise
-    return _certified(_finish(gen, phi, "evolution", stats=stats), opts.tol)
+    if senses is None:
+        one_step = _envelope_map(stack, gen.size, gen.sense)
+        try:
+            outcome = power_iterate(one_step, f0, tol=power_tol,
+                                    max_iters=opts.max_iters)
+        except NoConvergence as exc:
+            outcome = exc
+        return _evolution_pair(gen, outcome, opts.tol)
+    if not senses:
+        raise ValidationError("senses must name at least one sense",
+                              field="senses")
+    views = [gen.with_sense(sense) for sense in senses]
+    outcomes = _lockstep_iterate(
+        [_envelope_map(stack, gen.size, view.sense) for view in views],
+        lambda orbits: _envelope_batch(stack, gen.size,
+                                       [views[i].sense for i in orbits]),
+        f0, tol=power_tol, max_iters=opts.max_iters)
+    return tuple(_evolution_pair(view, outcome, opts.tol)
+                 for view, outcome in zip(views, outcomes))
+
+
+def _evolution_pair(gen: DiscreteGenerator, outcome, tol: float) -> EigenPair:
+    """The certified pair of a cone orbit's ``(growth, phi, stats)``, or
+    its error: a :class:`NoConvergence` gets the pair at its last iterate
+    as ``best``."""
+    if isinstance(outcome, NoConvergence):
+        _, phi, stats = outcome.best
+        outcome.best = _finish(gen, phi, "evolution", stats=stats)
+    if isinstance(outcome, Exception):
+        raise outcome
+    _, phi, stats = outcome
+    return _certified(_finish(gen, phi, "evolution", stats=stats), tol)
 
 
 def solve_policy_iteration(gen: DiscreteGenerator,

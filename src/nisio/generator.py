@@ -24,11 +24,15 @@ The control family is stored once, as the CSR stack ``vstack(A_v)``.  The
 envelope operator ``(G f)(x) = min_v (L_v + r_v) f(x)`` (``max_v`` for
 maximization problems) is one product ``stack @ f`` reduced over controls
 by :func:`_envelope`; CSR row blocks keep each row's entry order, so this
-is bitwise the envelope of the separate products ``A_v @ f``.
+is bitwise the envelope of the separate products ``A_v @ f``.  Several
+iterates stepped together (:func:`_envelope_batch`) take one product with
+block-diagonal copies of the step stack while it is small, with the same
+bits per iterate.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import MAX_DEPTH, Expr, _walk, evaluate, parse
-from .grid import Grid, GridFunction, as_grid_function
+from .grid import Grid, GridFunction, _control_indices, as_grid_function
 
 __all__ = [
     "ProblemSpec",
@@ -252,10 +256,19 @@ class DiscreteGenerator:
         family's ``dt_max`` carry over (the frozen evolution steps at the
         family's bound); the Euler stack is its own.  ``apply_G`` and
         ``evolve`` on it give ``A_u f`` and the frozen-control evolution,
-        which dominate the envelope's.  Raises :class:`IndexError` for an
-        index outside ``[0, n_controls)``."""
+        which dominate the envelope's.  Raises :class:`ValidationError`
+        naming ``policy`` for an entry that is not a whole number (integral
+        floats are accepted) or a policy that is neither one index nor one
+        per node, and :class:`IndexError` for an index outside
+        ``[0, n_controls)``."""
         n = self.size
         u = np.asarray(policy)
+        if u.dtype.kind not in "iu":
+            u = _control_indices(u)
+        if u.shape not in ((), (n,)):
+            raise ValidationError(
+                f"policy must be one control index or one per node ({n}), "
+                f"got shape {u.shape}", field="policy")
         lo, hi = u.min(), u.max()
         if lo < 0 or hi >= self.n_controls:
             raise IndexError(f"control index {lo if lo < 0 else hi} out of "
@@ -423,39 +436,116 @@ def _stack_product(stack: sp.csr_matrix, out: np.ndarray | None = None):
     return product
 
 
-def _envelope_map(stack: sp.csr_matrix, size: int, sense: str):
+def _envelope_map(stack: sp.csr_matrix, size: int, sense: str,
+                  out: np.ndarray | None = None):
     """``g -> _envelope(stack @ g, size, sense)`` for repeated calls, bitwise.
 
-    The product goes to a buffer of :func:`_stack_product`, and a chain of
-    binary ``np.minimum`` (``np.maximum``) over precomputed views of its
-    row blocks reduces it into a second buffer, which the returned function
-    owns and returns.  numpy reduces an outer axis by that same binary
-    loop, row after row, so the chain has the bits of the axis-0 reduction
-    in :func:`_envelope`, signed zeros and NaNs included.  The output is
-    never the product buffer, so it may be fed back as the next argument;
-    it is overwritten by the next call.  Where :func:`_stack_product`
-    falls back to ``@``, so does this map, to :func:`_envelope` on the
-    fresh product.
+    The product goes to a buffer of :func:`_stack_product`, and
+    :func:`_reduce_blocks` reduces its row blocks into a second buffer,
+    ``out`` or a new vector, which the returned function owns and returns.
+    The output is never the product buffer, so it may be fed back as the
+    next argument; it is overwritten by the next call.  Where
+    :func:`_stack_product` falls back to ``@``, so does this map, to
+    :func:`_envelope` on the fresh product.
     """
     products = np.empty(stack.shape[0])
     product = _stack_product(stack, products)
-    blocks = [products[i:i + size] for i in range(0, len(products), size)]
-    tail = blocks[2:]
-    reduce = np.minimum if sense == MINIMIZE else np.maximum
-    out = np.empty(size)
+    if out is None:
+        out = np.empty(size)
+    reduce = _reduce_blocks(products, size, sense, out)
 
     def apply(g):
         p = product(g)
         if p is not products:
             return _envelope(p, size, sense)
-        if len(blocks) == 1:
-            np.copyto(out, products)
-        else:
-            reduce(blocks[0], blocks[1], out=out)
-            for block in tail:
-                reduce(out, block, out=out)
+        reduce()
         return out
     return apply
+
+
+def _reduce_blocks(products: np.ndarray, size: int, sense: str,
+                   out: np.ndarray):
+    """A function that writes the envelope of the ``size``-long blocks of
+    ``products`` into ``out``, bitwise ``_envelope(products, size, sense)``.
+
+    A chain of binary ``np.minimum`` (``np.maximum``) runs over
+    precomputed views of the blocks.  numpy reduces an outer axis by that
+    same binary loop, row after row, so the chain has the bits of the
+    axis-0 reduction in :func:`_envelope`, signed zeros and NaNs included.
+    """
+    blocks = [products[i:i + size] for i in range(0, len(products), size)]
+    if len(blocks) == 1:
+        return functools.partial(np.copyto, out, blocks[0])
+    first, second, tail = blocks[0], blocks[1], blocks[2:]
+    op = np.minimum if sense == MINIMIZE else np.maximum
+
+    def reduce():
+        op(first, second, out=out)
+        for block in tail:
+            op(out, block, out=out)
+    return reduce
+
+
+# Largest step stack, in nonzeros, that :func:`_envelope_batch` copies into
+# one block-diagonal product.  For two orbits on a 2-vCPU host the copies
+# were faster than one product per orbit up to 45k nonzeros (the 2-torus
+# at n = 40) and slower at 64k (n = 48), where the per-call cost they save
+# is small beside the reads of the larger matrix.
+_BLOCK_NNZ = 2 ** 15
+
+
+def _envelope_batch(stack: sp.csr_matrix, size: int, senses):
+    """``g -> y`` for a ``(B, size)`` batch of iterates, ``B = len(senses)``:
+    row ``j`` of ``y`` is ``_envelope_map(stack, size, senses[j])(g[j])``
+    to the bit.  ``y`` is a buffer of the returned function's own, which
+    the next call overwrites.
+
+    Up to ``_BLOCK_NNZ`` nonzeros in ``stack``, one CSR product with ``B``
+    block-diagonal copies of it takes every orbit's products at once.  Row
+    ``r`` of copy ``j`` holds the entries of row ``r`` of ``stack`` in
+    their order, its columns shifted by ``j * size``, so the kernel sums
+    the products of row ``r`` with ``g[j]`` in the order that
+    :func:`_stack_product` sums them.  Larger stacks take one product per
+    orbit, as does any stack where the kernel is missing, and any ``g`` of
+    another shape (so ``@`` rejects it as it does in a single map).
+    """
+    y = np.empty((len(senses), size))
+    maps = [_envelope_map(stack, size, sense, out=row)
+            for sense, row in zip(senses, y)]
+
+    def each(g):
+        for one_step, x, row in zip(maps, g, y):
+            value = one_step(x)
+            if value is not row:
+                row[...] = value
+        return y
+
+    nnz = stack.nnz
+    if _csr_matvec is None or nnz > _BLOCK_NNZ:
+        return each
+    rows, cols = stack.shape
+    copies = len(senses)
+    indptr = np.concatenate([stack.indptr[:-1] + j * nnz
+                             for j in range(copies)]
+                            + [stack.indptr[-1:] + (copies - 1) * nnz])
+    indices = np.concatenate([stack.indices + j * cols for j in range(copies)])
+    data = np.tile(stack.data, copies)
+    products = np.empty(copies * rows)
+    reducers = [_reduce_blocks(products[j * rows:(j + 1) * rows], size,
+                               sense, row)
+                for j, (sense, row) in enumerate(zip(senses, y))]
+    shape = y.shape
+
+    def block_diagonal(g):
+        if g.shape != shape:
+            return each(g)
+        products.fill(0.0)
+        _csr_matvec(copies * rows, copies * cols, indptr, indices, data, g,
+                    products)
+        for reduce in reducers:
+            reduce()
+        return y
+    return block_diagonal
 
 
 def _envelope(products: np.ndarray, size: int, sense: str,

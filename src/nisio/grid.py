@@ -112,14 +112,26 @@ class Grid:
 
 def _whole_number(value, field: str) -> int:
     """``value`` as an ``int``: an integer, or a float with an integral
-    value such as ``64.0``; anything else raises :class:`ValidationError`
-    naming ``field``."""
-    if isinstance(value, (int, np.integer)):
+    value such as ``64.0``; anything else, a ``bool`` too, raises
+    :class:`ValidationError` naming ``field``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValidationError(f"{field} must be a whole number, got {value!r}",
                           field=field)
+
+
+def _control_indices(policy) -> np.ndarray:
+    """``policy`` as an int64 array of control indices: whole numbers,
+    integral floats accepted; anything else raises :class:`ValidationError`
+    naming ``policy``."""
+    with np.errstate(invalid="ignore"):     # NaN and inf fail the test below
+        indices = np.asarray(policy).astype(np.int64)
+    if not np.array_equal(indices, policy):
+        raise ValidationError("policy entries must be whole numbers",
+                              field="policy")
+    return indices
 
 
 def as_grid_function(grid: Grid, values) -> GridFunction:

@@ -93,7 +93,7 @@ import numpy as np
 from .errors import EvalError, NonFiniteState, ValidationError
 from .expr import evaluate
 from .generator import ProblemSpec
-from .grid import INTERVAL, _whole_number
+from .grid import INTERVAL, _control_indices, _whole_number
 
 __all__ = ["McSettings", "McConfig", "McEstimate", "cost_samples",
            "simulate_cost", "policy_sweep"]
@@ -148,12 +148,7 @@ class McConfig(McSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        with np.errstate(invalid="ignore"):     # NaN and inf fail the test below
-            policy = np.asarray(self.policy).astype(np.int64)
-        if not np.array_equal(policy, self.policy):
-            raise ValidationError("policy entries must be whole numbers",
-                                  field="policy")
-        object.__setattr__(self, "policy", policy)
+        object.__setattr__(self, "policy", _control_indices(self.policy))
 
 
 @dataclass(frozen=True)

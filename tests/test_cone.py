@@ -276,6 +276,15 @@ def assert_same_stats(st_a, st_b):
     assert st_a.p1_min.hex() == st_b.p1_min.hex()
 
 
+def assert_same_pair(a, b):
+    """Two eigenpairs equal to the bit, stats included."""
+    assert a.rho.hex() == b.rho.hex() and a.residual.hex() == b.residual.hex()
+    assert_same_array(a.phi, b.phi)
+    assert_same_array(a.policy, b.policy)
+    assert (a.method, a.sense) == (b.method, b.sense)
+    assert_same_stats(a.stats, b.stats)
+
+
 def assert_same_run(map_fn, f0, **kw):
     """Run both loops; equal results, or equal NoConvergence with equal best."""
     try:
@@ -447,7 +456,8 @@ def test_long_run_keeps_only_the_averaged_tail_of_log_norms():
     finally:
         tracemalloc.stop()
     assert err.value.best[2].n_iterations == 100_000
-    assert peak <= 2 * 2 ** 20
+    # about 850 kB if every log sup norm were kept
+    assert peak <= 500_000
 
 
 def test_replayed_bracket_pins_byte_capped_records():
@@ -559,3 +569,114 @@ def test_concurrent_first_reads_replay_once(cosine_gen):
     assert not any(t.is_alive() for t in threads)
     assert calls[0] == 2 * n + 2 * len(stats.iterations) and len(results) == 4
     assert all(r is results[0] for r in results)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep loop against power_iterate, orbit by orbit
+# ---------------------------------------------------------------------------
+
+def _row_by_row(map_fns):
+    """The ``batch_for`` of :func:`_lockstep_iterate` that calls each
+    orbit's map on its row."""
+    def batch_for(orbits):
+        return lambda g: np.stack([map_fns[i](row)
+                                   for i, row in zip(orbits, g)])
+    return batch_for
+
+
+def _power_outcome(map_fn, f0, **kw):
+    try:
+        return power_iterate(map_fn, f0, **kw)
+    except (NoConvergence, NonPositiveIterate) as exc:
+        return exc
+
+
+def assert_lockstep_runs(map_fns, f0, **kw):
+    """Each lockstep outcome is power_iterate's, or ``None`` for an orbit
+    that a failed one before it ended."""
+    from nisio.cone import _lockstep_iterate
+    got = _lockstep_iterate(map_fns, _row_by_row(map_fns), f0, **kw)
+    assert len(got) == len(map_fns)
+    for i, (map_fn, outcome) in enumerate(zip(map_fns, got)):
+        if outcome is None:
+            assert any(isinstance(e, Exception) for e in got[:i])
+            continue
+        want = _power_outcome(map_fn, f0, **kw)
+        assert type(outcome) is type(want)
+        if not isinstance(want, Exception):
+            assert_same_orbit(outcome, want)
+            continue
+        assert str(outcome) == str(want)
+        if isinstance(want, NoConvergence):
+            assert_same_orbit(outcome.best, want.best)
+    return got
+
+
+def test_lockstep_pins_orbits_that_stop_at_different_iterations():
+    # three matrices near their rounding floors: the orbits close at
+    # different iterations, and the batch shrinks twice
+    qs = [_growth_1e3_matrix(seed) for seed in range(3)]
+    tol = max(_band_floor(q) for q in qs) + 4 * math.ulp(math.log(1e3))
+    got = assert_lockstep_runs([lambda g, q=q: q @ g for q in qs],
+                               np.ones(12), tol=tol, max_iters=2000)
+    stops = [stats.n_iterations for _, _, stats in got]
+    assert len(set(stops)) == 3, stops
+
+
+def test_lockstep_pins_euler_steps_of_both_senses(corpus):
+    for name in ("torus_two_control", "interval_two_control"):
+        _, gen = corpus[name]
+        dt = 0.9 * gen.dt_max
+        steps = [lambda g, view=gen.with_sense(sense): step(view, g, dt)
+                 for sense in ("maximize", "minimize")]
+        got = assert_lockstep_runs(steps, gen.grid.ones(), tol=1e-8 * dt)
+        assert got[0][2].n_iterations != got[1][2].n_iterations
+
+
+def test_lockstep_max_iters_exhaustion_keeps_each_best():
+    # 9000 iterations: the log sup norms are dropped in blocks on the way
+    qs = [_growth_1e3_matrix(seed) for seed in (7, 13)]
+    for tol, max_iters in ((1e-12, 3), (1e-300, 9000)):
+        got = assert_lockstep_runs([lambda g, q=q: q @ g for q in qs],
+                                   np.ones(12), tol=tol, max_iters=max_iters)
+        for err in got:
+            assert isinstance(err, NoConvergence)
+            assert err.best[2].n_iterations == max_iters
+
+
+def test_lockstep_failed_orbit_ends_the_orbits_after_it():
+    q = _growth_1e3_matrix(1)
+    zero = np.zeros((12, 12))
+    late = np.ones((12, 12))
+    late[3] = 0.0                   # a zero row: y has a zero from the start
+    good = lambda g: q @ g          # noqa: E731
+    got = assert_lockstep_runs([good, lambda g: zero @ g, good], np.ones(12),
+                               tol=1e-9)
+    assert isinstance(got[1], NonPositiveIterate) and got[2] is None
+    got = assert_lockstep_runs([lambda g: late @ g, good], np.ones(12),
+                               tol=1e-9)
+    assert isinstance(got[0], NonPositiveIterate) and got[1] is None
+    # the orbit before a failed one runs on to its own end
+    got = assert_lockstep_runs([good, lambda g: late @ g], np.ones(12),
+                               tol=1e-9)
+    assert got[0][2].converged and got[0][2].n_iterations > 1
+
+
+def test_lockstep_long_run_keeps_only_the_averaged_tail_of_log_norms():
+    import tracemalloc
+    from nisio.cone import _lockstep_iterate
+    factors = np.array([[1.0], [2.0]])
+    swaps = [lambda g, c=c: c * g[::-1] for c in factors[:, 0]]
+
+    def batch_for(orbits):
+        return lambda g: factors[orbits] * g[:, ::-1]
+    tracemalloc.start()
+    try:
+        got = _lockstep_iterate(swaps, batch_for, np.array([1.0, 2.0]),
+                                max_iters=40_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [err.best[2].n_iterations for err in got] == [40_000] * 2
+    # about 700 kB if every log sup norm were kept
+    assert peak <= 400_000

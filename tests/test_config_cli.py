@@ -343,12 +343,13 @@ def test_cli_solve_constant_rho(tmp_path):
 
 def _count_solves(monkeypatch):
     """Record every ``solve_evolution`` call of the CLI with the sense of
-    the generator it solves."""
+    the generator it solves, or the senses it solves in one call."""
     calls = []
 
     def counting(name, fn):
-        return lambda gen, *args: (calls.append((name, gen.sense))
-                                   or fn(gen, *args))
+        return lambda gen, *args, senses=None: (
+            calls.append((name, senses or gen.sense))
+            or fn(gen, *args, senses=senses))
     monkeypatch.setattr(cli, "solve_evolution",
                         counting("solve_evolution", cli.solve_evolution))
     return calls
@@ -378,8 +379,7 @@ def test_cli_solve_two_controls_solves_max(tmp_path, monkeypatch):
     calls = _count_solves(monkeypatch)
     out = tmp_path / "out"
     assert run_cli(["solve", write_cfg(tmp_path, TWO_CONTROL), "--out", out]) == 0
-    assert calls == [("solve_evolution", "minimize"),
-                     ("solve_evolution", "maximize")]
+    assert calls == [("solve_evolution", ("minimize", "maximize"))]
     payload = read_report(out)
     assert payload["beta"] >= payload["rho"]
     # a maximize problem: the solve is the max solve, made once

@@ -16,13 +16,14 @@ from nisio import (
     solve_evolution,
     solve_policy_iteration,
 )
-from nisio import eigensolver, problems
+from nisio import eigensolver, generator, problems
 from nisio.cone import alpha_bounds
 from nisio.errors import (CflViolation, NoConvergence, NonPositiveIterate,
                           NumericalError, ValidationError)
 from nisio.expr import parse, to_source
 
 from conftest import mixed_torus, reference_noda, same_bytes
+from test_cone import assert_same_pair
 
 
 def test_constant_cost_exact_both_methods():
@@ -138,10 +139,10 @@ def test_solve_options_validation():
     {"tol": float("nan")}, {"tol": 0.0}, {"dt": float("nan")}, {"dt": 0.0},
     {"dt": -1e-4}, {"dt": float("inf")}, {"max_iters": 0},
     {"max_iters": -3}, {"tol": float("inf")}, {"max_iters": float("inf")},
-    {"max_iters": float("nan")}, {"max_iters": 2.5}],
+    {"max_iters": float("nan")}, {"max_iters": 2.5}, {"max_iters": True}],
     ids=["tol-nan", "tol-0", "dt-nan", "dt-0", "dt-negative", "dt-inf",
          "max_iters-0", "max_iters-negative", "tol-inf", "max_iters-inf",
-         "max_iters-nan", "max_iters-fractional"])
+         "max_iters-nan", "max_iters-fractional", "max_iters-bool"])
 def test_solve_options_rejects(bad):
     name = next(iter(bad))
     with pytest.raises(ValidationError, match=f"^{name} must be"):
@@ -313,3 +314,128 @@ def test_policy_iteration_pins_the_spsolve_noda(spec, monkeypatch):
     assert pair.policy_iterations == want.policy_iterations
     for name in ("rho", "phi", "policy", "residual"):
         assert same_bytes(getattr(pair, name), getattr(want, name)), name
+
+
+# ---------------------------------------------------------------------------
+# both senses in one lockstep loop against one solve per sense
+# ---------------------------------------------------------------------------
+
+def _one_sense_solves(gen, senses, opts=None):
+    """The one-sense solves made in turn, up to the first error."""
+    pairs = []
+    for sense in senses:
+        try:
+            pairs.append(solve_evolution(gen.with_sense(sense), opts))
+        except NumericalError as exc:
+            return pairs, exc
+    return pairs, None
+
+
+def assert_lockstep_solves(gen, senses, opts=None):
+    """``solve_evolution(gen, opts, senses=senses)`` returns the pairs of
+    the one-sense solves to the bit, or raises the first one's error."""
+    pairs, error = _one_sense_solves(gen, senses, opts)
+    if error is None:
+        got = solve_evolution(gen, opts, senses=senses)
+        assert type(got) is tuple and len(got) == len(senses)
+        for a, b in zip(got, pairs):
+            assert_same_pair(a, b)
+        return got
+    with pytest.raises(type(error)) as err:
+        solve_evolution(gen, opts, senses=senses)
+    assert str(err.value) == str(error)
+    if isinstance(error, NoConvergence):
+        assert_same_pair(err.value.best, error.best)
+    return err.value
+
+
+BOTH_ORDERS = [("minimize", "maximize"), ("maximize", "minimize")]
+
+
+@pytest.mark.parametrize("senses", BOTH_ORDERS, ids=["min-max", "max-min"])
+def test_lockstep_pairs_pin_one_sense_solves_on_the_corpus(senses):
+    for name, spec in problems.corpus_1d(32).items():
+        assert_lockstep_solves(build_generator(spec), senses)
+
+
+@pytest.mark.parametrize("senses", BOTH_ORDERS, ids=["min-max", "max-min"])
+@pytest.mark.parametrize("spec", [problems.torus_two_control(128),
+                                  mixed_torus(16, 0.25)],
+                         ids=["torus_two_control128", "mixed16"])
+def test_lockstep_pairs_pin_one_sense_solves(spec, senses):
+    pairs = assert_lockstep_solves(build_generator(spec), senses)
+    # the orbits stop at different iterations
+    assert pairs[0].stats.n_iterations != pairs[1].stats.n_iterations
+
+
+@pytest.mark.parametrize("nnz_bound", [0, 2 ** 62],
+                         ids=["product-per-orbit", "block-diagonal"])
+def test_lockstep_pins_both_product_layouts(nnz_bound, monkeypatch):
+    monkeypatch.setattr(generator, "_BLOCK_NNZ", nnz_bound)
+    for spec in (problems.torus_two_control(32), mixed_torus(8, -0.25)):
+        # three orbits, two of them alike: the batch shrinks from 3 to 1
+        assert_lockstep_solves(build_generator(spec),
+                               ("maximize", "minimize", "maximize"))
+
+
+def test_lockstep_pins_the_kernel_fallback(monkeypatch):
+    monkeypatch.setattr(generator, "_csr_matvec", None)
+    for spec in (problems.torus_two_control(32), mixed_torus(8, 0.25)):
+        for senses in BOTH_ORDERS:
+            assert_lockstep_solves(build_generator(spec), senses)
+
+
+def test_lockstep_pins_start_and_step_overrides():
+    gen = build_generator(problems.torus_two_control(64))
+    f0 = 1.5 + np.sin(2 * np.pi * gen.grid.nodes()[:, 0])
+    for opts in (SolveOptions(f0=f0), SolveOptions(dt=0.5 * gen.dt_max,
+                                                   tol=1e-7)):
+        for senses in BOTH_ORDERS:
+            assert_lockstep_solves(gen, senses, opts)
+
+
+def test_lockstep_raises_the_no_convergence_of_the_first_failed_sense():
+    # the min orbit takes 1257 iterations and the max orbit 1221
+    gen = build_generator(problems.torus_two_control(32))
+    for max_iters, fails in ((10, BOTH_ORDERS[0]), (1240, ("minimize",))):
+        opts = SolveOptions(max_iters=max_iters)
+        for senses in BOTH_ORDERS:
+            err = assert_lockstep_solves(gen, senses, opts)
+            assert isinstance(err, NoConvergence)
+            assert err.best.sense == next(s for s in senses if s in fails)
+            assert err.best.stats.n_iterations == max_iters
+
+
+def test_lockstep_rejects_a_start_of_wrong_length():
+    gen = build_generator(problems.torus_two_control(32))
+    for length in (5, 64):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve_evolution(gen, SolveOptions(f0=np.ones(length)),
+                            senses=("minimize", "maximize"))
+
+
+@pytest.mark.parametrize("senses", [(), ("minimize", "sideways")],
+                         ids=["empty", "unknown"])
+def test_lockstep_rejects_bad_senses(senses):
+    gen = build_generator(problems.torus_two_control(16))
+    with pytest.raises(ValidationError):
+        solve_evolution(gen, senses=senses)
+
+
+def test_concurrent_lockstep_solves_on_one_generator():
+    senses = ("minimize", "maximize")
+    want = solve_evolution(build_generator(problems.torus_two_control(64)),
+                           senses=senses)
+    gen = build_generator(problems.torus_two_control(64))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(solve_evolution, gen, senses=senses)
+                       for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for pairs in results:
+        for a, b in zip(pairs, want):
+            assert_same_pair(a, b)

@@ -185,6 +185,25 @@ def test_frozen_generator_keeps_its_own_euler_cache():
     assert same_csr(frozen.step_stack(dt), gen.step_matrices(dt)[0])
 
 
+@pytest.mark.parametrize("policy", [1.5, np.nan, np.full(16, 0.5),
+                                    np.zeros(3, dtype=int),
+                                    np.array([], dtype=int),
+                                    np.zeros((2, 16), dtype=int)],
+                         ids=["fraction", "nan", "fractions", "short",
+                              "empty", "two-dimensional"])
+def test_frozen_rejects_a_policy_that_is_not_control_indices(policy):
+    gen = build_generator(problems.torus_two_control(16))
+    with pytest.raises(ValidationError) as err:
+        gen.frozen(policy)
+    assert err.value.field == "policy"
+
+
+def test_frozen_takes_integral_float_indices():
+    gen = build_generator(problems.torus_two_control(16))
+    for policy in (np.ones(gen.size), 1.0):
+        assert same_csr(gen.frozen(policy).stack, gen.frozen(1).stack)
+
+
 @pytest.mark.parametrize("v", [-1, 2])
 def test_out_of_range_control_raises_index_error(v):
     gen = build_generator(problems.torus_two_control(16))
@@ -275,7 +294,7 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("kw, field", [
     (dict(n=64.5), "n"), (dict(n=float("nan")), "n"), (dict(n="64"), "n"),
-    (dict(n=16, d=1.5), "d")])
+    (dict(n=16, d=1.5), "d"), (dict(n=16, d=True), "d")])
 def test_non_integral_grid_sizes_are_rejected(kw, field):
     with pytest.raises(ValidationError) as err:
         Grid("torus", **kw)

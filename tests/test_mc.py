@@ -154,7 +154,8 @@ def test_config_validation():
 @pytest.mark.parametrize("kw", [dict(T=math.inf), dict(T=math.nan),
                                 dict(dt_sim=math.inf), dict(dt_sim=math.nan),
                                 dict(seed=-1), dict(N=0), dict(N=1000.5),
-                                dict(seed=1.5), dict(seed="7")])
+                                dict(seed=1.5), dict(seed="7"),
+                                dict(seed=True)])
 def test_unusable_settings_are_rejected(kw):
     with pytest.raises(ValidationError) as err:
         cfg_for(frozen_spec(), **kw)

@@ -23,7 +23,7 @@ from test_cone import (
     _reference_power_iterate,
     assert_same_array,
     assert_same_orbit,
-    assert_same_stats,
+    assert_same_pair,
 )
 from test_generator import assert_pins_reference_stencil, assert_sharp_step_bound
 
@@ -93,13 +93,6 @@ def _evolution_outcome(gen):
         return solve_evolution(gen)
     except NumericalError as exc:
         return exc
-
-
-def assert_same_pair(a, b):
-    assert a.rho.hex() == b.rho.hex() and a.residual.hex() == b.residual.hex()
-    assert_same_array(a.phi, b.phi)
-    assert_same_array(a.policy, b.policy)
-    assert_same_stats(a.stats, b.stats)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -193,3 +186,48 @@ def test_envelope_map_is_bitwise_envelope(kernel, n_controls, data):
             with mock.patch.object(generator, "_csr_matvec", plant):
                 got = generator._envelope_map(stack, size, sense)(f)
             assert_same_array(got, generator._envelope(planted, size, sense))
+
+
+@pytest.mark.parametrize("kernel", ["direct", "fallback"])
+@pytest.mark.parametrize("nnz_bound", [0, 2 ** 62],
+                         ids=["product-per-orbit", "block-diagonal"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=specs(), senses=st.lists(st.sampled_from(["minimize", "maximize"]),
+                                     min_size=1, max_size=3))
+def test_envelope_batch_is_bitwise_envelope_map(kernel, nnz_bound, case,
+                                                senses):
+    spec, seed = case
+    base = build_generator(spec)
+    rng = np.random.default_rng(seed)
+    size = base.size
+    kernels = {"direct": generator._csr_matvec, "fallback": None}
+    for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
+        with mock.patch.multiple(generator, _csr_matvec=kernels[kernel],
+                                 _BLOCK_NNZ=nnz_bound):
+            batch = generator._envelope_batch(stack, size, senses)
+            maps = [generator._envelope_map(stack, size, sense)
+                    for sense in senses]
+        for _ in range(2):                  # the buffer is reused
+            g = np.stack([_awkward(rng, size) for _ in senses])
+            y = batch(g)
+            assert y.shape == g.shape
+            for row, one_step, x in zip(y, maps, g):
+                assert_same_array(row, one_step(x))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=specs(), senses=st.lists(st.sampled_from(["minimize", "maximize"]),
+                                     min_size=1, max_size=3))
+def test_lockstep_solve_matches_one_sense_solves(case, senses):
+    spec, _ = case
+    base = build_generator(spec)
+    want = [_evolution_outcome(base.with_sense(sense)) for sense in senses]
+    first = next((w for w in want if isinstance(w, NumericalError)), None)
+    try:
+        got = solve_evolution(base, senses=tuple(senses))
+    except NumericalError as exc:
+        assert type(exc) is type(first) and str(exc) == str(first)
+        return
+    assert first is None
+    for a, b in zip(got, want):
+        assert_same_pair(a, b)

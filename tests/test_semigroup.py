@@ -196,9 +196,10 @@ def test_evolve_options_validation():
 
 
 def test_record_every_must_be_a_whole_number(cosine_gen):
-    with pytest.raises(ValidationError) as err:
-        EvolveOptions(dt=1e-3, t_final=1.0, record_every=2.5)
-    assert err.value.field == "record_every"
+    for bad in (2.5, True):
+        with pytest.raises(ValidationError) as err:
+            EvolveOptions(dt=1e-3, t_final=1.0, record_every=bad)
+        assert err.value.field == "record_every"
     opts = EvolveOptions(dt=1e-3, t_final=1.0, record_every=16.0)
     assert type(opts.record_every) is int
     dt = cosine_gen.dt_max * 0.5
