@@ -20,7 +20,10 @@ every grid node, preallocated buffers that the step updates in place (the
 dispersion matrix takes the entries that ``ProblemSpec.sigma_entries``
 names), and the bindings of every step, views of those buffers.  A path's
 node is its state rounded to the grid, clipped (interval) or wrapped
-(torus) on each axis.  The step computes the plain formula
+(torus) on each axis.  On a line the gather itself clips or wraps the
+rounded index (``np.take`` with ``mode="clip"`` or ``"wrap"``), and the
+2-torus wraps both axes in ``np.ravel_multi_index``, so no step takes an
+integer remainder.  The step computes the plain formula
 ``x + b dt + sqrt(dt) sigma dW`` with the same floating-point operations in
 the same order, so its bits do not depend on the buffering.  A coefficient
 without free variables, such as a constant ``sigma``, is evaluated at the
@@ -39,13 +42,16 @@ pass then evaluates ``r`` once on the ``(block, paths)`` bindings, forms
 of an outer axis one after another, which has the bits of ``acc += r_k dt``
 taken step by step (one path, whose column numpy would sum pairwise, adds
 its rows one at a time).  An ``r`` without free variables is evaluated
-once, at step 0.
-Errors keep their type, message and step.  A step evaluates ``r`` before
-``b`` and ``sigma`` and before it checks the state, so the state pass stops
-at its first event, at step ``j`` (an :class:`EvalError` of the drift or
-``sigma``, a :class:`NonFiniteState`), and raises it only after the cost
-pass over steps ``0..j`` has raised nothing; an ``r`` that fails in a block
-raises the error of its first failing step.
+once, at step 0.  A running sum that is not finite (``r dt`` or the sum
+overflowed) raises :class:`NonFiniteState` at the first such step, and no
+floating-point warning.
+Errors keep their type, message and step.  A step evaluates ``r`` and adds
+``r dt`` before it evaluates ``b`` and ``sigma`` and checks the state, so
+the state pass stops at its first event, at step ``j`` (an
+:class:`EvalError` of the drift or ``sigma``, a :class:`NonFiniteState`),
+and raises it only after the cost pass over steps ``0..j`` has raised
+nothing; an ``r`` that fails in a block raises the error of its first
+failing step, after the running sums of the steps before it.
 
 Under a Markov policy a drift that reads the controls and nothing else,
 such as ``b = v1``, is a function of the node as well.  The node table then
@@ -68,10 +74,12 @@ sum ``einsum`` forms, started from ``0.0`` and taken over the entries that
 ``ProblemSpec.sigma_entries`` names; a skipped structural zero adds a
 signed zero to a sum that is never ``-0.0``, which changes no bit.  A
 varying ``sigma`` runs the same code with a block of one step.  The wrap
-modulo the period (the torus, and the mirror fold of the interval) is
-numpy's remainder rule for a positive divisor written out: ``fmod``, add
-the period where the result is negative, and add ``0.0`` to turn ``-0.0``
-into ``+0.0``; it equals ``np.mod`` bit for bit without its division.
+modulo the period (the torus, and the mirror fold of the interval) equals
+``np.mod`` bit for bit without its division.  A unit period (the unit
+torus, and the mirror of the interval of extent 0.5) takes ``x -
+floor(x)``; any other period takes numpy's remainder rule for a positive
+divisor written out: ``fmod``, add the period where the result is
+negative, and add ``0.0`` to turn ``-0.0`` into ``+0.0``.
 
 Determinism: paths are simulated in fixed-size chunks with
 counter-derived per-chunk generator streams, and the final reduction runs
@@ -93,13 +101,14 @@ import numpy as np
 from .errors import EvalError, NonFiniteState, ValidationError
 from .expr import evaluate
 from .generator import ProblemSpec
-from .grid import INTERVAL, _control_indices, _whole_number
+from .grid import INTERVAL, TORUS, _control_indices, _whole_number
 
 __all__ = ["McSettings", "McConfig", "McEstimate", "cost_samples",
            "simulate_cost", "policy_sweep"]
 
 _CHUNK = 4096   # fixed so that chunk streams do not depend on worker count
 _BLOCK = 32     # steps per draw of increments and per evaluation of r
+_TAKE_MODE = {INTERVAL: "clip", TORUS: "wrap"}  # resolves _nearest_node
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,8 @@ class McConfig(McSettings):
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Log-mean-exp cost estimate with a delta-method standard error."""
+    """Log-mean-exp cost estimate with a delta-method standard error, over
+    the simulated horizon ``T``: the step count times ``dt_sim``."""
 
     value: float
     stderr: float
@@ -164,23 +174,32 @@ class McEstimate:
 
 
 def _nearest_node(spec: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """Flat index of the nearest grid node for each row of ``x``: each axis
-    is clipped (interval) or wrapped (torus), then the axes are combined
-    by Horner's rule, row-major."""
+    """Index of the nearest grid node for each row of ``x``, which
+    ``np.take(..., mode=_TAKE_MODE[topology])`` resolves to the node: the
+    rounded index on a line (the take clips it on the interval and wraps it
+    on the torus), and on the 2-torus the row-major flat index of the
+    wrapped axes.  No integer remainder is taken on a line: a state in the
+    domain rounds to an index in ``[0, n]``, and only ``n`` wraps."""
     grid = spec.grid
     idx = np.rint(x / grid.h).astype(np.int64)
-    if grid.topology == INTERVAL:
-        np.clip(idx, 0, grid.n - 1, out=idx)
-    else:
-        idx %= grid.n
-    flat = idx[:, 0]
-    for j in range(1, grid.d):
-        flat = flat * grid.n + idx[:, j]
-    return flat
+    if grid.d == 1:
+        return idx[:, 0]
+    return np.ravel_multi_index((idx[:, 0], idx[:, 1]), (grid.n, grid.n),
+                                mode="wrap")
 
 
-def _fold(x: np.ndarray, period: float, out=None) -> np.ndarray:
-    """``np.mod(x, period)`` bit for bit, for a positive ``period``."""
+def _fold(x: np.ndarray, period: float, out=None, whole=None) -> np.ndarray:
+    """``np.mod(x, period)`` bit for bit, for a positive ``period``.
+
+    A unit period takes ``x - floor(x)``, with ``floor(x)`` in ``whole``:
+    ``floor`` is exact, the difference is the exact fractional part for
+    ``x >= 0``, and for ``x < 0`` it is the one rounding of ``fmod(x, 1) +
+    1`` that ``np.mod`` takes; an integer gives ``+0.0``.  Any other period
+    takes numpy's remainder rule written out: ``fmod``, add the period where
+    the result is negative, and add ``0.0`` to turn ``-0.0`` into ``+0.0``."""
+    if period == 1.0:
+        whole = np.floor(x, out=whole)
+        return np.subtract(x, whole, out=out)
     out = np.fmod(x, period, out=out)
     np.add(out, period, out=out, where=out < 0)
     out += 0.0
@@ -233,6 +252,34 @@ def _drift_table(spec: ProblemSpec, node_controls: np.ndarray, dt: float):
     except (EvalError, FloatingPointError):
         return None
     return table
+
+
+def _add_costs(costs, r, dt, start) -> None:
+    """Add ``r_k dt = (r_k + 0.0) dt``, written to the rows ``costs[1:]``,
+    to the running sums ``costs[0]`` step by step.  Raise
+    :class:`NonFiniteState` at the first step, counted from ``start``,
+    whose running sum is not finite (so is every later one), and leave
+    ``costs[0]`` as it was."""
+    r_dt = costs[1:]
+    total = np.empty_like(costs[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(r, 0.0, out=r_dt)
+        r_dt *= dt
+        # numpy adds the rows of an outer axis one after another, but sums
+        # a single column pairwise; one row is added directly
+        if len(total) > 1 and len(r_dt) > 1:
+            np.add.reduce(costs, axis=0, out=total)
+        else:
+            np.copyto(total, costs[0])
+            for c in r_dt:
+                total += c
+        if np.isfinite(total).all():
+            costs[0] = total
+            return
+        sums = np.add.accumulate(costs, axis=0)     # the running sums
+    first = int(np.argmin(np.isfinite(sums).all(axis=1))) - 1
+    raise NonFiniteState("running cost left the finite range",
+                         step=start + first)
 
 
 def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
@@ -305,6 +352,8 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
     noise = np.empty((block, n_paths, d))
     diffusion = np.empty((block, n_paths, d))
     product = np.empty((block, n_paths))
+    whole = np.empty((n_paths, d))
+    mode = _TAKE_MODE[grid.topology]
     entries = {p for _, places in spec.sigma_entries() for p in places}
     sigma_rows = [[j for j in range(d) if (i, j) in entries] for i in range(d)]
     for start in range(0, n_steps, block):
@@ -320,7 +369,7 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                 x, y = states[j], states[j + 1]
                 if k == 0 or not fixed:
                     np.take(table, _nearest_node(spec, x), axis=1, out=row,
-                            mode="clip")
+                            mode=mode)
                 done = j + 1
                 for e, outs in coefficients if k == 0 else varying:
                     value = evaluate(e, envs[j])
@@ -342,32 +391,27 @@ def _simulate_chunk(spec: ProblemSpec, cfg: McConfig, chunk_index: int,
                         raise NonFiniteState(
                             "reflected state left [0, extent]", step=k)
                 else:
-                    _fold(y, grid.extent, out=y)
+                    _fold(y, grid.extent, out=y, whole=whole)
         except Exception as exc:    # raised after the costs of steps 0..j
             event = exc
         # Cost pass: r over the steps done, once; a constant r at step 0 only.
+        if done and (start == 0 or r_varies):
+            try:
+                r = evaluate(spec.r, full_env if done == block
+                             else cost_env(done))
+            except EvalError:
+                # step by step: the first failing step's error takes the
+                # place of any later event, after the costs of the steps
+                # before it
+                for j, env in enumerate(envs[:done]):
+                    try:
+                        np.add(evaluate(spec.r, env), 0.0, out=costs[j + 1])
+                    except EvalError as exc:
+                        done, event = j, exc
+                        break
+                r = costs[1:done + 1]
         if done:
-            if start == 0 or r_varies:
-                try:
-                    r = evaluate(spec.r, full_env if done == block
-                                 else cost_env(done))
-                except EvalError:
-                    # step by step, for the first failing step's error (or
-                    # an overflow of an earlier step's r dt)
-                    for env in envs[:done]:
-                        np.multiply(np.add(evaluate(spec.r, env), 0.0), dt)
-                    raise
-            r_dt = costs[1:done + 1]
-            np.add(r, 0.0, out=r_dt)
-            r_dt *= dt
-            # acc += r_k dt, step by step: numpy adds the rows of an outer
-            # axis one after another, but sums a single column pairwise; one
-            # row is added directly
-            if n_paths > 1 and done > 1:
-                np.add.reduce(costs[:done + 1], axis=0, out=acc)
-            else:
-                for c in r_dt:
-                    acc += c
+            _add_costs(costs[:done + 1], r, dt, start)
         if event is not None:
             raise event
         states[0] = states[count]
@@ -397,6 +441,11 @@ def _check_start(grid, x0) -> None:
             f"x0 {x0} lies outside the domain [0, {grid.extent}]", field="x0")
 
 
+def _step_count(cfg: McSettings) -> int:
+    """The number of Euler steps simulated, ``T / dt_sim`` rounded."""
+    return int(round(cfg.T / cfg.dt_sim))
+
+
 def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
     """Per-path accumulated cost integrals ``A_p = sum_k r(x_k, v_k) dt``."""
     if cfg.policy.shape != (spec.grid.size,):
@@ -405,7 +454,7 @@ def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
     if np.min(cfg.policy) < 0 or np.max(cfg.policy) >= spec.n_controls:
         raise ValidationError("policy contains out-of-range control indices")
     _check_start(spec.grid, cfg.x0)
-    n_steps = int(round(cfg.T / cfg.dt_sim))
+    n_steps = _step_count(cfg)
     chunks = [(c, min(_CHUNK, cfg.N - c * _CHUNK))
               for c in range((cfg.N + _CHUNK - 1) // _CHUNK)]
 
@@ -430,26 +479,28 @@ def simulate_cost(spec: ProblemSpec, cfg: McConfig) -> McEstimate:
 
     Returns ``(1/T) * log-mean-exp`` of the accumulated cost integrals
     over ``cfg.N`` paths (max-subtracted, so any ``|A| <= 700`` is safe),
-    with the delta-method standard error of the log-mean.
+    with the delta-method standard error of the log-mean.  ``T`` is the
+    simulated horizon, the step count times ``dt_sim``.
     """
     return _log_mean_exp(cost_samples(spec, cfg), cfg)
 
 
 def _log_mean_exp(a: np.ndarray, cfg: McConfig) -> McEstimate:
     """The estimate of :func:`simulate_cost` from the samples ``a``."""
+    T = _step_count(cfg) * cfg.dt_sim
     m = float(np.max(a))
     w = np.exp(a - m)
     mean_w = float(np.mean(w))
-    value = (m + math.log(mean_w)) / cfg.T
+    value = (m + math.log(mean_w)) / T
     if cfg.N > 1:
         std_w = float(np.std(w, ddof=1))
-        stderr = std_w / (math.sqrt(cfg.N) * mean_w * cfg.T)
+        stderr = std_w / (math.sqrt(cfg.N) * mean_w * T)
     else:
         stderr = 0.0
     sum_w = float(np.sum(w))
     n_eff = sum_w * sum_w / float(np.sum(w * w))
     return McEstimate(value=value, stderr=stderr, n_effective=n_eff,
-                      N=cfg.N, T=cfg.T, dt_sim=cfg.dt_sim)
+                      N=cfg.N, T=T, dt_sim=cfg.dt_sim)
 
 
 def policy_sweep(spec: ProblemSpec, cfg: McConfig, policies) -> list[McEstimate]:

@@ -43,6 +43,19 @@ def test_constant_cost_deterministic_integrand():
     assert est.n_effective == pytest.approx(est.N)
 
 
+@pytest.mark.parametrize("T, dt_sim, steps", [(1.0, 0.003, 333),
+                                               (0.0155, 0.001, 16)])
+def test_constant_cost_divides_by_the_simulated_horizon(T, dt_sim, steps):
+    # T / dt_sim rounds to whole steps: 333 steps of 0.003 fall short of
+    # T = 1, and 16 steps of 0.001 overshoot T = 0.0155
+    spec = problems.constant_cost(1.0, n=16)
+    est = simulate_cost(spec, McConfig(T=T, dt_sim=dt_sim, N=100, seed=3,
+                                       x0=(0.5,), policy=np.zeros(16, int)))
+    assert est.T == steps * dt_sim
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert est.stderr == 0.0
+
+
 def test_frozen_path_evaluates_cost_at_start():
     # sigma = 0 and b = 0 freeze the path at x0 (the generator would
     # reject this spec as degenerate, but the simulator does not need it)
@@ -331,6 +344,20 @@ def _pin_cases():
                           sigma=("0*x1",), b=("-0.0", "-0.0*x2"), r="-0.0")
     yield "signed zeros 2-D", zeros2d, dict(x0=(-0.0, 0.5),
                                             policy=np.zeros(64, dtype=int))
+    # both sides of the fold: a torus of period 0.7 wraps through fmod, an
+    # interval of extent 0.5 mirrors modulo 1 through floor
+    odd_torus = ProblemSpec(
+        grid=Grid("torus", n=16, extent=0.7), controls=[(-1.0,), (1.0,)],
+        sigma=("0.75 + 0.25*sin(2*pi*x1/0.7)",), b=("v1",),
+        r="cos(2*pi*x1/0.7) + 0.1*v1")
+    half_interval = ProblemSpec(
+        grid=Grid("interval", n=16, extent=0.5), controls=[(-1.0,), (1.0,)],
+        sigma=("1",), b=("v1",), r="4*(x1 - 0.25)^2 + 0.1*v1^2")
+    for name, spec in (("torus of extent 0.7", odd_torus),
+                       ("interval of extent 0.5", half_interval)):
+        for x0 in [(0.0,), (spec.grid.extent,), (-0.0,)]:
+            yield f"{name} x0={x0}", spec, dict(x0=x0,
+                                                policy=np.arange(16) % 2)
 
 
 def test_path_step_pins_reference_samples(monkeypatch, reference_chunks):
@@ -344,7 +371,7 @@ def test_path_step_pins_reference_samples(monkeypatch, reference_chunks):
                 expected = cost_samples(spec, cfg)
             assert got.tobytes() == expected.tobytes(), (label, name)
         cases += 1
-    assert cases == 31
+    assert cases == 37
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -607,7 +634,7 @@ def test_non_finite_x0_is_rejected(bad):
 
 
 # ---------------------------------------------------------------------------
-# the blocked increments and the fmod fold
+# the blocked increments and the fold
 # ---------------------------------------------------------------------------
 
 def _adversarial(period):
@@ -622,7 +649,7 @@ def _adversarial(period):
         np.random.default_rng(1).standard_normal(200) * 1e-17])
 
 
-@pytest.mark.parametrize("extent", [1.0, 0.7, 2 * math.pi, 1e-3, 3.0])
+@pytest.mark.parametrize("extent", [1.0, 0.7, 2 * math.pi, 1e-3, 3.0, 0.5])
 def test_fold_equals_np_mod_bitwise(extent):
     # the torus wraps modulo extent, the interval's mirror modulo 2*extent
     for period in (extent, 2.0 * extent):
@@ -647,7 +674,10 @@ def test_nearest_node_matches_clip_and_wrap():
             idx = (np.clip(idx, 0, 15) if topology == "interval"
                    else idx % 16)
             expected = idx[:, 0] if d == 1 else idx[:, 0] * 16 + idx[:, 1]
-            got = mc._nearest_node(spec, x[:, :d])
+            # the node that the path-step's gather takes
+            got = np.take(np.arange(grid.size),
+                          mc._nearest_node(spec, x[:, :d]),
+                          mode=mc._TAKE_MODE[topology])
             assert got.tobytes() == expected.astype(got.dtype).tobytes()
 
 
@@ -819,6 +849,113 @@ def test_cost_error_is_that_of_the_first_failing_step():
         cost_samples(spec, McConfig(T=0.4, dt_sim=0.02, N=100, seed=5,
                                     x0=(0.6,), policy=np.zeros(16, dtype=int)))
     assert str(err.value) == errors[0]
+
+
+# ---------------------------------------------------------------------------
+# a running cost that leaves the finite range
+# ---------------------------------------------------------------------------
+
+def _first_overflow(r, dt):
+    """The first step at which the running sum of ``(r + 0.0) dt``, added
+    step by step, is not finite."""
+    acc, step = 0.0, 0
+    while math.isfinite(acc := acc + (r + 0.0) * dt):
+        step += 1
+    return step
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("r, dt_sim, sigma, step", [
+    ("1e308", 2.0, "1", 0),                         # r dt overflows
+    ("1e308", 0.5, "1", 3),                         # so does the sum
+    # a noiseless path stays at x0 = 0.5; r is evaluated on every block
+    ("2e306*(1 + x1)", 0.5, "0", _first_overflow(2e306 * 1.5, 0.5)),
+])
+def test_cost_overflow_raises_at_its_step(monkeypatch, threads, r, dt_sim,
+                                          sigma, step):
+    monkeypatch.setenv("NISIO_THREADS", threads)
+    spec = ProblemSpec(grid=Grid("torus", n=16), controls=[(0.0,)],
+                       sigma=(sigma,), b=("0",), r=r)
+    # 5000 paths are two chunks
+    cfg = McConfig(T=200 * dt_sim, dt_sim=dt_sim, N=5000, seed=3, x0=(0.5,),
+                   policy=np.zeros(16, dtype=int))
+    for estimate in (cost_samples, simulate_cost):
+        with pytest.raises(NonFiniteState) as err:
+            estimate(spec, cfg)
+        assert err.value.step == step
+        assert str(err.value) == (
+            f"running cost left the finite range (step {step})")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_noisy_cost_overflow_raises_at_the_first_step_of_any_path(
+        monkeypatch, threads):
+    monkeypatch.setenv("NISIO_THREADS", threads)
+    spec = ProblemSpec(grid=Grid("torus", n=16), controls=[(0.0,)],
+                       sigma=("1",), b=("0",), r="2e307*(1 + x1)")
+    cfg = McConfig(T=10.0, dt_sim=0.5, N=5000, seed=3, x0=(0.5,),
+                   policy=np.zeros(16, dtype=int))
+    with pytest.raises(NonFiniteState) as err:
+        cost_samples(spec, cfg)
+    # r dt lies in [1e307, 2e307]: the sum overflows at steps 8 to 17
+    step = err.value.step
+    assert 8 <= step <= 17
+    # the first chunk's paths, the first of the two to raise
+    assert np.isfinite(mc._simulate_chunk(spec, cfg, 0, mc._CHUNK, step)).all()
+    with pytest.raises(NonFiniteState) as err:
+        mc._simulate_chunk(spec, cfg, 0, mc._CHUNK, step + 1)
+    assert err.value.step == step
+
+
+def _cost_overflow_from_node(node, r):
+    """A noiseless path on [0, 1] from 0.3 that moves by 0.01 a step
+    (dt = 2); from ``node`` on its control is 1e308, which makes ``r dt``
+    overflow where ``r`` adds ``v1``.  Its config, and its states."""
+    spec = ProblemSpec(grid=Grid("interval", n=16),
+                       controls=[(0.0,), (1e308,)], sigma=("0",),
+                       b=("0.005",), r=r)
+    cfg = McConfig(T=200.0, dt_sim=2.0, N=100, seed=5, x0=(0.3,),
+                   policy=np.where(np.arange(16) >= node, 1, 0))
+    xs = _noiseless_interval_path(lambda x: 0.005, 0.3, 2.0, 100)
+    at_node = next(k for k, x in enumerate(xs) if round(x * 15) >= node)
+    return spec, cfg, xs, at_node
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cost_overflow_and_cost_error_keep_the_step_order(monkeypatch,
+                                                          threads):
+    monkeypatch.setenv("NISIO_THREADS", threads)
+    r = "log(0.665 - x1) + v1"
+    # from node 10 on, r dt overflows before the log fails, in one block
+    spec, cfg, xs, overflows = _cost_overflow_from_node(10, r)
+    fails = next(k for k, x in enumerate(xs) if x >= 0.665)
+    assert overflows < fails and overflows // mc._BLOCK == fails // mc._BLOCK
+    assert overflows % mc._BLOCK
+    with pytest.raises(NonFiniteState) as err:
+        cost_samples(spec, cfg)
+    assert err.value.step == overflows
+    # from node 11 on, the log fails first
+    spec, cfg, xs, overflows = _cost_overflow_from_node(11, r)
+    assert fails < overflows and overflows // mc._BLOCK == fails // mc._BLOCK
+    assert fails % mc._BLOCK
+    with pytest.raises(EvalError) as err:
+        cost_samples(spec, cfg)
+    assert str(err.value) == "log of non-positive value at offset 0"
+
+
+@pytest.mark.filterwarnings("error")
+def test_cost_overflow_comes_before_a_state_event_at_the_same_step():
+    # at node 12 the control 1e308 makes both r dt and b dt overflow
+    spec, cfg, xs = _overflow_at_node_12("v1")
+    leaves = len(xs) - 2
+    with pytest.raises(NonFiniteState) as err:
+        cost_samples(spec, cfg)
+    assert err.value.step == leaves
+    assert str(err.value) == (
+        f"running cost left the finite range (step {leaves})")
 
 
 @pytest.mark.parametrize("value", ["four", "0", "-2", "2.5", ""])
