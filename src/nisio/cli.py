@@ -256,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also sweep all constant-control policies")
     p.add_argument("--histogram", action="store_true",
                    help="write a histogram of per-path cost integrals")
-    add("orbit", help="per-iteration statistics of the cone iteration")
+    add("orbit", help="per-iteration statistics of the cone iteration "
+                      "(an iteration is eight Euler steps)")
     p = add("evolve", help="time series of the semigroup evolution")
     p.add_argument("--t-final", type=float, default=1.0)
     p.add_argument("--record-every", type=int, default=16)

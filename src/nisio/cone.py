@@ -1,9 +1,10 @@
 """Normalized power iteration for monotone, positively 1-homogeneous maps.
 
 The iteration ``g <- map(g) / ||map(g)||_inf`` applies to any strongly
-positive, order-preserving, 1-homogeneous map over grid functions: one
-explicit Euler step of the envelope semigroup, a frozen-control step, or
-plain multiplication by a nonnegative matrix.  Convergence is detected
+positive, order-preserving, 1-homogeneous map over grid functions: a
+run of explicit Euler steps of the envelope semigroup (the evolution
+solver's map is eight of them), a frozen-control step, or plain
+multiplication by a nonnegative matrix.  Convergence is detected
 through the oscillation of the pointwise ratios ``map(g)/g``, which also
 brackets the map's principal growth factor from below and above
 (Collatz-Weilandt): the iteration stops once
@@ -66,6 +67,7 @@ from .errors import (
     NonPositiveEta,
     NonPositiveInput,
     NonPositiveIterate,
+    ValidationError,
 )
 
 __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
@@ -90,15 +92,18 @@ _least, _greatest = np.minimum.reduce, np.maximum.reduce
 def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
     """Cone bracket ``(min f/ref, max f/ref)`` of ``f`` against ``reference``.
 
-    ``reference`` must be strictly positive and ``f`` nonnegative.  The
-    bounds are the largest ``a`` with ``f - a*ref >= 0`` and the smallest
-    ``a`` with ``a*ref - f >= 0``; they are exactly invariant under
-    positive scaling of ``f`` when the factor is a power of two.
+    ``reference`` must be strictly positive and ``f`` nonnegative, both
+    finite (else :class:`ValidationError`).  The bounds are the largest
+    ``a`` with ``f - a*ref >= 0`` and the smallest ``a`` with
+    ``a*ref - f >= 0``; they are exactly invariant under positive scaling
+    of ``f`` when the factor is a power of two.
     """
     f = np.asarray(f, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if reference.shape != f.shape:
         raise NonPositiveInput("f and reference must have the same shape")
+    if not (np.isfinite(f).all() and np.isfinite(reference).all()):
+        raise ValidationError("grid function contains non-finite values")
     if np.min(reference) <= 0:
         raise NonPositiveInput("reference must be strictly positive")
     if np.min(f) < 0:
@@ -217,8 +222,10 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     the run (transients discarded) and ``fixed_point`` the final iterate,
     sup-normalized and strictly positive.
 
-    Raises :class:`NonPositiveIterate` if the map fails strong positivity
-    at this discretization and :class:`NoConvergence` after ``max_iters``.
+    Raises :class:`ValidationError` before iterating if ``f0`` has a NaN
+    or an infinity, :class:`NonPositiveIterate` if the map fails strong
+    positivity at this discretization and :class:`NoConvergence` after
+    ``max_iters``.
     """
     # the loop never writes start, which the replay reads
     g = start = _normalized_start(f0, tol, max_iters)
@@ -351,6 +358,8 @@ def _normalized_start(f0, tol: float, max_iters: int) -> np.ndarray:
     """``f0 / max(f0)`` in a new array, after the input checks of
     :func:`power_iterate`."""
     g = np.asarray(f0, dtype=float).copy()
+    if not np.isfinite(g).all():
+        raise ValidationError("starting function contains non-finite values")
     if np.min(g) <= 0:
         raise NonPositiveInput("starting function must be strictly positive")
     if not 0 < tol < math.inf:

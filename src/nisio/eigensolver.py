@@ -3,10 +3,11 @@
 Two independent routes compute the pair ``(rho, phi)`` with
 ``G phi = rho phi``, ``phi > 0``, ``||phi||_inf = 1``:
 
-* :func:`solve_evolution` runs the normalized cone iteration with one
-  explicit Euler step of the semigroup as the map (the step's principal
-  growth factor is ``1 + dt * rho``, and its eigenvector is ``phi``
-  itself).
+* :func:`solve_evolution` runs the normalized cone iteration with
+  ``_EULER_STEPS = 8`` explicit Euler steps of the semigroup as the map,
+  ``(I + dt G)^8`` with nothing normalized between the steps (its
+  principal growth factor is ``(1 + dt * rho)^8``, and its eigenvector
+  is ``phi`` itself).
 * :func:`solve_policy_iteration` alternates an eigensolve for the frozen
   policy with a greedy policy update.  The frozen-policy matrix ``A_u``
   is the stack of the one-control generator ``gen.frozen(u)``, and its
@@ -25,7 +26,7 @@ pointwise maximum over controls and returns the companion pair
 ``(beta, psi)``; for minimization problems ``beta >= rho`` always, with
 equality for a single control.  ``solve_evolution(gen, opts,
 senses=("minimize", "maximize"))`` returns both pairs from one loop that
-advances the two orbits in lockstep on the shared Euler step, each pair
+advances the two orbits in lockstep on the shared Euler steps, each pair
 the one-sense solve's to the bit.
 """
 
@@ -51,6 +52,9 @@ MAX_POLICY_ITERS = 100
 # keep the previous control where |best - current| <= TIE_TOL phi_x s,
 # with s = max(1, max |best / phi|) the scale of G phi / phi
 TIE_TOL = 1e-12
+# Euler steps per cone iteration: the band test and the normalization of
+# the cone loop run once per this many steps
+_EULER_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,9 @@ class SolveOptions:
     default ``dt_factor`` of ``dt_max`` is used, from ``f0`` (ones by
     default).  The ``solver`` section of a config is one of these
     (``tol``, ``max_iters`` and ``dt_factor``).  ``max_iters`` is a whole
-    number; an integral float is stored as an ``int``.
+    number of cone iterations, each one map of ``_EULER_STEPS = 8`` Euler
+    steps; an integral float is stored as an ``int``.  ``f0`` must be
+    finite, else :class:`ValidationError`.
     """
 
     tol: float = 1e-9
@@ -86,6 +92,9 @@ class SolveOptions:
         if not (0 < self.dt_factor <= 1):
             raise ValidationError("dt_factor must be in (0, 1]",
                                   field="dt_factor")
+        if (self.f0 is not None
+                and not np.isfinite(np.asarray(self.f0, dtype=float)).all()):
+            raise ValidationError("f0 must be finite", field="f0")
 
 
 def _step_size(gen: DiscreteGenerator, opts: SolveOptions) -> float:
@@ -137,16 +146,23 @@ def _certified(pair: EigenPair, tol: float) -> EigenPair:
 
 def solve_evolution(gen: DiscreteGenerator,
                     opts: SolveOptions | None = None, *, senses=None):
-    """Eigenpair via normalized power iteration on one semigroup step.
+    """Eigenpair via normalized power iteration on eight semigroup steps.
 
-    An orbit that does not settle within ``max_iters`` steps raises
-    :class:`NoConvergence` carrying, as ``best``, the pair at its last
-    iterate.
+    The map of the cone iteration is ``_EULER_STEPS = 8`` exact envelope
+    Euler steps of size ``dt``, each reading the previous step's output,
+    with no normalization between them: ``(I + dt G)^8``, whose growth
+    factor is ``(1 + dt * rho)^8``.  The band test and the normalization
+    thus run once per eight steps; the band of the map is about eight
+    times that of one step, and so is the stop tolerance,
+    ``0.5 * tol * dt * 8``.  An orbit that does not settle within
+    ``max_iters`` iterations (each one map, ``8 * max_iters`` Euler steps
+    in all) raises :class:`NoConvergence` carrying, as ``best``, the pair
+    at its last iterate.
 
     With ``senses``, a tuple of ``"minimize"`` and ``"maximize"``, returns
     a tuple with the pair of each view ``gen.with_sense(sense)``, in that
     order, from one loop that advances every orbit on the shared Euler
-    step (:func:`nisio.cone._lockstep_iterate`).  Each pair is the one
+    steps (:func:`nisio.cone._lockstep_iterate`).  Each pair is the one
     ``solve_evolution(gen.with_sense(sense), opts)`` returns, to the bit,
     and the error raised is the one that those calls, made in turn, raise
     first.
@@ -156,12 +172,13 @@ def solve_evolution(gen: DiscreteGenerator,
     _check_cfl(gen, dt)
     stack = gen.step_stack(dt)
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
-    # the oscillation of the step ratios is ~ dt * oscillation of G f / f
-    power_tol = 0.5 * opts.tol * dt
+    # the oscillation of the log ratios of the map is ~ 8 dt times the
+    # oscillation of G f / f
+    power_tol = 0.5 * opts.tol * dt * _EULER_STEPS
     if senses is None:
-        one_step = _envelope_map(stack, gen.size, gen.sense)
+        euler = _euler_steps(_envelope_map(stack, gen.size, gen.sense))
         try:
-            outcome = power_iterate(one_step, f0, tol=power_tol,
+            outcome = power_iterate(euler, f0, tol=power_tol,
                                     max_iters=opts.max_iters)
         except NoConvergence as exc:
             outcome = exc
@@ -171,12 +188,23 @@ def solve_evolution(gen: DiscreteGenerator,
                               field="senses")
     views = [gen.with_sense(sense) for sense in senses]
     outcomes = _lockstep_iterate(
-        [_envelope_map(stack, gen.size, view.sense) for view in views],
-        lambda orbits: _envelope_batch(stack, gen.size,
-                                       [views[i].sense for i in orbits]),
+        [_euler_steps(_envelope_map(stack, gen.size, view.sense))
+         for view in views],
+        lambda orbits: _euler_steps(_envelope_batch(
+            stack, gen.size, [views[i].sense for i in orbits])),
         f0, tol=power_tol, max_iters=opts.max_iters)
     return tuple(_evolution_pair(view, outcome, opts.tol)
                  for view, outcome in zip(views, outcomes))
+
+
+def _euler_steps(step):
+    """``step`` applied ``_EULER_STEPS`` times, each call on the output of
+    the one before; the result is the last call's output buffer."""
+    def steps(g):
+        for _ in range(_EULER_STEPS):
+            g = step(g)
+        return g
+    return steps
 
 
 def _evolution_pair(gen: DiscreteGenerator, outcome, tol: float) -> EigenPair:

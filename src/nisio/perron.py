@@ -59,6 +59,13 @@ def _check_matrix(m) -> np.ndarray:
     return q
 
 
+def _check_vector(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValidationError("x contains non-finite values")
+    return x
+
+
 def _strongly_connected(adj) -> bool:
     from scipy.sparse.csgraph import connected_components
     n_components, _ = connected_components(adj, directed=True,
@@ -274,11 +281,12 @@ def noda(a, x0=None, tol: float = 0.0):
 def cw_lower(m, x) -> float:
     """Lower Collatz-Weilandt functional ``min_{i: x_i>0} (Qx)_i/x_i``.
 
-    Valid for any nonnegative nonzero ``x``; never exceeds the principal
-    eigenvalue.  Exactly invariant under positive scaling of ``x``.
+    Valid for any finite, nonnegative, nonzero ``x``; never exceeds the
+    principal eigenvalue.  Exactly invariant under positive scaling of
+    ``x``.
     """
     q = _check_matrix(m)
-    x = np.asarray(x, dtype=float)
+    x = _check_vector(x)
     if np.min(x) < 0:
         raise NonPositiveInput("x must be nonnegative")
     support = x > 0
@@ -291,11 +299,11 @@ def cw_lower(m, x) -> float:
 def cw_upper(m, x) -> float:
     """Upper Collatz-Weilandt functional ``max_i (Qx)_i/x_i``.
 
-    Requires strictly positive ``x``; never falls below the principal
-    eigenvalue.
+    Requires finite, strictly positive ``x``; never falls below the
+    principal eigenvalue.
     """
     q = _check_matrix(m)
-    x = np.asarray(x, dtype=float)
+    x = _check_vector(x)
     if np.min(x) <= 0:
         raise NonPositiveInput("x must be strictly positive")
     y = q @ x

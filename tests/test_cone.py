@@ -21,6 +21,7 @@ from nisio.errors import (
     NonPositiveEta,
     NonPositiveInput,
     NonPositiveIterate,
+    ValidationError,
 )
 from nisio.semigroup import step
 
@@ -38,6 +39,14 @@ def test_alpha_bounds_examples():
         alpha_bounds(ref, np.array([1.0, 0.0, 1.0]))
     with pytest.raises(NonPositiveInput):
         alpha_bounds(-ref, ref)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_alpha_bounds_rejects_non_finite_input(bad):
+    ones, broken = np.ones(3), np.array([1.0, bad, 1.0])
+    for f, reference in ((broken, ones), (ones, broken)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            alpha_bounds(f, reference)
 
 
 def test_power_iterate_flat_matrix():
@@ -141,6 +150,23 @@ def test_non_positive_iterate():
 def test_power_iterate_rejects_a_tol_that_is_not_positive(tol):
     with pytest.raises(NonPositiveInput, match="tol"):
         power_iterate(lambda g: g, np.ones(2), tol=tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_start_with_a_non_finite_value_is_rejected_before_iterating(bad):
+    from nisio.cone import _lockstep_iterate
+    calls = []
+
+    def map_fn(g):
+        calls.append(1)
+        return 2.0 * g
+    f0 = np.array([1.0, bad, 0.5])
+    with pytest.raises(ValidationError, match="non-finite"):
+        power_iterate(map_fn, f0, max_iters=50)
+    with pytest.raises(ValidationError, match="non-finite"):
+        _lockstep_iterate([map_fn] * 2, _row_by_row([map_fn] * 2), f0,
+                          max_iters=50)
+    assert not calls
 
 
 def test_multi_start_uniqueness(cosine_gen):
@@ -410,7 +436,11 @@ def test_record_count_cap_binds_up_to_1024_nodes():
 
 
 def test_record_bytes_bound_on_2d_torus(monkeypatch):
+    # one Euler step per iteration, so that the run (5904 iterations)
+    # outgrows the byte cap of 1820 records
     import nisio.cone as cone
+    from nisio import eigensolver
+    monkeypatch.setattr(eigensolver, "_EULER_STEPS", 1)
     gen = build_generator(problems.torus2d_separable(48))
     n = gen.size
     pair = solve_evolution(gen)
@@ -430,8 +460,9 @@ def test_record_bytes_bound_on_2d_torus(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_solve_allocates_no_orbit_records():
+    # n = 64: 1313 iterations, above the byte cap of 1024 records
     import tracemalloc
-    gen = build_generator(problems.torus2d_separable(48))
+    gen = build_generator(problems.torus2d_separable(64))
     tracemalloc.start()
     try:
         pair = solve_evolution(gen)

@@ -139,14 +139,17 @@ def test_solve_options_validation():
     {"tol": float("nan")}, {"tol": 0.0}, {"dt": float("nan")}, {"dt": 0.0},
     {"dt": -1e-4}, {"dt": float("inf")}, {"max_iters": 0},
     {"max_iters": -3}, {"tol": float("inf")}, {"max_iters": float("inf")},
-    {"max_iters": float("nan")}, {"max_iters": 2.5}, {"max_iters": True}],
+    {"max_iters": float("nan")}, {"max_iters": 2.5}, {"max_iters": True},
+    {"f0": np.array([1.0, np.nan, 1.0])}, {"f0": [1.0, np.inf, 1.0]}],
     ids=["tol-nan", "tol-0", "dt-nan", "dt-0", "dt-negative", "dt-inf",
          "max_iters-0", "max_iters-negative", "tol-inf", "max_iters-inf",
-         "max_iters-nan", "max_iters-fractional", "max_iters-bool"])
+         "max_iters-nan", "max_iters-fractional", "max_iters-bool",
+         "f0-nan", "f0-inf"])
 def test_solve_options_rejects(bad):
     name = next(iter(bad))
-    with pytest.raises(ValidationError, match=f"^{name} must be"):
+    with pytest.raises(ValidationError, match=f"^{name} must be") as err:
         SolveOptions(**bad)
+    assert err.value.field == name
 
 
 def test_integral_float_max_iters_is_stored_as_int():
@@ -176,6 +179,42 @@ def test_dt_above_cfl_bound_is_cfl_violation(cosine_gen):
 def test_dt_override(cosine_gen):
     pair = solve_evolution(cosine_gen, SolveOptions(dt=2.0 ** -13))
     assert pair.residual <= 1e-9
+
+
+def _eight_euler_steps(gen, dt):
+    """Eight envelope Euler steps of ``gen``, each on the last one's output."""
+    one_step = generator._envelope_map(gen.step_stack(dt), gen.size, gen.sense)
+
+    def steps(g):
+        for _ in range(8):
+            g = one_step(g)
+        return g
+    return steps
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+@pytest.mark.parametrize("spec", [*problems.corpus_1d(64).values(),
+                                  problems.torus2d_separable(16),
+                                  mixed_torus(16, 0.25)],
+                         ids=[*problems.corpus_1d(64), "separable16",
+                              "mixed16"])
+def test_evolution_iterates_eight_euler_steps(spec, sense):
+    # the cone iteration on (I + dt G)^8 with the tolerance of 8 steps,
+    # built by hand, gives the solve's pair to the bit
+    gen = build_generator(spec).with_sense(sense)
+    opts = SolveOptions()
+    dt = opts.dt_factor * gen.dt_max
+    growth, phi, stats = power_iterate(_eight_euler_steps(gen, dt),
+                                       gen.grid.ones(),
+                                       tol=0.5 * opts.tol * dt * 8)
+    pair = solve_evolution(gen, opts)
+    assert same_bytes(pair.phi, phi)
+    ratios = apply_G(gen, phi) / phi
+    assert pair.rho.hex() == (0.5 * (ratios.min() + ratios.max())).hex()
+    assert same_bytes(pair.policy, generator.argmin_policy(gen, phi))
+    assert pair.stats.n_iterations == stats.n_iterations
+    # the growth of the map is that of eight steps
+    assert growth == pytest.approx((1.0 + dt * pair.rho) ** 8, rel=1e-9)
 
 
 def dense_policy_root(gen, policy):
@@ -227,6 +266,19 @@ def test_policy_iteration_certifies_at_large_costs(name, factor):
     gen = build_generator(_cost_scaled(getattr(problems, name)(256), factor))
     pair = solve_policy_iteration(gen, SolveOptions(tol=1e-9 * factor))
     assert pair.residual <= 1e-9 * factor
+
+
+@pytest.mark.parametrize("factor", [1e4, 1e6])
+@pytest.mark.parametrize("name", ["torus_two_control", "torus_variable_sigma"])
+def test_evolution_certifies_at_large_costs(name, factor):
+    # eight steps without a normalization between them: phi spans the
+    # widest range at large costs, and both senses still certify
+    gen = build_generator(_cost_scaled(getattr(problems, name)(256), factor))
+    tol = 1e-9 * factor
+    pairs = solve_evolution(gen, SolveOptions(tol=tol),
+                            senses=("minimize", "maximize"))
+    for pair in pairs:
+        assert pair.residual <= tol
 
 
 def test_policy_iteration_at_large_cost_lies_in_the_evolution_band():
@@ -395,9 +447,9 @@ def test_lockstep_pins_start_and_step_overrides():
 
 
 def test_lockstep_raises_the_no_convergence_of_the_first_failed_sense():
-    # the min orbit takes 1257 iterations and the max orbit 1221
+    # the min orbit takes 158 iterations and the max orbit 154
     gen = build_generator(problems.torus_two_control(32))
-    for max_iters, fails in ((10, BOTH_ORDERS[0]), (1240, ("minimize",))):
+    for max_iters, fails in ((10, BOTH_ORDERS[0]), (156, ("minimize",))):
         opts = SolveOptions(max_iters=max_iters)
         for senses in BOTH_ORDERS:
             err = assert_lockstep_solves(gen, senses, opts)

@@ -87,6 +87,14 @@ def test_cw_input_validation():
         cw_upper(q, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cw_rejects_non_finite_x(bad):
+    q = np.array([[1.0, 1.0], [2.0, 1.0]])
+    for functional in (cw_lower, cw_upper):
+        with pytest.raises(ValidationError, match="non-finite"):
+            functional(q, [bad, 1.0])
+
+
 def test_cw_scaling_invariance(rng):
     q = random_irreducible(np.random.default_rng(5), 6)
     x = np.random.default_rng(6).uniform(0.1, 2.0, 6)
