@@ -41,12 +41,13 @@ as float64; older ones are dropped in blocks of at least ``_LOG_BLOCK`` and
 a quarter of the kept length, so each value is moved a bounded number of
 times.
 
-On short vectors an iteration is bound by call overhead, so
-:func:`_lockstep_iterate` advances several orbits of one start together:
-one call per iteration for the maps of all of them and one for each
-bookkeeping step over the ``(B, N)`` batch, with the band gate of
-:func:`_band_gate` per orbit.  Each orbit keeps the bits of its own
-:func:`power_iterate`.
+One loop, :func:`_lockstep_iterate`, runs every iteration.  On short
+vectors an iteration is bound by call overhead, so the loop advances a
+batch of ``B`` orbits of one start together: one call per iteration for
+the maps of all of them and one for each bookkeeping step over the
+``(B, N)`` batch, with the band gate of :func:`_band_gate` per orbit.
+:func:`power_iterate` is the case ``B = 1``, and an orbit has the same
+bits whatever orbits run beside it.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .errors import (
     NonPositiveIterate,
     ValidationError,
 )
+from .grid import _whole_number
 
 __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
            "fit_exponential_rate"]
@@ -101,7 +103,9 @@ def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
     f = np.asarray(f, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if reference.shape != f.shape:
-        raise NonPositiveInput("f and reference must have the same shape")
+        raise ValidationError(
+            f"f and reference must have the same shape, got {f.shape} and "
+            f"{reference.shape}")
     if not (np.isfinite(f).all() and np.isfinite(reference).all()):
         raise ValidationError("grid function contains non-finite values")
     if np.min(reference) <= 0:
@@ -192,21 +196,14 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     """Iterate ``g <- map_fn(g)/||map_fn(g)||_inf`` until the ratio band closes.
 
     Stops when ``max_x log(map(g)/g) - min_x log(map(g)/g) < tol``, with
-    the logs taken by numpy as written.  An iteration costs one call of
-    ``map_fn``, two divisions into buffers (the ratios and the normalized
-    iterate) and two reductions (``min`` of the ratios, ``max`` of
-    ``map(g)``, each a bare ufunc ``reduce``, the reduction that the array
-    methods dispatch to).  The ``max`` of the ratios is taken only where
-    ``log(max map(g)) - log(min r)`` passes a gate; the ``N`` logs of the
-    stop test only where ``log(max r) - log(min r)`` passes it too.  Every
-    closing band passes both (see :func:`_band_gate`), so the iterates are
-    exactly those of the plain test.  ``map_fn`` may return a buffer that
-    its next call overwrites; a float64 ``ndarray`` is used as it is,
-    anything else (subclasses too) goes through ``np.asarray``.  The
-    normalized iterate is written into one of two buffers of the
-    iteration's own, in turn, never into the start or the map's buffer,
-    and the returned fixed point is the last one written.  The loop keeps
-    nothing per iteration but the log sup norms that the growth averages.
+    the logs taken by numpy as written.  This is the one-orbit case of
+    :func:`_lockstep_iterate`: its batch map calls ``map_fn`` on the one
+    row and views the result as a ``(1, N)`` row.  ``map_fn`` may return a
+    buffer that its next call overwrites; a float64 ``ndarray`` is used as
+    it is, anything else (subclasses too) goes through ``np.asarray``.
+    The normalized iterate is written into buffers of the loop's own,
+    never into the start or the map's buffer, and the returned fixed point
+    is a copy of the last one.
 
     ``map_fn`` must be deterministic: every field of the stats but
     ``iterations``, ``n_iterations``, ``converged`` and ``zeta1`` is
@@ -223,60 +220,45 @@ def power_iterate(map_fn, f0: np.ndarray, tol: float = 1e-12,
     sup-normalized and strictly positive.
 
     Raises :class:`ValidationError` before iterating if ``f0`` has a NaN
-    or an infinity, :class:`NonPositiveIterate` if the map fails strong
-    positivity at this discretization and :class:`NoConvergence` after
-    ``max_iters``.
+    or an infinity or ``max_iters`` is not a whole number,
+    :class:`NonPositiveIterate` if the map fails strong positivity at this
+    discretization and :class:`NoConvergence` after ``max_iters``.
     """
-    # the loop never writes start, which the replay reads
-    g = start = _normalized_start(f0, tol, max_iters)
-    log_factors = array.array("d")      # log s of the last iterations
-    log_limit = _LOG_BLOCK              # length at which to drop a block
-    converged = False
-    gate_tol = tol * (1.0 + _GATE)
-
-    ratios = np.empty_like(g)
-    # g is written into these in turn, never into start or the map's buffer
-    buffers = (np.empty_like(g), np.empty_like(g))
-    least, greatest = _least, _greatest
-    k = 0
-    while k < max_iters:
-        y = map_fn(g)
+    def one_row(g):
+        y = map_fn(g[0])
         if type(y) is not np.ndarray or y.dtype is not _FLOAT:
             y = np.asarray(y, dtype=float)
-        np.divide(y, g, out=ratios)
-        s = greatest(y)
-        log_s, converged = _band_gate(least(ratios), s, ratios, y, tol,
-                                      gate_tol)
-        log_factors.append(log_s)
-        g = np.divide(y, s, out=buffers[k % 2])
-        k += 1
-        if len(log_factors) == log_limit:
-            log_limit = _drop_old_logs((log_factors,), k)
-        if converged:
-            break
-    return _orbit_result(map_fn, start, g, k, log_factors, converged, ratios,
-                         max_iters)
+        return y[None]
+    outcome, = _lockstep_iterate([map_fn], lambda orbits: one_row, f0, tol,
+                                 max_iters)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _lockstep_iterate(map_fns, batch_for, f0: np.ndarray,
                       tol: float = 1e-12, max_iters: int = 1_000_000) -> list:
-    """:func:`power_iterate` of each of ``map_fns`` from the one start
-    ``f0``, all advanced in one loop.
+    """The normalized power iteration of each of ``map_fns`` from the one
+    start ``f0``, all advanced in one loop.
 
     ``batch_for(orbits)``, for a list of indices into ``map_fns``, returns
     a function that maps a ``(B, N)`` float64 array ``g``, ``B =
     len(orbits)``, to a ``(B, N)`` float64 array whose row ``j`` is
     ``map_fns[orbits[j]](g[j])``, bit for bit; it may return a buffer that
     its next call overwrites.  Each iteration makes one call of it and then
-    one call each over the ``B`` rows for the ratios, their least per row,
-    the ``max`` of each row of ``map(g)`` and the normalized iterates, and
-    runs :func:`_band_gate` per orbit.  Each of these acts on a row with
-    the operation and the bits that :func:`power_iterate` applies to its
-    vector, so every orbit has the iterates, the stopping iteration, the
-    growth, the fixed point and the replayable stats (the replay calls the
-    orbit's ``map_fn``) that ``power_iterate(map_fn, f0, tol, max_iters)``
-    gives.  An orbit leaves the batch at the iteration where it stops, and
-    the others go on in a batch of their own.
+    one call each over the ``B`` rows for the ratios ``y / g``, their
+    least per row, the ``max`` of each row of ``y = map(g)`` and the
+    normalized iterates ``y / max y``, each a bare ufunc (``reduce``, the
+    reduction that the array methods dispatch to), and runs
+    :func:`_band_gate` per orbit: the ``max`` of an orbit's ratios, and
+    the ``N`` logs of its stop test, are taken only where its band passes
+    the gate, and every closing band passes it, so the iterates are
+    exactly those of the plain test.  The loop keeps nothing per iteration
+    but the log sup norms that the growth averages.  An orbit leaves the
+    batch at the iteration where it stops, and the others go on in a batch
+    of their own; so an orbit's iterates, stopping iteration, growth,
+    fixed point and replayable stats (the replay calls the orbit's
+    ``map_fn``) do not depend on the other orbits.
 
     Returns one entry per map: the triple :func:`power_iterate` returns,
     or the error it would raise (:class:`NonPositiveIterate`, or
@@ -285,49 +267,46 @@ def _lockstep_iterate(map_fns, batch_for, f0: np.ndarray,
     ``None``.  A bad ``f0``, ``tol`` or ``max_iters`` raises as in
     :func:`power_iterate`.
     """
-    start = _normalized_start(f0, tol, max_iters)
+    start, max_iters = _normalized_start(f0, tol, max_iters)
     gate_tol = tol * (1.0 + _GATE)
     outcomes = [None] * len(map_fns)
     logs = [array.array("d") for _ in map_fns]
-    n_logs, log_limit = 0, _LOG_BLOCK   # every running orbit has n_logs
+    drop_at = _LOG_BLOCK    # the iteration at which to drop old log norms
     running = list(range(len(map_fns)))
+    # the loop never writes start, which the replay reads
     g = np.tile(start, (len(running), 1))
-    least, greatest, gate = _least, _greatest, _band_gate
+    least, greatest, divide, gate = _least, _greatest, np.divide, _band_gate
     k = 0
     while running:
         # a batch of the running orbits, until one of them ends
         apply = batch_for(running)
         orbit_logs = [logs[i] for i in running]
         ratios, g_next = np.empty_like(g), np.empty_like(g)
-        s = np.empty((len(running), 1))
-        lows, highs = np.empty(len(running)), s[:, 0]
-        ratio_rows = list(ratios)
-        y = None
+        bands = np.empty((len(running), 2))     # per row: least ratio, max y
+        lows, highs = bands[:, 0], bands[:, 1]
+        # the column of row maxima; numpy divides by a 0-d view of a lone
+        # one faster than by a (1, 1) column
+        s = bands[:, 1:] if len(running) > 1 else bands[0, 1, ...]
         ended = {}      # position -> its NonPositiveIterate, or None if closed
         while True:
-            values = apply(g)
-            if values is not y:
-                y, y_rows = values, list(values)
-            np.divide(y, g, out=ratios)
+            y = apply(g)
+            divide(y, g, out=ratios)
             least(ratios, 1, out=lows)
             greatest(y, 1, out=highs)
-            for i, (lo, high) in enumerate(zip(lows.tolist(), highs.tolist())):
+            for i, (lo, high) in enumerate(bands.tolist()):
                 try:
-                    log_s, closed = gate(lo, high, ratio_rows[i], y_rows[i],
-                                         tol, gate_tol)
+                    log_s, closed = gate(lo, high, ratios, y, i, tol, gate_tol)
                 except NonPositiveIterate as exc:
                     ended[i] = exc
-                    s[i] = 1.0      # its max may be 0: keep the division quiet
+                    highs[i] = 1.0  # its max may be 0: keep the division quiet
                     continue
                 orbit_logs[i].append(log_s)
                 if closed:
                     ended[i] = None
-            np.divide(y, s, out=g_next)
+            divide(y, s, out=g_next)
             k += 1
-            n_logs += 1
-            if n_logs == log_limit:
-                log_limit = _drop_old_logs(orbit_logs, k)
-                n_logs = max(1, k // 4)
+            if k == drop_at:
+                drop_at = _drop_old_logs(orbit_logs, k)
             if ended or k == max_iters:
                 break
             g, g_next = g_next, g
@@ -343,8 +322,7 @@ def _lockstep_iterate(map_fns, batch_for, f0: np.ndarray,
                 try:
                     outcome = _orbit_result(map_fns[orbit], start,
                                             g_next[i].copy(), k, orbit_logs[i],
-                                            i in ended, ratio_rows[i],
-                                            max_iters)
+                                            i in ended, ratios[i], max_iters)
                 except (NoConvergence, NonPositiveInput) as exc:
                     outcome = exc
             outcomes[orbit] = outcome
@@ -354,9 +332,9 @@ def _lockstep_iterate(map_fns, batch_for, f0: np.ndarray,
     return outcomes
 
 
-def _normalized_start(f0, tol: float, max_iters: int) -> np.ndarray:
-    """``f0 / max(f0)`` in a new array, after the input checks of
-    :func:`power_iterate`."""
+def _normalized_start(f0, tol: float, max_iters) -> tuple[np.ndarray, int]:
+    """``(f0 / max(f0), max_iters)``, the first in a new array and the
+    second an ``int``, after the input checks of :func:`power_iterate`."""
     g = np.asarray(f0, dtype=float).copy()
     if not np.isfinite(g).all():
         raise ValidationError("starting function contains non-finite values")
@@ -364,26 +342,27 @@ def _normalized_start(f0, tol: float, max_iters: int) -> np.ndarray:
         raise NonPositiveInput("starting function must be strictly positive")
     if not 0 < tol < math.inf:
         raise NonPositiveInput("tol must be positive and finite")
+    max_iters = _whole_number(max_iters, "max_iters")
     if max_iters < 1:
         raise NonPositiveInput("max_iters must be >= 1")
-    return g / np.max(g)
+    return g / np.max(g), max_iters
 
 
-def _band_gate(lo, s, ratios, y, tol: float, gate_tol: float):
-    """``(log s, closed)`` for one iteration ``y = map(g)`` of the power
-    iteration, with ``ratios = y / g``, ``lo`` their least and ``s`` the
-    ``max`` of ``y``; ``closed`` is the plain stop test
-    ``max log(ratios) - min log(ratios) < tol``, evaluated only where two
-    gates (``gate_tol = tol * (1 + _GATE)``) let it pass.  Raises
-    :class:`NonPositiveIterate` where ``y`` has a value that is not
-    positive."""
+def _band_gate(lo, s, ratios, y, i: int, tol: float, gate_tol: float):
+    """``(log s, closed)`` for row ``i`` of one iteration ``y = map(g)`` of
+    the power iteration over a batch, with ``ratios = y / g``, ``lo`` the
+    least of ``ratios[i]`` and ``s`` the ``max`` of ``y[i]``; ``closed`` is
+    the plain stop test ``max log(ratios[i]) - min log(ratios[i]) < tol``,
+    evaluated only where two gates (``gate_tol = tol * (1 + _GATE)``) let
+    it pass.  Raises :class:`NonPositiveIterate` where ``y[i]`` has a
+    value that is not positive."""
     if not lo > 0:
         # Iterates are never negative: the start f0 / max(f0) is
         # nonnegative or all NaN after the checks of _normalized_start, and
         # each later one is y / max(y) for a y that passed this check (all
         # NaN if y has a NaN).  So lo > 0 (false for NaN) implies y > 0,
         # and the check on y runs whenever it could fire.
-        if _least(y) <= 0:
+        if _least(y[i]) <= 0:
             raise NonPositiveIterate(
                 "map produced a non-positive value from a positive iterate")
         return math.log(s), False
@@ -416,23 +395,24 @@ def _band_gate(lo, s, ratios, y, tol: float, gate_tol: float):
     b = math.log(lo)
     a = log_s = math.log(s)
     if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
-        a = math.log(_greatest(ratios))
+        a = math.log(_greatest(ratios[i]))
         if a - b <= gate_tol + _GATE * (abs(a) + abs(b)):
-            log_r = np.log(ratios)
+            log_r = np.log(ratios[i])
             return log_s, bool(log_r.max() - log_r.min() < tol)
     return log_s, False
 
 
 def _drop_old_logs(logs, k: int) -> int:
     """Keep the last ``max(1, k // 4)`` of each of the log sup norms
-    ``logs`` after ``k`` iterations, and return the length at which to
-    drop again.  The growth of a run of ``n >= k`` iterations averages the
-    last ``max(1, n // 4)``, and ``n - max(1, n // 4)`` never decreases
-    with ``n``, so the kept ones hold that tail."""
+    ``logs`` after ``k`` iterations, and return the iteration at which to
+    drop again, when ``max(_LOG_BLOCK, kept // 4)`` more have come.  The
+    growth of a run of ``n >= k`` iterations averages the last
+    ``max(1, n // 4)``, and ``n - max(1, n // 4)`` never decreases with
+    ``n``, so the kept ones hold that tail."""
     kept = max(1, k // 4)
     for log_factors in logs:
         del log_factors[:-kept]
-    return kept + max(_LOG_BLOCK, kept // 4)
+    return k + max(_LOG_BLOCK, kept // 4)
 
 
 def _orbit_result(map_fn, start, g, k: int, log_factors, converged: bool,

@@ -157,7 +157,8 @@ def solve_evolution(gen: DiscreteGenerator,
     ``0.5 * tol * dt * 8``.  An orbit that does not settle within
     ``max_iters`` iterations (each one map, ``8 * max_iters`` Euler steps
     in all) raises :class:`NoConvergence` carrying, as ``best``, the pair
-    at its last iterate.
+    at its last iterate.  An ``opts.f0`` that is not one value per node
+    raises :class:`ValidationError` before any product.
 
     With ``senses``, a tuple of ``"minimize"`` and ``"maximize"``, returns
     a tuple with the pair of each view ``gen.with_sense(sense)``, in that
@@ -168,10 +169,14 @@ def solve_evolution(gen: DiscreteGenerator,
     first.
     """
     opts = opts or SolveOptions()
+    f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
+    if f0.shape != (gen.size,):
+        raise ValidationError(
+            f"f0 must hold one value per node, shape ({gen.size},), "
+            f"got shape {f0.shape}", field="f0")
     dt = _step_size(gen, opts)
     _check_cfl(gen, dt)
     stack = gen.step_stack(dt)
-    f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
     # the oscillation of the log ratios of the map is ~ 8 dt times the
     # oscillation of G f / f
     power_tol = 0.5 * opts.tol * dt * _EULER_STEPS

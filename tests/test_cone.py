@@ -41,6 +41,14 @@ def test_alpha_bounds_examples():
         alpha_bounds(-ref, ref)
 
 
+def test_alpha_bounds_names_a_shape_mismatch():
+    with pytest.raises(ValidationError, match="same shape") as err:
+        alpha_bounds(np.ones(2), np.ones(3))
+    assert not isinstance(err.value, NonPositiveInput)
+    with pytest.raises(NonPositiveInput, match="strictly positive"):
+        alpha_bounds(np.ones(3), np.array([1.0, 0.0, 1.0]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_alpha_bounds_rejects_non_finite_input(bad):
     ones, broken = np.ones(3), np.array([1.0, bad, 1.0])
@@ -167,6 +175,39 @@ def test_start_with_a_non_finite_value_is_rejected_before_iterating(bad):
         _lockstep_iterate([map_fn] * 2, _row_by_row([map_fn] * 2), f0,
                           max_iters=50)
     assert not calls
+
+
+@pytest.mark.parametrize("max_iters", [math.nan, math.inf, 2.5, True],
+                         ids=["nan", "inf", "fraction", "bool"])
+def test_max_iters_that_is_not_a_whole_number_is_rejected(max_iters):
+    # before the map is called, through both entry points: no iteration
+    # count equals a NaN, so the loop would run on a map that never closes
+    from nisio.cone import _lockstep_iterate
+    calls = []
+    w = np.array([1.0, 1.5, 2.0])
+
+    def map_fn(g):
+        calls.append(1)
+        return w * g
+    with pytest.raises(ValidationError, match="whole number"):
+        power_iterate(map_fn, np.ones(3), max_iters=max_iters)
+    with pytest.raises(ValidationError, match="whole number"):
+        _lockstep_iterate([map_fn] * 2, _row_by_row([map_fn] * 2), np.ones(3),
+                          max_iters=max_iters)
+    assert not calls
+
+
+def test_max_iters_below_one_is_not_positive():
+    for max_iters in (0, -3, 0.0):
+        with pytest.raises(NonPositiveInput, match="max_iters must be >= 1"):
+            power_iterate(lambda g: g, np.ones(2), max_iters=max_iters)
+
+
+def test_integral_float_max_iters_counts_as_its_int():
+    q = _growth_1e3_matrix(7)
+    with pytest.raises(NoConvergence, match="within 3 iterations") as err:
+        power_iterate(lambda g: q @ g, np.ones(len(q)), max_iters=3.0)
+    assert err.value.best[2].n_iterations == 3
 
 
 def test_multi_start_uniqueness(cosine_gen):
@@ -397,6 +438,24 @@ def test_gated_loop_pins_where_logs_disagree():
             assert stats.n_iterations == 1
 
 
+def test_one_orbit_pins_maps_that_return_other_than_float64_arrays():
+    # a Python list and a float32 array go through np.asarray; a buffer
+    # that the next call overwrites is read before that call
+    q = _growth_1e3_matrix(5)
+    buffer = np.empty(len(q))
+
+    def into_buffer(g):
+        np.matmul(q, g, out=buffer)
+        return buffer
+    maps = {"list": lambda g: (q @ g).tolist(),
+            "float32": lambda g: (q @ g).astype(np.float32),
+            "buffer": into_buffer}
+    for name, map_fn in maps.items():
+        _, _, stats = assert_same_run(map_fn, np.ones(len(q)), tol=1e-6,
+                                      max_iters=2000)
+        assert stats.converged, name
+
+
 def test_gated_loop_pins_p1_min(cosine_gen):
     dt = 0.9 * cosine_gen.dt_max
     _, _, stats = assert_same_run(lambda g: step(cosine_gen, g, dt),
@@ -603,7 +662,7 @@ def test_concurrent_first_reads_replay_once(cosine_gen):
 
 
 # ---------------------------------------------------------------------------
-# the lockstep loop against power_iterate, orbit by orbit
+# the lockstep loop against the plain N-log loop, orbit by orbit
 # ---------------------------------------------------------------------------
 
 def _row_by_row(map_fns):
@@ -615,16 +674,16 @@ def _row_by_row(map_fns):
     return batch_for
 
 
-def _power_outcome(map_fn, f0, **kw):
+def _reference_outcome(map_fn, f0, **kw):
     try:
-        return power_iterate(map_fn, f0, **kw)
+        return _reference_power_iterate(map_fn, f0, **kw)
     except (NoConvergence, NonPositiveIterate) as exc:
         return exc
 
 
 def assert_lockstep_runs(map_fns, f0, **kw):
-    """Each lockstep outcome is power_iterate's, or ``None`` for an orbit
-    that a failed one before it ended."""
+    """Each lockstep outcome is the plain loop's on its map, or ``None``
+    for an orbit that a failed one before it ended."""
     from nisio.cone import _lockstep_iterate
     got = _lockstep_iterate(map_fns, _row_by_row(map_fns), f0, **kw)
     assert len(got) == len(map_fns)
@@ -632,7 +691,7 @@ def assert_lockstep_runs(map_fns, f0, **kw):
         if outcome is None:
             assert any(isinstance(e, Exception) for e in got[:i])
             continue
-        want = _power_outcome(map_fn, f0, **kw)
+        want = _reference_outcome(map_fn, f0, **kw)
         assert type(outcome) is type(want)
         if not isinstance(want, Exception):
             assert_same_orbit(outcome, want)

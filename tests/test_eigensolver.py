@@ -345,13 +345,13 @@ def test_concurrent_evolution_on_one_generator():
         assert pair.stats.n_iterations == want.stats.n_iterations
 
 
-@pytest.mark.parametrize("length", [5, 64])
-def test_start_of_wrong_length_rejected(length):
-    # the direct CSR kernel reads g unchecked; such a start must still be
-    # refused as ``stack @ g`` refuses it
+@pytest.mark.parametrize("shape", [5, 64, (32, 1)])
+def test_start_of_wrong_length_rejected(shape):
+    # refused with the library's own error before the first product
     gen = build_generator(problems.torus_two_control(32))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        solve_evolution(gen, SolveOptions(f0=np.ones(length)))
+    with pytest.raises(ValidationError, match="one value per node") as err:
+        solve_evolution(gen, SolveOptions(f0=np.ones(shape)))
+    assert err.value.field == "f0"
 
 
 @pytest.mark.parametrize("spec", [problems.torus_two_control(128),
@@ -460,10 +460,11 @@ def test_lockstep_raises_the_no_convergence_of_the_first_failed_sense():
 
 def test_lockstep_rejects_a_start_of_wrong_length():
     gen = build_generator(problems.torus_two_control(32))
-    for length in (5, 64):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            solve_evolution(gen, SolveOptions(f0=np.ones(length)),
+    for shape in (5, 64, (32, 1)):
+        with pytest.raises(ValidationError, match="one value per node") as err:
+            solve_evolution(gen, SolveOptions(f0=np.ones(shape)),
                             senses=("minimize", "maximize"))
+        assert err.value.field == "f0"
 
 
 @pytest.mark.parametrize("senses", [(), ("minimize", "sideways")],

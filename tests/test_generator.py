@@ -358,6 +358,26 @@ def test_direct_csr_kernel_is_used():
     assert np.array_equal(got, want)
 
 
+def test_shape_guards_leave_a_bad_argument_to_matmul():
+    # the direct kernel reads its argument unchecked: a vector or a batch
+    # of another shape goes to ``@``, which refuses it
+    gen = build_generator(problems.torus_two_control(32))
+    stack = gen.step_stack(1e-4)
+    product = generator._stack_product(stack)
+    for length in (5, 64):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            product(np.ones(length))
+    # one product per orbit, then one block-diagonal product
+    for bound in (0, 2 ** 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generator, "_BLOCK_NNZ", bound)
+            batch = generator._envelope_batch(stack, gen.size,
+                                              ["minimize", "maximize"])
+        for shape in ((2, 5), (2, 64)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                batch(np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # bitwise pins against the per-topology assemblers and gradient that the
 # single neighbour-map assembler replaced
