@@ -70,7 +70,8 @@ from .errors import (
     NonPositiveIterate,
     ValidationError,
 )
-from .grid import _whole_number
+from .grid import (_whole_number, require_finite, require_nonnegative,
+                   require_positive, require_positive_finite)
 
 __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
            "fit_exponential_rate"]
@@ -106,12 +107,10 @@ def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
         raise ValidationError(
             f"f and reference must have the same shape, got {f.shape} and "
             f"{reference.shape}")
-    if not (np.isfinite(f).all() and np.isfinite(reference).all()):
-        raise ValidationError("grid function contains non-finite values")
-    if np.min(reference) <= 0:
-        raise NonPositiveInput("reference must be strictly positive")
-    if np.min(f) < 0:
-        raise NonPositiveInput("f must be nonnegative")
+    require_finite(f, "f")
+    require_finite(reference, "reference")
+    require_positive(reference, "reference")
+    require_nonnegative(f, "f")
     return _cw_band(f, reference)
 
 
@@ -336,15 +335,10 @@ def _normalized_start(f0, tol: float, max_iters) -> tuple[np.ndarray, int]:
     """``(f0 / max(f0), max_iters)``, the first in a new array and the
     second an ``int``, after the input checks of :func:`power_iterate`."""
     g = np.asarray(f0, dtype=float).copy()
-    if not np.isfinite(g).all():
-        raise ValidationError("starting function contains non-finite values")
-    if np.min(g) <= 0:
-        raise NonPositiveInput("starting function must be strictly positive")
-    if not 0 < tol < math.inf:
-        raise NonPositiveInput("tol must be positive and finite")
-    max_iters = _whole_number(max_iters, "max_iters")
-    if max_iters < 1:
-        raise NonPositiveInput("max_iters must be >= 1")
+    require_finite(g, "starting function")
+    require_positive(g, "starting function")
+    require_positive_finite(tol, "tol")
+    max_iters = _whole_number(max_iters, "max_iters", least=1)
     return g / np.max(g), max_iters
 
 
@@ -426,8 +420,7 @@ def _orbit_result(map_fn, start, g, k: int, log_factors, converged: bool,
     growth = math.exp(sum(tail) / n_tail)     # Python floats, in iteration order
 
     ref = g
-    if ref.min() <= 0:
-        raise NonPositiveInput("reference must be strictly positive")
+    require_positive(ref, "reference")
     cap = max(2, min(_MAX_RECORDS, _RECORD_BYTES // (8 * g.size)))
     stride = 1
     while -(-k // stride) > cap:

@@ -32,7 +32,6 @@ the one-sense solve's to the bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,8 @@ from .cone import OrbitStats, _cw_band, _lockstep_iterate, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
 from .generator import (DiscreteGenerator, _envelope, _envelope_batch,
                         _envelope_map, argmin_policy)
-from .grid import GridFunction, _whole_number
+from .grid import (GridFunction, _whole_number, require_finite,
+                   require_positive_finite)
 from .perron import noda
 from .semigroup import _check_cfl
 
@@ -80,21 +80,16 @@ class SolveOptions:
     f0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValidationError("tol must be positive and finite", field="tol")
+        require_positive_finite(self.tol, "tol")
         object.__setattr__(self, "max_iters",
-                           _whole_number(self.max_iters, "max_iters"))
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be a whole number >= 1",
-                                  field="max_iters")
-        if self.dt is not None and not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError("dt must be positive and finite", field="dt")
+                           _whole_number(self.max_iters, "max_iters", least=1))
+        if self.dt is not None:
+            require_positive_finite(self.dt, "dt")
         if not (0 < self.dt_factor <= 1):
             raise ValidationError("dt_factor must be in (0, 1]",
                                   field="dt_factor")
-        if (self.f0 is not None
-                and not np.isfinite(np.asarray(self.f0, dtype=float)).all()):
-            raise ValidationError("f0 must be finite", field="f0")
+        if self.f0 is not None:
+            require_finite(np.asarray(self.f0, dtype=float), "f0", field="f0")
 
 
 def _step_size(gen: DiscreteGenerator, opts: SolveOptions) -> float:

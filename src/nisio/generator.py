@@ -51,7 +51,8 @@ from .errors import (
     ValidationError,
 )
 from .expr import MAX_DEPTH, Expr, _walk, evaluate, parse
-from .grid import Grid, GridFunction, _control_indices, as_grid_function
+from .grid import (Grid, GridFunction, _control_indices, as_grid_function,
+                   require_finite)
 
 __all__ = [
     "ProblemSpec",
@@ -118,9 +119,7 @@ class ProblemSpec:
         if any(len(v) != m for v in controls):
             raise ValidationError("all control vectors must have equal length",
                                   field="controls")
-        if not np.isfinite(controls).all():
-            raise ValidationError("control vectors must be finite",
-                                  field="controls")
+        require_finite(controls, "control set", field="controls")
         if len(sigma) not in (1, d * d):
             raise ValidationError(
                 f"sigma needs 1 (scalar, meaning sigma*I) or {d*d} expressions",
@@ -506,14 +505,17 @@ def _envelope_batch(stack: sp.csr_matrix, size: int, senses):
     their order, its columns shifted by ``j * size``, so the kernel sums
     the products of row ``r`` with ``g[j]`` in the order that
     :func:`_stack_product` sums them.  Larger stacks take one product per
-    orbit, as does any stack where the kernel is missing, and any ``g`` of
-    another shape (so ``@`` rejects it as it does in a single map).
+    orbit, as does any stack where the kernel is missing.  Either way a
+    ``g`` of any shape but ``(B, size)`` raises ``ValueError``.
     """
     y = np.empty((len(senses), size))
+    shape = y.shape
     maps = [_envelope_map(stack, size, sense, out=row)
             for sense, row in zip(senses, y)]
 
     def each(g):
+        if g.shape != shape:
+            raise _batch_shape_error(g, shape)
         for one_step, x, row in zip(maps, g, y):
             value = one_step(x)
             if value is not row:
@@ -534,11 +536,10 @@ def _envelope_batch(stack: sp.csr_matrix, size: int, senses):
     reducers = [_reduce_blocks(products[j * rows:(j + 1) * rows], size,
                                sense, row)
                 for j, (sense, row) in enumerate(zip(senses, y))]
-    shape = y.shape
 
     def block_diagonal(g):
         if g.shape != shape:
-            return each(g)
+            raise _batch_shape_error(g, shape)
         products.fill(0.0)
         _csr_matvec(copies * rows, copies * cols, indptr, indices, data, g,
                     products)
@@ -546,6 +547,11 @@ def _envelope_batch(stack: sp.csr_matrix, size: int, senses):
             reduce()
         return y
     return block_diagonal
+
+
+def _batch_shape_error(g, shape) -> ValueError:
+    return ValueError(f"dimension mismatch: a batch of shape {g.shape}, "
+                      f"not {shape}")
 
 
 def _envelope(products: np.ndarray, size: int, sense: str,

@@ -2,9 +2,29 @@
 
 Grid functions are plain float ndarrays of length ``grid.size``, ordered
 row-major over the node lattice (for d = 2, node ``(i, j)`` sits at flat
-index ``i * n + j``).  The helpers below validate the contracts that the
-rest of the library relies on: matching length, finiteness and, where an
-operation requires it, strict positivity.
+index ``i * n + j``).  :func:`as_grid_function` checks the length and the
+finiteness of one.
+
+Every input rule of the library is raised here, by one helper each, with
+one message, one class and, where given, the ``field`` it names:
+
+* :func:`require_positive`: an array strictly positive,
+  ``NonPositiveInput("<name> must be strictly positive")``;
+* :func:`require_nonnegative`: an array nonnegative,
+  ``NonPositiveInput("<name> must be nonnegative")``;
+* :func:`require_finite`: an array or a scalar finite,
+  ``ValidationError("<name> contains non-finite values")``;
+* :func:`require_positive_finite`: a scalar in ``(0, inf)``,
+  ``NonPositiveInput("<name> must be positive and finite")``, always
+  with ``field=<name>``;
+
+and :func:`_whole_number` takes counts and sizes: an ``int`` or a float
+with an integral value, never a ``bool`` (``ValidationError("<name> must
+be a whole number, got <value>")``), and at least ``least`` where given
+(``NonPositiveInput("<name> must be >= <least>")``).
+
+The sign rules compare with 0, and a NaN compares false, so they let
+NaNs pass; callers that must reject them check finiteness too.
 
 The boundary rule lives in one place, :meth:`Grid.neighbour`: the torus
 wraps lattice indices, and the interval mirrors them through its
@@ -17,13 +37,15 @@ the log-transform residual both read their neighbours from this map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NonPositiveInput, ValidationError
 
-__all__ = ["Grid", "GridFunction", "as_grid_function", "require_positive"]
+__all__ = ["Grid", "GridFunction", "as_grid_function", "require_positive",
+           "require_nonnegative", "require_finite", "require_positive_finite"]
 
 #: A grid function is a float ndarray with one value per grid node.
 GridFunction = np.ndarray
@@ -57,9 +79,7 @@ class Grid:
         if self.n < 8:
             raise ValidationError(f"n >= 8 required, got n = {self.n}",
                                   field="n")
-        if not (self.extent > 0 and np.isfinite(self.extent)):
-            raise ValidationError("extent must be a positive finite number",
-                                  field="extent")
+        require_positive_finite(self.extent, "extent")
         if self.topology == INTERVAL and self.d != 1:
             raise ValidationError("interval topology implies d = 1", field="d")
         if self.topology == TORUS and self.d not in (1, 2):
@@ -110,16 +130,20 @@ class Grid:
         return flat.ravel()
 
 
-def _whole_number(value, field: str) -> int:
+def _whole_number(value, field: str, least: int | None = None) -> int:
     """``value`` as an ``int``: an integer, or a float with an integral
     value such as ``64.0``; anything else, a ``bool`` too, raises
-    :class:`ValidationError` naming ``field``."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValidationError(f"{field} must be a whole number, got {value!r}",
-                          field=field)
+    :class:`ValidationError` naming ``field``, and a number below
+    ``least`` :class:`NonPositiveInput`."""
+    whole = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+             or isinstance(value, (float, np.floating))
+             and float(value).is_integer())
+    if not whole:
+        raise ValidationError(f"{field} must be a whole number, got {value!r}",
+                              field=field)
+    if least is not None and value < least:
+        raise NonPositiveInput(f"{field} must be >= {least}", field=field)
+    return int(value)
 
 
 def _control_indices(policy) -> np.ndarray:
@@ -140,12 +164,33 @@ def as_grid_function(grid: Grid, values) -> GridFunction:
     if f.shape != (grid.size,):
         raise ValidationError(
             f"grid function must have shape ({grid.size},), got {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValidationError("grid function contains non-finite values")
+    require_finite(f, "grid function")
     return f
 
 
-def require_positive(f: GridFunction, what: str = "grid function") -> None:
-    if np.min(f) <= 0:
-        raise ValidationError(f"{what} must be strictly positive "
-                              f"(min value {np.min(f):.3g})")
+def require_positive(values, name: str) -> None:
+    """Raise :class:`NonPositiveInput` unless ``min(values) > 0``."""
+    if np.min(values) <= 0:
+        raise NonPositiveInput(f"{name} must be strictly positive")
+
+
+def require_nonnegative(values, name: str) -> None:
+    """Raise :class:`NonPositiveInput` where a value is below 0 (an empty
+    array has none)."""
+    if np.any(np.less(values, 0)):
+        raise NonPositiveInput(f"{name} must be nonnegative")
+
+
+def require_finite(values, name: str, field: str | None = None) -> None:
+    """Raise :class:`ValidationError` unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} contains non-finite values",
+                              field=field)
+
+
+def require_positive_finite(value, name: str) -> None:
+    """Raise :class:`NonPositiveInput` naming the field ``name`` unless
+    the scalar ``value`` lies in ``(0, inf)``."""
+    if not 0 < value < math.inf:
+        raise NonPositiveInput(f"{name} must be positive and finite",
+                               field=name)

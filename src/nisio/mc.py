@@ -101,7 +101,8 @@ import numpy as np
 from .errors import EvalError, NonFiniteState, ValidationError
 from .expr import evaluate
 from .generator import ProblemSpec
-from .grid import INTERVAL, TORUS, _control_indices, _whole_number
+from .grid import (INTERVAL, TORUS, _control_indices, _whole_number,
+                   require_finite, require_positive_finite)
 
 __all__ = ["McSettings", "McConfig", "McEstimate", "cost_samples",
            "simulate_cost", "policy_sweep"]
@@ -130,20 +131,15 @@ class McSettings:
         if self.x0 is not None:
             object.__setattr__(self, "x0",
                                tuple(float(c) for c in np.atleast_1d(self.x0)))
-        if not (self.dt_sim > 0 and math.isfinite(self.dt_sim)):
-            raise ValidationError("dt_sim must be positive and finite",
-                                  field="dt_sim")
-        object.__setattr__(self, "N", _whole_number(self.N, "N"))
-        if not self.N >= 100:
-            raise ValidationError("at least 100 paths required", field="N")
+        require_positive_finite(self.dt_sim, "dt_sim")
+        object.__setattr__(self, "N", _whole_number(self.N, "N", least=100))
         if not (math.isfinite(self.T) and self.T >= 10 * self.dt_sim):
             raise ValidationError("horizon must be finite and cover at least "
                                   "10 steps", field="T")
-        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
-        if not self.seed >= 0:
-            raise ValidationError("seed must be nonnegative", field="seed")
-        if self.x0 is not None and not all(map(math.isfinite, self.x0)):
-            raise ValidationError("x0 must be finite", field="x0")
+        object.__setattr__(self, "seed",
+                           _whole_number(self.seed, "seed", least=0))
+        if self.x0 is not None:
+            require_finite(self.x0, "x0", field="x0")
 
 
 @dataclass(frozen=True)

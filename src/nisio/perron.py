@@ -30,16 +30,17 @@ with this module.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
 from .cone import _cw_band
-from .errors import (NoConvergence, NonPositiveInput, NonPositiveIterate,
-                     NotIrreducible, ValidationError, ZeroVector)
+from .errors import (NoConvergence, NonPositiveIterate, NotIrreducible,
+                     ValidationError, ZeroVector)
 from .generator import _stack_product
+from .grid import (_whole_number, require_finite, require_nonnegative,
+                   require_positive, require_positive_finite)
 
 __all__ = ["perron", "noda", "cw_lower", "cw_upper", "is_irreducible"]
 
@@ -52,17 +53,14 @@ def _check_matrix(m) -> np.ndarray:
     q = np.asarray(m, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValidationError("matrix contains non-finite entries")
-    if np.min(q) < 0:
-        raise ValidationError("matrix must be entrywise nonnegative")
+    require_finite(q, "matrix")
+    require_nonnegative(q, "matrix")
     return q
 
 
 def _check_vector(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValidationError("x contains non-finite values")
+    require_finite(x, "x")
     return x
 
 
@@ -85,6 +83,8 @@ def perron(m, tol: float = 1e-12, max_iters: int = 200_000):
     is the Collatz-Weilandt upper functional ``max_i (Qx)_i/x_i``, so the
     running estimates are upper bounds.  Returns ``(lam, x)`` with
     ``||Q x - lam x||_inf <= tol * lam``, ``x > 0`` and ``||x||_inf = 1``.
+    ``max_iters`` is a whole number ``>= 1``; an integral float counts as
+    its ``int``.
 
     Raises :class:`NotIrreducible` for reducible support, and
     :class:`NoConvergence` when the iteration stalls, which signals a
@@ -94,8 +94,8 @@ def perron(m, tol: float = 1e-12, max_iters: int = 200_000):
     q = _check_matrix(m)
     if not is_irreducible(q):
         raise NotIrreducible("support graph is not strongly connected")
-    if not 0 < tol < math.inf:
-        raise ValidationError("tol must be positive and finite")
+    require_positive_finite(tol, "tol")
+    max_iters = _whole_number(max_iters, "max_iters", least=1)
     n = q.shape[0]
     x = np.ones(n)
     lam = float(np.max(q.sum(axis=1)))
@@ -238,20 +238,16 @@ def noda(a, x0=None, tol: float = 0.0):
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValidationError(f"matrix must be square, got shape {a.shape}")
-    if not np.isfinite(a.data).all():
-        raise ValidationError("matrix contains non-finite entries")
+    require_finite(a.data, "matrix")
     system = _ShiftedSystem(a)
-    if np.any(system.off_diagonal < 0):
-        raise ValidationError("matrix must be nonnegative off the diagonal")
+    require_nonnegative(system.off_diagonal, "matrix off the diagonal")
     if not _strongly_connected(system.support()):
         raise NotIrreducible("support graph is not strongly connected")
     x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (n,):
         raise ValidationError(f"x0 must have shape ({n},)")
-    if np.min(x) <= 0:
-        raise NonPositiveInput("x0 must be strictly positive")
-    if not np.isfinite(x).all():
-        raise ValidationError("x0 must be finite")
+    require_positive(x, "x0")
+    require_finite(x, "x0")
     x = x / np.max(x)
     product = _stack_product(a)
 
@@ -287,8 +283,7 @@ def cw_lower(m, x) -> float:
     """
     q = _check_matrix(m)
     x = _check_vector(x)
-    if np.min(x) < 0:
-        raise NonPositiveInput("x must be nonnegative")
+    require_nonnegative(x, "x")
     support = x > 0
     if not support.any():
         raise ZeroVector("x must be nonzero")
@@ -304,7 +299,6 @@ def cw_upper(m, x) -> float:
     """
     q = _check_matrix(m)
     x = _check_vector(x)
-    if np.min(x) <= 0:
-        raise NonPositiveInput("x must be strictly positive")
+    require_positive(x, "x")
     y = q @ x
     return float(np.max(y / x))

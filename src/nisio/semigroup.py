@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import CflViolation, ValidationError
 from .generator import DiscreteGenerator, _envelope, _envelope_map, apply_G
-from .grid import GridFunction, _whole_number, as_grid_function, require_positive
+from .grid import (GridFunction, _whole_number, as_grid_function,
+                   require_positive, require_positive_finite)
 
 __all__ = [
     "EvolveOptions",
@@ -56,15 +57,11 @@ class EvolveOptions:
     record_every: int = 0
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValidationError("dt must be positive and finite")
+        require_positive_finite(self.dt, "dt")
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
             raise ValidationError("t_final must be nonnegative and finite")
-        object.__setattr__(self, "record_every",
-                           _whole_number(self.record_every, "record_every"))
-        if self.record_every < 0:
-            raise ValidationError("record_every must be >= 0",
-                                  field="record_every")
+        object.__setattr__(self, "record_every", _whole_number(
+            self.record_every, "record_every", least=0))
 
     def n_steps(self) -> int:
         if self.t_final == 0:
@@ -128,15 +125,15 @@ def generator_limit_check(gen: DiscreteGenerator, f: GridFunction,
 
     For smooth positive ``f`` the residual decays linearly in ``t`` (it is
     the first-order Taylor remainder of the evolution), so halving ``t``
-    should roughly halve the residual.
+    should roughly halve the residual.  Each ``t`` must be positive and
+    finite, else :class:`NonPositiveInput` naming ``t_list``.
     """
     f = as_grid_function(gen.grid, f)
-    require_positive(f)
+    require_positive(f, "grid function")
     gf = apply_G(gen, f)
     out = []
     for t in t_list:
-        if not t > 0:
-            raise ValidationError("every t in t_list must be positive")
+        require_positive_finite(t, "t_list")
         ft = evolve(gen, f, EvolveOptions(dt=gen.dt_max, t_final=float(t)))
         out.append(float(np.max(np.abs((ft - f) / t - gf))))
     return np.array(out)

@@ -34,9 +34,10 @@ import scipy.sparse as sp
 
 from .cone import _cw_band
 from .eigensolver import SolveOptions, _step_size
-from .errors import NonPositiveInput, ValidationError
+from .errors import ValidationError
 from .generator import DiscreteGenerator, _envelope, apply_G
-from .grid import GridFunction, as_grid_function
+from .grid import (GridFunction, _whole_number, as_grid_function,
+                   require_finite, require_nonnegative, require_positive)
 from .perron import _csc_solve, noda
 from .semigroup import EvolveOptions, evolve
 
@@ -66,8 +67,7 @@ def cw_bounds(gen: DiscreteGenerator, f: GridFunction,
     and bracket the principal eigenvalue for *any* admissible ``f``.
     """
     f = as_grid_function(gen.grid, f)
-    if np.min(f) <= 0:
-        raise NonPositiveInput("f must be strictly positive")
+    require_positive(f, "f")
     return SandwichReport(*_cw_band(apply_G(gen, f), f), f_label, rho)
 
 
@@ -82,14 +82,13 @@ def cw_search(gen: DiscreteGenerator,
     family the upper bound is nonincreasing and the lower bound
     nondecreasing, so the active bound improves monotonically toward
     ``rho``.  Returns one report per iterate, the start included.
+    ``iters`` and ``steps_per_iter`` are whole numbers ``>= 1``; an
+    integral float counts as its ``int``.
     """
-    if iters < 1:
-        raise ValidationError("iters must be >= 1")
-    if steps_per_iter < 1:
-        raise ValidationError("steps_per_iter must be >= 1")
+    iters = _whole_number(iters, "iters", least=1)
+    steps_per_iter = _whole_number(steps_per_iter, "steps_per_iter", least=1)
     f = gen.grid.ones() if f0 is None else as_grid_function(gen.grid, f0)
-    if np.min(f) <= 0:
-        raise NonPositiveInput("starting function must be strictly positive")
+    require_positive(f, "starting function")
     dt = _step_size(gen, SolveOptions())
     opts = EvolveOptions(dt=dt, t_final=steps_per_iter * dt)
     reports = [cw_bounds(gen, f, f_label="iterate 0", rho=rho)]
@@ -136,8 +135,9 @@ def dv_rate(gen: DiscreteGenerator, nu, maxiter: int = 2000) -> float:
     diagonal shifted by ``N`` ulps of the largest entry, with Armijo
     backtracking.  The iteration stops when the Newton decrement reaches
     the rounding level of ``J``'s terms, when backtracking cannot lower
-    ``J``, or after ``maxiter`` steps.  Convexity makes the flat start as
-    good as any.
+    ``J``, or after ``maxiter`` steps, a whole number ``>= 0`` (an
+    integral float counts as its ``int``; ``0`` gives the flat start's
+    value).  Convexity makes the flat start as good as any.
 
     Always nonnegative; zero exactly at stationary distributions of ``L``.
     Tiny negative values from rounding are clamped to 0.
@@ -147,13 +147,12 @@ def dv_rate(gen: DiscreteGenerator, nu, maxiter: int = 2000) -> float:
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (gen.size,):
         raise ValidationError(f"nu must have shape ({gen.size},)")
-    if not np.isfinite(nu).all():
-        raise ValidationError("nu must be finite")
-    if np.min(nu) < 0:
-        raise NonPositiveInput("nu must be nonnegative")
+    require_finite(nu, "nu")
+    require_nonnegative(nu, "nu")
     total = float(np.sum(nu))
     if abs(total - 1.0) > 1e-8:
         raise ValidationError(f"nu must sum to 1, got {total!r}")
+    maxiter = _whole_number(maxiter, "maxiter", least=0)
 
     n = gen.size
     coo = L.tocoo()
@@ -272,8 +271,7 @@ def hji_residual(gen: DiscreteGenerator, pair) -> HjiReport:
     identically when the cost is constant (``psi = 0``).
     """
     phi = as_grid_function(gen.grid, pair.phi)
-    if np.min(phi) <= 0:
-        raise NonPositiveInput("phi must be strictly positive")
+    require_positive(phi, "phi")
     psi = np.log(phi)
     grad = _centered_gradient(gen, psi)
     quad = 0.5 * np.einsum("xi,xij,xj->x", grad, gen.a_table, grad)

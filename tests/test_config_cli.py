@@ -565,7 +565,7 @@ def test_cli_matrix_cw_rejects_a_nan_tol(tmp_path, capsys):
     argv = ["matrix-cw", "--matrix", mat, "--tol", "nan", "--out", tmp_path]
     assert run_cli(argv) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError" and "tol" in err["message"]
+    assert err["error"] == "NonPositiveInput" and "tol" in err["message"]
 
 
 def test_cli_matrix_cw_rejects_an_infinite_tol(tmp_path, capsys):
@@ -576,7 +576,7 @@ def test_cli_matrix_cw_rejects_an_infinite_tol(tmp_path, capsys):
     argv = ["matrix-cw", "--matrix", mat, "--tol", "inf", "--out", tmp_path]
     assert run_cli(argv) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError" and "tol" in err["message"]
+    assert err["error"] == "NonPositiveInput" and "tol" in err["message"]
     assert not (tmp_path / "report.json").exists()
 
 

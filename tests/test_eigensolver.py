@@ -147,7 +147,8 @@ def test_solve_options_validation():
          "f0-nan", "f0-inf"])
 def test_solve_options_rejects(bad):
     name = next(iter(bad))
-    with pytest.raises(ValidationError, match=f"^{name} must be") as err:
+    rule = "contains non-finite values" if name == "f0" else "must be"
+    with pytest.raises(ValidationError, match=f"^{name} {rule}") as err:
         SolveOptions(**bad)
     assert err.value.field == name
 

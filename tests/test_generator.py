@@ -359,8 +359,9 @@ def test_direct_csr_kernel_is_used():
 
 
 def test_shape_guards_leave_a_bad_argument_to_matmul():
-    # the direct kernel reads its argument unchecked: a vector or a batch
-    # of another shape goes to ``@``, which refuses it
+    # the direct kernel reads its argument unchecked: a vector of another
+    # length goes to ``@``, which refuses it, and a batch of another shape
+    # is refused before any product
     gen = build_generator(problems.torus_two_control(32))
     stack = gen.step_stack(1e-4)
     product = generator._stack_product(stack)
@@ -376,6 +377,27 @@ def test_shape_guards_leave_a_bad_argument_to_matmul():
         for shape in ((2, 5), (2, 64)):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 batch(np.ones(shape))
+
+
+@pytest.mark.parametrize("bound", [0, 2 ** 62],
+                         ids=["per-orbit", "block-diagonal"])
+@pytest.mark.parametrize("shape", [(1, 32), (3, 32), (32,)])
+def test_envelope_batch_rejects_a_batch_without_one_row_per_sense(bound,
+                                                                   shape):
+    # too few rows would leave rows of the result unwritten, too many
+    # would be dropped; the map is called with the right shape after
+    gen = build_generator(problems.torus_two_control(32))
+    stack = gen.step_stack(1e-4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generator, "_BLOCK_NNZ", bound)
+        batch = generator._envelope_batch(stack, gen.size,
+                                          ["minimize", "maximize"])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        batch(np.ones(shape))
+    g = np.ones((2, gen.size))
+    want = [generator._envelope_map(stack, gen.size, sense)(g[0])
+            for sense in ("minimize", "maximize")]
+    assert np.array_equal(batch(g), want)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,22 @@ def test_perron_rejects_a_tol_that_is_not_positive(tol):
         perron(np.array([[1.0, 1.0], [2.0, 1.0]]), tol=tol)
 
 
+@pytest.mark.parametrize("max_iters", [0, -2, 2.5, np.nan, np.inf, True])
+def test_perron_max_iters_is_a_whole_number_at_least_one(max_iters):
+    with pytest.raises(ValidationError) as err:
+        perron(np.array([[1.0, 1.0], [2.0, 1.0]]), max_iters=max_iters)
+    assert err.value.field == "max_iters"
+
+
+def test_perron_integral_float_max_iters_counts_as_its_int():
+    q = np.array([[1.0, 1.0], [2.0, 1.0]])
+    lam, x = perron(q, max_iters=500.0)
+    want_lam, want_x = perron(q, max_iters=500)
+    assert lam == want_lam and same_bytes(x, want_x)
+    with pytest.raises(NoConvergence, match="after 2 iterations"):
+        perron(np.array([[0.0, 1.0], [4.0, 0.0]]), max_iters=2.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_noda_rejects_non_finite_x0(bad):
     a = build_generator(problems.torus_cosine(16)).frozen(0).stack

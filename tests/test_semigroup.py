@@ -11,7 +11,7 @@ from nisio import (
     solve_evolution,
     step,
 )
-from nisio.errors import CflViolation, ValidationError
+from nisio.errors import CflViolation, NonPositiveInput, ValidationError
 from nisio import problems
 
 
@@ -184,6 +184,17 @@ def test_generator_limit_at_eigenfunction(cosine_gen, cosine_pair):
     rho = abs(cosine_pair.rho)
     for t, r in zip(t_list, res):
         assert r <= rho ** 2 * t + 10 * cosine_pair.residual
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, 0.0, -0.1])
+def test_generator_limit_check_names_t_list(cosine_gen, t):
+    # an infinite t used to pass the sign check and fail in EvolveOptions,
+    # naming t_final
+    f = cosine_gen.grid.ones()
+    with pytest.raises(NonPositiveInput,
+                       match="^t_list must be positive and finite$") as err:
+        generator_limit_check(cosine_gen, f, [0.1, t])
+    assert err.value.field == "t_list"
 
 
 def test_evolve_options_validation():

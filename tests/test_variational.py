@@ -101,6 +101,21 @@ def test_cw_search_rejects_steps_per_iter_below_one(cosine_gen, steps):
         cw_search(cosine_gen, iters=2, steps_per_iter=steps)
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(iters=1.5), "iters"), (dict(iters=True), "iters"),
+    (dict(iters=np.nan), "iters"), (dict(steps_per_iter=1.5), "steps_per_iter"),
+    (dict(steps_per_iter=True), "steps_per_iter")])
+def test_cw_search_counts_are_whole_numbers(cosine_gen, kw, field):
+    with pytest.raises(ValidationError) as err:
+        cw_search(cosine_gen, **kw)
+    assert err.value.field == field
+
+
+def test_cw_search_integral_float_counts_count_as_their_ints(cosine_gen):
+    assert (cw_search(cosine_gen, iters=2.0, steps_per_iter=3.0)
+            == cw_search(cosine_gen, iters=2, steps_per_iter=3))
+
+
 # ---------------------------------------------------------------------------
 # Donsker-Varadhan
 # ---------------------------------------------------------------------------
@@ -276,6 +291,17 @@ def test_dv_rate_one_step_bounded_by_converged(cosine_gen):
     early = dv_rate(cosine_gen, nu, maxiter=1)
     assert math.isfinite(early)
     assert 0.0 <= early <= rate
+
+
+@pytest.mark.parametrize("maxiter", [2.5, np.nan, np.inf, True, -1])
+def test_dv_rate_maxiter_is_a_whole_number(cosine_gen, maxiter):
+    # a negative maxiter used to run no Newton step and return 0.0
+    nu = np.full(cosine_gen.size, 1.0 / cosine_gen.size)
+    with pytest.raises(ValidationError) as err:
+        dv_rate(cosine_gen, nu, maxiter=maxiter)
+    assert err.value.field == "maxiter"
+    assert (dv_rate(cosine_gen, nu + 0.0, maxiter=3.0)
+            == dv_rate(cosine_gen, nu, maxiter=3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
