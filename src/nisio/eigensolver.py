@@ -38,8 +38,8 @@ import numpy as np
 
 from .cone import OrbitStats, _cw_band, _lockstep_iterate, power_iterate
 from .errors import CycleDetected, NoConvergence, ValidationError
-from .generator import (DiscreteGenerator, _envelope, _envelope_batch,
-                        _envelope_map, argmin_policy)
+from .generator import (DiscreteGenerator, _envelope, _envelope_map,
+                        argmin_policy)
 from .grid import (GridFunction, _whole_number, require_finite,
                    require_positive_finite)
 from .perron import noda
@@ -176,9 +176,9 @@ def solve_evolution(gen: DiscreteGenerator,
     # oscillation of G f / f
     power_tol = 0.5 * opts.tol * dt * _EULER_STEPS
     if senses is None:
-        euler = _euler_steps(_envelope_map(stack, gen.size, gen.sense))
         try:
-            outcome = power_iterate(euler, f0, tol=power_tol,
+            outcome = power_iterate(_orbit_map(stack, gen.size, gen.sense),
+                                    f0, tol=power_tol,
                                     max_iters=opts.max_iters)
         except NoConvergence as exc:
             outcome = exc
@@ -188,23 +188,32 @@ def solve_evolution(gen: DiscreteGenerator,
                               field="senses")
     views = [gen.with_sense(sense) for sense in senses]
     outcomes = _lockstep_iterate(
-        [_euler_steps(_envelope_map(stack, gen.size, view.sense))
-         for view in views],
-        lambda orbits: _euler_steps(_envelope_batch(
-            stack, gen.size, [views[i].sense for i in orbits])),
+        [_orbit_map(stack, gen.size, view.sense) for view in views],
+        lambda orbits: _euler_steps(stack, gen.size,
+                                    [views[i].sense for i in orbits]),
         f0, tol=power_tol, max_iters=opts.max_iters)
     return tuple(_evolution_pair(view, outcome, opts.tol)
                  for view, outcome in zip(views, outcomes))
 
 
-def _euler_steps(step):
-    """``step`` applied ``_EULER_STEPS`` times, each call on the output of
-    the one before; the result is the last call's output buffer."""
+def _euler_steps(stack, size: int, senses):
+    """The map ``(I + dt G)^8`` of a ``(B, size)`` batch, row ``j`` in the
+    sense ``senses[j]``, for the Euler step stack ``stack``: the envelope
+    map applied ``_EULER_STEPS`` times, each call on the output of the one
+    before; the result is the last call's output buffer."""
+    step = _envelope_map(stack, size, senses)
+
     def steps(g):
         for _ in range(_EULER_STEPS):
             g = step(g)
         return g
     return steps
+
+
+def _orbit_map(stack, size: int, sense: str):
+    """The map of :func:`_euler_steps` for one orbit, on a vector."""
+    steps = _euler_steps(stack, size, (sense,))
+    return lambda g: steps(g[None])[0]
 
 
 def _evolution_pair(gen: DiscreteGenerator, outcome, tol: float) -> EigenPair:

@@ -24,10 +24,12 @@ The control family is stored once, as the CSR stack ``vstack(A_v)``.  The
 envelope operator ``(G f)(x) = min_v (L_v + r_v) f(x)`` (``max_v`` for
 maximization problems) is one product ``stack @ f`` reduced over controls
 by :func:`_envelope`; CSR row blocks keep each row's entry order, so this
-is bitwise the envelope of the separate products ``A_v @ f``.  Several
-iterates stepped together (:func:`_envelope_batch`) take one product with
-block-diagonal copies of the step stack while it is small, with the same
-bits per iterate.
+is bitwise the envelope of the separate products ``A_v @ f``.  Repeated
+products, such as Euler steps, go through one map, :func:`_envelope_map`:
+it steps a batch of iterates, one row each with its own sense, by scipy's
+CSR kernel on buffers of its own, with one product over block-diagonal
+copies of the stack while the stack is small, and every row has the bits
+of :func:`_envelope` on its own product.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-
-try:    # the kernel behind ``csr @ vector``; private, so it may move
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:
-    _csr_matvec = None
 
 from .errors import (
     DegenerateDiffusion,
@@ -65,6 +62,12 @@ __all__ = [
 MAX_CONTROLS = 64
 MINIMIZE = "minimize"
 MAXIMIZE = "maximize"
+
+
+def _check_sense(sense) -> None:
+    if sense not in (MINIMIZE, MAXIMIZE):
+        raise ValidationError("sense must be 'minimize' or 'maximize'",
+                              field="sense")
 
 
 def _as_expr(e, field: str) -> Expr:
@@ -127,9 +130,7 @@ class ProblemSpec:
         if len(b) != d:
             raise ValidationError(f"b needs {d} component expressions",
                                   field="b")
-        if self.sense not in (MINIMIZE, MAXIMIZE):
-            raise ValidationError("sense must be 'minimize' or 'maximize'",
-                                  field="sense")
+        _check_sense(self.sense)
         if not (self.eps_a > 0):
             raise ValidationError("eps_a must be positive", field="eps_a")
         allowed = {f"x{i+1}" for i in range(d)}
@@ -218,7 +219,8 @@ class DiscreteGenerator:
     every ``I + dt A_v`` is entrywise nonnegative:
     ``min(1 / max q_v, 1 / max(-diag A_v))``, with ``q_v`` the
     off-diagonal row sum of ``A_v``.  A frozen policy is a generator with
-    one control, :meth:`frozen`.
+    one control, :meth:`frozen`.  A ``sense`` other than ``"minimize"``
+    and ``"maximize"`` raises :class:`ValidationError` naming ``sense``.
     """
 
     grid: Grid
@@ -228,6 +230,9 @@ class DiscreteGenerator:
     dt_max: float
     sense: str = MINIMIZE
     _step_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        _check_sense(self.sense)
 
     @property
     def n_controls(self) -> int:
@@ -243,9 +248,8 @@ class DiscreteGenerator:
 
     def with_sense(self, sense: str) -> "DiscreteGenerator":
         """A view of the same discrete operators with the envelope of
-        ``sense``; the view shares this generator's Euler stack."""
-        if sense not in (MINIMIZE, MAXIMIZE):
-            raise ValidationError("sense must be 'minimize' or 'maximize'")
+        ``sense``; the view shares this generator's Euler stack.  A bad
+        ``sense`` raises as the constructor does."""
         return replace(self, sense=sense)
 
     def frozen(self, policy) -> "DiscreteGenerator":
@@ -406,60 +410,92 @@ def _assemble(grid: Grid, a: np.ndarray, b: np.ndarray,
 # operator application
 # ---------------------------------------------------------------------------
 
-def _stack_product(stack: sp.csr_matrix, out: np.ndarray | None = None):
-    """``g -> stack @ g`` for repeated products with one CSR matrix.
+def _matmul_kernel(n_row, n_col, indptr, indices, data, x, y):
+    """The signature and effect of scipy's CSR kernel, ``y += A @ x`` for
+    the CSR arrays of ``A``, through ``@``: the stand-in where the kernel
+    cannot be imported.  ``@`` runs that kernel on a fresh zeroed array,
+    so on a zeroed ``y`` the sum has the kernel's bits."""
+    a = sp.csr_matrix((data, indices, indptr), shape=(n_row, n_col))
+    y += a @ np.ravel(x)
 
-    Runs scipy's own CSR kernel on a zeroed buffer that the returned
-    function owns (``out``, or a new array), as ``@`` does on a fresh
-    zeroed array, so the product has the same bits without the per-call
-    dispatch of ``@``.  The buffer is overwritten by the next call: reduce
-    it (with :func:`_envelope`) or copy it before then.  Each call of this
-    helper without ``out`` makes a new buffer, so separate callers share
-    nothing.  Falls back to ``stack @ g`` when the kernel cannot be
-    imported, and for an argument of the wrong shape (which ``@`` rejects,
-    and the kernel would read out of bounds).
+
+try:    # the kernel behind ``csr @ vector``; private, so it may move
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:
+    _csr_matvec = _matmul_kernel
+
+
+# Largest step stack, in nonzeros, that :func:`_envelope_map` copies into
+# one block-diagonal product for a batch of several rows.  For two orbits
+# on a 2-vCPU host the copies saved call overhead up to 45k nonzeros (the
+# 2-torus at n = 40).  At 64k (n = 48) they measured no faster than one
+# product per row, and they added about 2 MB to the peak resident memory
+# of a solve.
+_BLOCK_NNZ = 2 ** 15
+
+
+def _envelope_map(stack: sp.csr_matrix, size: int, senses):
+    """``g -> y`` for repeated envelope products of a ``(B, size)`` batch,
+    ``B = len(senses)``: row ``j`` of ``y`` is ``_envelope(stack @ g[j],
+    size, senses[j])`` to the bit.  ``y`` is a buffer of the returned
+    function's own, never the product buffer, so it may be fed back as the
+    next argument; the next call overwrites it.  A ``g`` of any shape but
+    ``(B, size)`` raises ``ValueError`` before any product, since the
+    kernel reads its argument unchecked.
+
+    The products go through scipy's CSR kernel on a zeroed buffer, as
+    ``@`` computes them on a fresh zeroed array, so they have its bits
+    without its per-call dispatch.  For one row the kernel runs on the
+    stack's own arrays.  For several, up to ``_BLOCK_NNZ`` nonzeros, it
+    runs once over ``B`` block-diagonal copies of the stack: row ``r`` of
+    copy ``j`` holds the entries of row ``r`` in their order, its columns
+    shifted by ``j * size``, so the kernel sums the products of row ``r``
+    with ``g[j]`` in the order of the single product.  Larger stacks take
+    one product per row.  Each row's products are then reduced over
+    controls by the chain of :func:`_reduce_blocks`.
     """
-    if _csr_matvec is None:
-        return stack.__matmul__
-    rows, cols = stack.shape
+    y = np.empty((len(senses), size))
+    shape, kernel = y.shape, _csr_matvec
+    copies, (rows, cols), nnz = len(senses), stack.shape, stack.nnz
     indptr, indices, data = stack.indptr, stack.indices, stack.data
-    if out is None:
-        out = np.empty(rows)
+    if copies == 1 or nnz <= _BLOCK_NNZ:
+        if copies > 1:
+            indptr = np.concatenate([indptr[:-1] + j * nnz
+                                     for j in range(copies)]
+                                    + [indptr[-1:] + (copies - 1) * nnz])
+            indices = np.concatenate([indices + j * cols
+                                      for j in range(copies)])
+            data = np.tile(data, copies)
+        products = np.empty(copies * rows)
+        reducers = [_reduce_blocks(products[j * rows:(j + 1) * rows], size,
+                                   sense, row)
+                    for j, (sense, row) in enumerate(zip(senses, y))]
+        block_rows, block_cols = copies * rows, copies * cols
 
-    def product(g):
-        if g.shape != (cols,):
-            return stack @ g
-        out.fill(0.0)
-        _csr_matvec(rows, cols, indptr, indices, data, g, out)
-        return out
-    return product
+        def block_diagonal(g):
+            if g.shape != shape:
+                raise _batch_shape_error(g, shape)
+            products.fill(0.0)
+            kernel(block_rows, block_cols, indptr, indices, data, g, products)
+            for reduce in reducers:
+                reduce()
+            return y
+        return block_diagonal
 
+    products = np.empty((copies, rows))
+    reducers = [_reduce_blocks(p, size, sense, row)
+                for p, sense, row in zip(products, senses, y)]
 
-def _envelope_map(stack: sp.csr_matrix, size: int, sense: str,
-                  out: np.ndarray | None = None):
-    """``g -> _envelope(stack @ g, size, sense)`` for repeated calls, bitwise.
-
-    The product goes to a buffer of :func:`_stack_product`, and
-    :func:`_reduce_blocks` reduces its row blocks into a second buffer,
-    ``out`` or a new vector, which the returned function owns and returns.
-    The output is never the product buffer, so it may be fed back as the
-    next argument; it is overwritten by the next call.  Where
-    :func:`_stack_product` falls back to ``@``, so does this map, to
-    :func:`_envelope` on the fresh product.
-    """
-    products = np.empty(stack.shape[0])
-    product = _stack_product(stack, products)
-    if out is None:
-        out = np.empty(size)
-    reduce = _reduce_blocks(products, size, sense, out)
-
-    def apply(g):
-        p = product(g)
-        if p is not products:
-            return _envelope(p, size, sense)
-        reduce()
-        return out
-    return apply
+    def each_row(g):
+        if g.shape != shape:
+            raise _batch_shape_error(g, shape)
+        products.fill(0.0)
+        for x, p in zip(g, products):
+            kernel(rows, cols, indptr, indices, data, x, p)
+        for reduce in reducers:
+            reduce()
+        return y
+    return each_row
 
 
 def _reduce_blocks(products: np.ndarray, size: int, sense: str,
@@ -483,70 +519,6 @@ def _reduce_blocks(products: np.ndarray, size: int, sense: str,
         for block in tail:
             op(out, block, out=out)
     return reduce
-
-
-# Largest step stack, in nonzeros, that :func:`_envelope_batch` copies into
-# one block-diagonal product.  For two orbits on a 2-vCPU host the copies
-# were faster than one product per orbit up to 45k nonzeros (the 2-torus
-# at n = 40) and slower at 64k (n = 48), where the per-call cost they save
-# is small beside the reads of the larger matrix.
-_BLOCK_NNZ = 2 ** 15
-
-
-def _envelope_batch(stack: sp.csr_matrix, size: int, senses):
-    """``g -> y`` for a ``(B, size)`` batch of iterates, ``B = len(senses)``:
-    row ``j`` of ``y`` is ``_envelope_map(stack, size, senses[j])(g[j])``
-    to the bit.  ``y`` is a buffer of the returned function's own, which
-    the next call overwrites.
-
-    Up to ``_BLOCK_NNZ`` nonzeros in ``stack``, one CSR product with ``B``
-    block-diagonal copies of it takes every orbit's products at once.  Row
-    ``r`` of copy ``j`` holds the entries of row ``r`` of ``stack`` in
-    their order, its columns shifted by ``j * size``, so the kernel sums
-    the products of row ``r`` with ``g[j]`` in the order that
-    :func:`_stack_product` sums them.  Larger stacks take one product per
-    orbit, as does any stack where the kernel is missing.  Either way a
-    ``g`` of any shape but ``(B, size)`` raises ``ValueError``.
-    """
-    y = np.empty((len(senses), size))
-    shape = y.shape
-    maps = [_envelope_map(stack, size, sense, out=row)
-            for sense, row in zip(senses, y)]
-
-    def each(g):
-        if g.shape != shape:
-            raise _batch_shape_error(g, shape)
-        for one_step, x, row in zip(maps, g, y):
-            value = one_step(x)
-            if value is not row:
-                row[...] = value
-        return y
-
-    nnz = stack.nnz
-    if _csr_matvec is None or nnz > _BLOCK_NNZ:
-        return each
-    rows, cols = stack.shape
-    copies = len(senses)
-    indptr = np.concatenate([stack.indptr[:-1] + j * nnz
-                             for j in range(copies)]
-                            + [stack.indptr[-1:] + (copies - 1) * nnz])
-    indices = np.concatenate([stack.indices + j * cols for j in range(copies)])
-    data = np.tile(stack.data, copies)
-    products = np.empty(copies * rows)
-    reducers = [_reduce_blocks(products[j * rows:(j + 1) * rows], size,
-                               sense, row)
-                for j, (sense, row) in enumerate(zip(senses, y))]
-
-    def block_diagonal(g):
-        if g.shape != shape:
-            raise _batch_shape_error(g, shape)
-        products.fill(0.0)
-        _csr_matvec(copies * rows, copies * cols, indptr, indices, data, g,
-                    products)
-        for reduce in reducers:
-            reduce()
-        return y
-    return block_diagonal
 
 
 def _batch_shape_error(g, shape) -> ValueError:

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from .cone import _cw_band
 from .errors import (NoConvergence, NonPositiveIterate, NotIrreducible,
                      ValidationError, ZeroVector)
-from .generator import _stack_product
+from .generator import MINIMIZE, _envelope_map
 from .grid import (_whole_number, require_finite, require_nonnegative,
                    require_positive, require_positive_finite)
 
@@ -58,8 +58,11 @@ def _check_matrix(m) -> np.ndarray:
     return q
 
 
-def _check_vector(x) -> np.ndarray:
+def _check_vector(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValidationError(f"x must have shape ({n},), got {x.shape}",
+                              field="x")
     require_finite(x, "x")
     return x
 
@@ -249,9 +252,10 @@ def noda(a, x0=None, tol: float = 0.0):
     require_positive(x, "x0")
     require_finite(x, "x0")
     x = x / np.max(x)
-    product = _stack_product(a)
+    # the envelope of one control is the product itself
+    product = _envelope_map(a, n, (MINIMIZE,))
 
-    lo, hi = _cw_band(product(x), x)
+    lo, hi = _cw_band(product(x[None])[0], x)
     for _ in range(_NODA_MAX_ITERS):
         if hi - lo <= tol:
             break
@@ -267,7 +271,7 @@ def noda(a, x0=None, tol: float = 0.0):
                 f"least normal float64, {_TINY:.4g} "
                 f"({np.count_nonzero(y == 0)} rounded to zero), "
                 "beyond the float64 range")
-        lo_y, hi_y = _cw_band(product(y), y)
+        lo_y, hi_y = _cw_band(product(y[None])[0], y)
         if hi_y - lo_y >= hi - lo:
             break
         x, lo, hi = y, lo_y, hi_y
@@ -279,10 +283,11 @@ def cw_lower(m, x) -> float:
 
     Valid for any finite, nonnegative, nonzero ``x``; never exceeds the
     principal eigenvalue.  Exactly invariant under positive scaling of
-    ``x``.
+    ``x``.  An ``x`` without one entry per row of ``m`` raises
+    :class:`ValidationError` naming ``x``.
     """
     q = _check_matrix(m)
-    x = _check_vector(x)
+    x = _check_vector(x, len(q))
     require_nonnegative(x, "x")
     support = x > 0
     if not support.any():
@@ -294,11 +299,11 @@ def cw_lower(m, x) -> float:
 def cw_upper(m, x) -> float:
     """Upper Collatz-Weilandt functional ``max_i (Qx)_i/x_i``.
 
-    Requires finite, strictly positive ``x``; never falls below the
-    principal eigenvalue.
+    Requires finite, strictly positive ``x``, one entry per row of ``m``;
+    never falls below the principal eigenvalue.
     """
     q = _check_matrix(m)
-    x = _check_vector(x)
+    x = _check_vector(x, len(q))
     require_positive(x, "x")
     y = q @ x
     return float(np.max(y / x))

@@ -59,7 +59,8 @@ class EvolveOptions:
     def __post_init__(self):
         require_positive_finite(self.dt, "dt")
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
-            raise ValidationError("t_final must be nonnegative and finite")
+            raise ValidationError("t_final must be nonnegative and finite",
+                                  field="t_final")
         object.__setattr__(self, "record_every", _whole_number(
             self.record_every, "record_every", least=0))
 
@@ -107,13 +108,14 @@ def evolve(gen: DiscreteGenerator, f: GridFunction, opts: EvolveOptions):
     record = opts.record_every > 0
     times, snaps = [0.0], [f.copy()]
     if n:
-        euler = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
-        f = np.ascontiguousarray(f, dtype=float)
+        euler = _envelope_map(gen.step_stack(dt), gen.size, (gen.sense,))
+        row = f[None]
         for k in range(1, n + 1):
-            f = euler(f)
+            row = euler(row)
             if record and (k % opts.record_every == 0 or k == n):
                 times.append(k * dt)
-                snaps.append(f.copy())
+                snaps.append(row[0].copy())
+        f = row[0]
     if record:
         return f, np.array(times), np.array(snaps)
     return f

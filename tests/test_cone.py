@@ -557,7 +557,10 @@ def test_replayed_bracket_pins_byte_capped_records():
     from nisio.generator import _envelope_map
     gen = build_generator(problems.torus2d_separable(48))
     dt = 0.9 * gen.dt_max                   # the solver's step and tolerance
-    one_step = _envelope_map(gen.step_stack(dt), gen.size, gen.sense)
+    envelope = _envelope_map(gen.step_stack(dt), gen.size, (gen.sense,))
+
+    def one_step(g):
+        return envelope(g[None])[0]
     growth, fp, stats = power_iterate(one_step, gen.grid.ones(), tol=0.5e-9 * dt)
     cap = cone._RECORD_BYTES // (8 * gen.size)
     assert cap < cone._MAX_RECORDS

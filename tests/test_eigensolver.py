@@ -184,12 +184,14 @@ def test_dt_override(cosine_gen):
 
 def _eight_euler_steps(gen, dt):
     """Eight envelope Euler steps of ``gen``, each on the last one's output."""
-    one_step = generator._envelope_map(gen.step_stack(dt), gen.size, gen.sense)
+    one_step = generator._envelope_map(gen.step_stack(dt), gen.size,
+                                       (gen.sense,))
 
     def steps(g):
+        g = g[None]
         for _ in range(8):
             g = one_step(g)
-        return g
+        return g[0]
     return steps
 
 
@@ -432,7 +434,7 @@ def test_lockstep_pins_both_product_layouts(nnz_bound, monkeypatch):
 
 
 def test_lockstep_pins_the_kernel_fallback(monkeypatch):
-    monkeypatch.setattr(generator, "_csr_matvec", None)
+    monkeypatch.setattr(generator, "_csr_matvec", generator._matmul_kernel)
     for spec in (problems.torus_two_control(32), mixed_torus(8, 0.25)):
         for senses in BOTH_ORDERS:
             assert_lockstep_solves(build_generator(spec), senses)
@@ -466,6 +468,23 @@ def test_lockstep_rejects_a_start_of_wrong_length():
             solve_evolution(gen, SolveOptions(f0=np.ones(shape)),
                             senses=("minimize", "maximize"))
         assert err.value.field == "f0"
+
+
+def test_one_sense_solve_iterates_through_power_iterate(monkeypatch):
+    # the benchmark's tracer wraps eigensolver.power_iterate by name to
+    # count and time cone iterations: the one-sense solve must call it
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return power_iterate(*args, **kwargs)
+
+    gen = build_generator(problems.torus_two_control(32))
+    want = solve_evolution(gen)
+    monkeypatch.setattr(eigensolver, "power_iterate", counting)
+    got = solve_evolution(gen)
+    assert len(calls) == 1
+    assert_same_pair(got, want)
 
 
 @pytest.mark.parametrize("senses", [(), ("minimize", "sideways")],

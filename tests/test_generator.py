@@ -150,6 +150,20 @@ def test_argmin_policy():
     assert np.array_equal(chosen, apply_G(gen3, f))
 
 
+@pytest.mark.parametrize("sense", ["minimise", "MAXIMIZE", None])
+def test_generator_rejects_an_unknown_sense(sense):
+    # a misspelt sense used to give the max envelope under its own name
+    gen = build_generator(problems.torus_two_control(32))
+    for make in (lambda: generator.DiscreteGenerator(
+                     grid=gen.grid, stack=gen.stack, r_tables=gen.r_tables,
+                     a_table=gen.a_table, dt_max=gen.dt_max, sense=sense),
+                 lambda: gen.with_sense(sense)):
+        with pytest.raises(ValidationError) as err:
+            make()
+        assert str(err.value) == "sense must be 'minimize' or 'maximize'"
+        assert err.value.field == "sense"
+
+
 def same_csr(a, b):
     return all(same_bytes(getattr(a, k), getattr(b, k))
                for k in ("data", "indices", "indptr"))
@@ -342,41 +356,44 @@ def test_hand_built_tree_at_the_depth_bound_evaluates_like_its_parse():
 
 
 def test_direct_csr_kernel_is_used():
-    # scipy's CSR kernel is private: if a release moves it, the step product
-    # falls back to ``stack @ g`` and this test, not only the timing, shows it
-    assert generator._csr_matvec is not None
+    # scipy's CSR kernel is private: if a release moves it, the envelope map
+    # runs its stand-in through ``stack @ g`` and this test, not only the
+    # timing, shows it
+    assert generator._csr_matvec is not generator._matmul_kernel
     stack = build_generator(problems.torus_two_control(32)).step_stack(1e-4)
-    product = generator._stack_product(stack)
     f = np.linspace(1.0, 2.0, 32)
     want = stack @ f
+    for senses in (["minimize"], ["minimize", "maximize"]):
+        envelope = generator._envelope_map(stack, 32, senses)
 
-    def no_matmul(self, other):
-        raise AssertionError("the product dispatched to @")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(stack), "__matmul__", no_matmul)
-        got = product(f)
-    assert np.array_equal(got, want)
+        def no_matmul(self, other):
+            raise AssertionError("the product dispatched to @")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(stack), "__matmul__", no_matmul)
+            got = envelope(np.tile(f, (len(senses), 1)))
+        assert np.array_equal(got, [generator._envelope(want, 32, sense)
+                                    for sense in senses])
 
 
 def test_shape_guards_leave_a_bad_argument_to_matmul():
-    # the direct kernel reads its argument unchecked: a vector of another
-    # length goes to ``@``, which refuses it, and a batch of another shape
-    # is refused before any product
+    # the direct kernel reads its argument unchecked: a row or a batch of
+    # another shape is refused before any product, with the error ``@``
+    # gives a vector of another length
     gen = build_generator(problems.torus_two_control(32))
     stack = gen.step_stack(1e-4)
-    product = generator._stack_product(stack)
     for length in (5, 64):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            product(np.ones(length))
-    # one product per orbit, then one block-diagonal product
-    for bound in (0, 2 ** 62):
+            stack @ np.ones(length)
+    # one row, then one product per row and one block-diagonal product
+    for bound, senses in ((0, ["minimize"]),
+                          (0, ["minimize", "maximize"]),
+                          (2 ** 62, ["minimize", "maximize"])):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(generator, "_BLOCK_NNZ", bound)
-            batch = generator._envelope_batch(stack, gen.size,
-                                              ["minimize", "maximize"])
-        for shape in ((2, 5), (2, 64)):
+            envelope = generator._envelope_map(stack, gen.size, senses)
+        for length in (5, 64):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                batch(np.ones(shape))
+                envelope(np.ones((len(senses), length)))
 
 
 @pytest.mark.parametrize("bound", [0, 2 ** 62],
@@ -390,12 +407,12 @@ def test_envelope_batch_rejects_a_batch_without_one_row_per_sense(bound,
     stack = gen.step_stack(1e-4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(generator, "_BLOCK_NNZ", bound)
-        batch = generator._envelope_batch(stack, gen.size,
-                                          ["minimize", "maximize"])
+        batch = generator._envelope_map(stack, gen.size,
+                                        ["minimize", "maximize"])
     with pytest.raises(ValueError, match="dimension mismatch"):
         batch(np.ones(shape))
     g = np.ones((2, gen.size))
-    want = [generator._envelope_map(stack, gen.size, sense)(g[0])
+    want = [generator._envelope(stack @ g[0], gen.size, sense)
             for sense in ("minimize", "maximize")]
     assert np.array_equal(batch(g), want)
 

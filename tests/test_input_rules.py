@@ -184,6 +184,9 @@ CASES = {
     "McSettings-seed": (
         lambda g: McSettings(seed=-1),
         NonPositiveInput, "seed must be >= 0", "seed"),
+    "EvolveOptions-t_final": (
+        lambda g: EvolveOptions(dt=1e-3, t_final=np.inf),
+        ValidationError, "t_final must be nonnegative and finite", "t_final"),
     "EvolveOptions-record_every": (
         lambda g: EvolveOptions(dt=1e-3, t_final=1.0, record_every=-1),
         NonPositiveInput, "record_every must be >= 0", "record_every"),

@@ -95,6 +95,18 @@ def test_cw_rejects_non_finite_x(bad):
             functional(q, [bad, 1.0])
 
 
+@pytest.mark.parametrize("x", [np.ones(3), np.ones(5), np.ones((4, 1)),
+                               np.ones(()), np.ones((2, 4))],
+                         ids=["short", "long", "column", "scalar", "matrix"])
+def test_cw_rejects_x_without_one_entry_per_row(x):
+    # the product would raise numpy's error, or broadcast, past the checks
+    for functional in (cw_lower, cw_upper):
+        with pytest.raises(ValidationError) as err:
+            functional(np.ones((4, 4)), x)
+        assert str(err.value) == f"x must have shape (4,), got {x.shape}"
+        assert err.value.field == "x"
+
+
 def test_cw_scaling_invariance(rng):
     q = random_irreducible(np.random.default_rng(5), 6)
     x = np.random.default_rng(6).uniform(0.1, 2.0, 6)

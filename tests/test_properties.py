@@ -116,33 +116,6 @@ def test_gated_power_iteration_matches_plain_loop(case):
             assert_same_pair(got, want)
 
 
-@pytest.mark.parametrize("kernel", ["direct", "fallback"])
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=specs())
-def test_stack_product_is_bitwise_matmul(kernel, case):
-    spec, seed = case
-    base = build_generator(spec)
-    rng = np.random.default_rng(seed)
-    kernels = {"direct": generator._csr_matvec, "fallback": None}
-    for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
-        with mock.patch.object(generator, "_csr_matvec", kernels[kernel]):
-            product = generator._stack_product(stack)
-        for sense in ("minimize", "maximize"):
-            for _ in range(2):                  # the buffer is reused
-                f = rng.uniform(-1.0, 2.0, base.size)
-                want = stack @ f
-                got = product(f)
-                assert_same_array(got, want)
-                best, arg = generator._envelope(got, base.size, sense,
-                                                with_arg=True)
-                want_best, want_arg = generator._envelope(
-                    want, base.size, sense, with_arg=True)
-                assert_same_array(best, want_best)
-                assert_same_array(arg, want_arg)
-                assert_same_array(generator._envelope(got, base.size, sense),
-                                  want_best)
-
-
 def _awkward(rng, size):
     """Values with signed zeros, NaN and infinities among ordinary ones."""
     f = rng.uniform(-1.0, 2.0, size)
@@ -156,63 +129,49 @@ def _awkward(rng, size):
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_envelope_map_is_bitwise_envelope(kernel, n_controls, data):
+    # row j of the map is _envelope(stack @ g[j], size, senses[j]) for one
+    # to three rows, with one product per row and with one block-diagonal
+    # product, on scipy's CSR kernel and on its stand-in
     spec, seed = data.draw(
         specs().filter(lambda case: case[0].n_controls == n_controls))
+    senses = data.draw(st.lists(st.sampled_from(["minimize", "maximize"]),
+                                min_size=1, max_size=3))
     base = build_generator(spec)
     rng = np.random.default_rng(seed)
-    size = base.size
-    kernels = {"direct": generator._csr_matvec, "fallback": None}
+    size, rows = base.size, len(senses)
+    kernels = {"direct": generator._csr_matvec,
+               "fallback": generator._matmul_kernel}
+
+    def envelopes(products):
+        return np.array([generator._envelope(p, size, sense)
+                         for p, sense in zip(products, senses)])
+
     for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
-        for sense in ("minimize", "maximize"):
-            with mock.patch.object(generator, "_csr_matvec", kernels[kernel]):
-                euler = generator._envelope_map(stack, size, sense)
-            f = rng.uniform(0.5, 1.5, size)
-            for f_in in (f, _awkward(rng, size)):
-                got = euler(f_in)
-                assert_same_array(got, generator._envelope(stack @ f_in,
-                                                           size, sense))
+        for nnz_bound in (0, 2 ** 62):
+            with mock.patch.multiple(generator, _csr_matvec=kernels[kernel],
+                                     _BLOCK_NNZ=nnz_bound):
+                envelope = generator._envelope_map(stack, size, senses)
+            g = rng.uniform(-1.0, 2.0, (rows, size))
+            awkward = np.stack([_awkward(rng, size) for _ in senses])
+            for g_in in (g, awkward):
+                got = envelope(g_in)
+                assert_same_array(got, envelopes([stack @ x for x in g_in]))
             for _ in range(3):              # the output fed back in
-                want = generator._envelope(stack @ f, size, sense)
-                f = euler(f)
-                assert_same_array(f, want)
+                want = envelopes([stack @ x for x in g])
+                g = envelope(g)
+                assert_same_array(g, want)
 
             # products with signed zeros, NaN and infinities in every block
             planted = np.concatenate([_awkward(rng, size)
                                       for _ in range(n_controls)])
 
-            def plant(rows, cols, indptr, indices, values, g, out):
-                np.copyto(out, planted)
+            def plant(n_row, n_col, indptr, indices, values, x, out):
+                out.reshape(-1, len(planted))[...] = planted
 
-            with mock.patch.object(generator, "_csr_matvec", plant):
-                got = generator._envelope_map(stack, size, sense)(f)
-            assert_same_array(got, generator._envelope(planted, size, sense))
-
-
-@pytest.mark.parametrize("kernel", ["direct", "fallback"])
-@pytest.mark.parametrize("nnz_bound", [0, 2 ** 62],
-                         ids=["product-per-orbit", "block-diagonal"])
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(case=specs(), senses=st.lists(st.sampled_from(["minimize", "maximize"]),
-                                     min_size=1, max_size=3))
-def test_envelope_batch_is_bitwise_envelope_map(kernel, nnz_bound, case,
-                                                senses):
-    spec, seed = case
-    base = build_generator(spec)
-    rng = np.random.default_rng(seed)
-    size = base.size
-    kernels = {"direct": generator._csr_matvec, "fallback": None}
-    for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
-        with mock.patch.multiple(generator, _csr_matvec=kernels[kernel],
-                                 _BLOCK_NNZ=nnz_bound):
-            batch = generator._envelope_batch(stack, size, senses)
-            maps = [generator._envelope_map(stack, size, sense)
-                    for sense in senses]
-        for _ in range(2):                  # the buffer is reused
-            g = np.stack([_awkward(rng, size) for _ in senses])
-            y = batch(g)
-            assert y.shape == g.shape
-            for row, one_step, x in zip(y, maps, g):
-                assert_same_array(row, one_step(x))
+            with mock.patch.multiple(generator, _csr_matvec=plant,
+                                     _BLOCK_NNZ=nnz_bound):
+                got = generator._envelope_map(stack, size, senses)(g)
+            assert_same_array(got, envelopes([planted] * rows))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
