@@ -116,6 +116,38 @@ def test_gated_power_iteration_matches_plain_loop(case):
             assert_same_pair(got, want)
 
 
+@pytest.mark.parametrize("kernel", ["direct", "fallback"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=specs())
+def test_stack_product_is_bitwise_matmul(kernel, case):
+    # the kernel _envelope_map calls, on the stack's own CSR arrays and a
+    # zeroed buffer, has the bits of stack @ f; so has the one-row map
+    spec, seed = case
+    base = build_generator(spec)
+    rng = np.random.default_rng(seed)
+    kernels = {"direct": generator._csr_matvec,
+               "fallback": generator._matmul_kernel}
+    for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
+        product = np.empty(stack.shape[0])
+        for sense in ("minimize", "maximize"):
+            with mock.patch.object(generator, "_csr_matvec", kernels[kernel]):
+                one_row = generator._envelope_map(stack, base.size, [sense])
+            for _ in range(2):                  # the buffers are reused
+                f = rng.uniform(-1.0, 2.0, base.size)
+                want = stack @ f
+                product.fill(0.0)
+                kernels[kernel](*stack.shape, stack.indptr, stack.indices,
+                                stack.data, f, product)
+                assert_same_array(product, want)
+                best, arg = generator._envelope(product, base.size, sense,
+                                                with_arg=True)
+                want_best, want_arg = generator._envelope(
+                    want, base.size, sense, with_arg=True)
+                assert_same_array(best, want_best)
+                assert_same_array(arg, want_arg)
+                assert_same_array(one_row(f[None])[0], want_best)
+
+
 def _awkward(rng, size):
     """Values with signed zeros, NaN and infinities among ordinary ones."""
     f = rng.uniform(-1.0, 2.0, size)
@@ -172,6 +204,35 @@ def test_envelope_map_is_bitwise_envelope(kernel, n_controls, data):
                                      _BLOCK_NNZ=nnz_bound):
                 got = generator._envelope_map(stack, size, senses)(g)
             assert_same_array(got, envelopes([planted] * rows))
+
+
+@pytest.mark.parametrize("kernel", ["direct", "fallback"])
+@pytest.mark.parametrize("nnz_bound", [0, 2 ** 62],
+                         ids=["product-per-orbit", "block-diagonal"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(case=specs(), senses=st.lists(st.sampled_from(["minimize", "maximize"]),
+                                     min_size=1, max_size=3))
+def test_envelope_batch_is_bitwise_envelope_map(kernel, nnz_bound, case,
+                                                senses):
+    # each row of a batch map is the one-row map of its sense, to the bit
+    spec, seed = case
+    base = build_generator(spec)
+    rng = np.random.default_rng(seed)
+    size = base.size
+    kernels = {"direct": generator._csr_matvec,
+               "fallback": generator._matmul_kernel}
+    for stack in (base.stack, base.step_stack(0.9 * base.dt_max)):
+        with mock.patch.multiple(generator, _csr_matvec=kernels[kernel],
+                                 _BLOCK_NNZ=nnz_bound):
+            batch = generator._envelope_map(stack, size, senses)
+            maps = [generator._envelope_map(stack, size, [sense])
+                    for sense in senses]
+        for _ in range(2):                  # the buffer is reused
+            g = np.stack([_awkward(rng, size) for _ in senses])
+            y = batch(g)
+            assert y.shape == g.shape
+            for row, one_row, x in zip(y, maps, g):
+                assert_same_array(row, one_row(x[None])[0])
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
