@@ -8,8 +8,9 @@ numeric outputs.
 
 Exit codes: 0 success, 1 invalid input (config or expression errors),
 2 numerical failure (no convergence, blow-up), with a machine-readable
-JSON error object on stderr.  ``NISIO_THREADS`` caps the Monte Carlo
-worker count; it affects speed only, never results.
+JSON error object on stderr, its ``field`` naming the input where known.
+``NISIO_THREADS`` caps the Monte Carlo worker count; it affects speed
+only, never results.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .generator import MAXIMIZE, MINIMIZE, build_generator
+from .grid import _whole_number
 from .mc import McConfig, _log_mean_exp, cost_samples, policy_sweep
 from .perron import cw_lower, cw_upper, perron
 from .semigroup import EvolveOptions, evolve
@@ -191,10 +193,7 @@ def cmd_orbit(cfg: Config, args) -> dict:
 
 
 def cmd_evolve(cfg: Config, args) -> dict:
-    if args.record_every < 1:
-        raise ValidationError(
-            f"record_every must be >= 1, got {args.record_every}",
-            field="record_every")
+    _whole_number(args.record_every, "record_every", least=1)
     gen = build_generator(cfg.problem)
     dt = _step_size(gen, cfg.solver)
     opts = EvolveOptions(dt=dt, t_final=args.t_final,
@@ -294,6 +293,8 @@ def main(argv=None) -> int:
     except NisioError as exc:
         code = 2 if isinstance(exc, NumericalError) else 1
         error = {"error": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "field", None) is not None:
+            error["field"] = exc.field
         if isinstance(exc, NoConvergence):
             error["hint"] = "increase solver.max_iters or loosen solver.tol"
         print(json.dumps(error), file=sys.stderr)

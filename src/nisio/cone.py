@@ -68,10 +68,9 @@ from .errors import (
     NonPositiveEta,
     NonPositiveInput,
     NonPositiveIterate,
-    ValidationError,
 )
 from .grid import (_whole_number, require_finite, require_nonnegative,
-                   require_positive, require_positive_finite)
+                   require_positive, require_positive_finite, require_shape)
 
 __all__ = ["OrbitStats", "RateFit", "alpha_bounds", "power_iterate",
            "fit_exponential_rate"]
@@ -95,18 +94,17 @@ _least, _greatest = np.minimum.reduce, np.maximum.reduce
 def alpha_bounds(f: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
     """Cone bracket ``(min f/ref, max f/ref)`` of ``f`` against ``reference``.
 
-    ``reference`` must be strictly positive and ``f`` nonnegative, both
-    finite (else :class:`ValidationError`).  The bounds are the largest
+    ``reference`` must have the shape of ``f`` (else
+    :class:`ValidationError` naming ``reference``) and be strictly
+    positive, and ``f`` nonnegative, both finite (else
+    :class:`ValidationError`).  The bounds are the largest
     ``a`` with ``f - a*ref >= 0`` and the smallest ``a`` with
     ``a*ref - f >= 0``; they are exactly invariant under positive scaling
     of ``f`` when the factor is a power of two.
     """
     f = np.asarray(f, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    if reference.shape != f.shape:
-        raise ValidationError(
-            f"f and reference must have the same shape, got {f.shape} and "
-            f"{reference.shape}")
+    require_shape(reference, f.shape, "reference", field="reference")
     require_finite(f, "f")
     require_finite(reference, "reference")
     require_positive(reference, "reference")

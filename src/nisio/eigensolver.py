@@ -41,7 +41,7 @@ from .errors import CycleDetected, NoConvergence, ValidationError
 from .generator import (DiscreteGenerator, _envelope, _envelope_map,
                         argmin_policy)
 from .grid import (GridFunction, _whole_number, require_finite,
-                   require_positive_finite)
+                   require_positive_finite, require_shape)
 from .perron import noda
 from .semigroup import _check_cfl
 
@@ -165,10 +165,7 @@ def solve_evolution(gen: DiscreteGenerator,
     """
     opts = opts or SolveOptions()
     f0 = gen.grid.ones() if opts.f0 is None else np.asarray(opts.f0, float)
-    if f0.shape != (gen.size,):
-        raise ValidationError(
-            f"f0 must hold one value per node, shape ({gen.size},), "
-            f"got shape {f0.shape}", field="f0")
+    require_shape(f0, (gen.size,), "f0", field="f0")
     dt = _step_size(gen, opts)
     _check_cfl(gen, dt)
     stack = gen.step_stack(dt)

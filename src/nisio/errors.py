@@ -53,6 +53,11 @@ class NonPositiveInput(ValidationError):
     """Argument violated a strict-positivity precondition."""
 
 
+class ControlOutOfRange(ValidationError, IndexError):
+    """A policy names a control index outside ``[0, n_controls)``; also an
+    :class:`IndexError`, as an out-of-range index is in Python."""
+
+
 class ZeroVector(ValidationError):
     """Vector argument must be nonzero."""
 

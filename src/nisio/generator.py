@@ -49,7 +49,7 @@ from .errors import (
 )
 from .expr import MAX_DEPTH, Expr, _walk, evaluate, parse
 from .grid import (Grid, GridFunction, _control_indices, as_grid_function,
-                   require_finite)
+                   require_finite, require_shape)
 
 __all__ = [
     "ProblemSpec",
@@ -259,23 +259,15 @@ class DiscreteGenerator:
         family's ``dt_max`` carry over (the frozen evolution steps at the
         family's bound); the Euler stack is its own.  ``apply_G`` and
         ``evolve`` on it give ``A_u f`` and the frozen-control evolution,
-        which dominate the envelope's.  Raises :class:`ValidationError`
-        naming ``policy`` for an entry that is not a whole number (integral
-        floats are accepted) or a policy that is neither one index nor one
-        per node, and :class:`IndexError` for an index outside
-        ``[0, n_controls)``."""
+        which dominate the envelope's.  A policy that is neither one index
+        nor one per node, or an entry that is not a whole number (integral
+        floats are accepted), raises :class:`ValidationError`, and an index
+        outside ``[0, n_controls)`` :class:`ControlOutOfRange`, also an
+        :class:`IndexError`; each names ``policy``."""
         n = self.size
-        u = np.asarray(policy)
-        if u.dtype.kind not in "iu":
-            u = _control_indices(u)
-        if u.shape not in ((), (n,)):
-            raise ValidationError(
-                f"policy must be one control index or one per node ({n}), "
-                f"got shape {u.shape}", field="policy")
-        lo, hi = u.min(), u.max()
-        if lo < 0 or hi >= self.n_controls:
-            raise IndexError(f"control index {lo if lo < 0 else hi} out of "
-                             f"range [0, {self.n_controls})")
+        if np.ndim(policy):
+            require_shape(policy, (n,), "policy", field="policy")
+        u = _control_indices(policy, self.n_controls)
         nodes = np.arange(n)
         return DiscreteGenerator(
             grid=self.grid, stack=self.stack[u * n + nodes],

@@ -18,10 +18,18 @@ one message, one class and, where given, the ``field`` it names:
   ``NonPositiveInput("<name> must be positive and finite")``, always
   with ``field=<name>``;
 
+* :func:`require_shape`: an array of one shape,
+  ``ValidationError("<name> must have shape <expected>, got <actual>")``;
+
 and :func:`_whole_number` takes counts and sizes: an ``int`` or a float
 with an integral value, never a ``bool`` (``ValidationError("<name> must
 be a whole number, got <value>")``), and at least ``least`` where given
 (``NonPositiveInput("<name> must be >= <least>")``).
+:func:`_control_indices` takes a policy: whole numbers
+(``ValidationError("policy entries must be whole numbers")``) in
+``[0, K)`` for ``K`` controls (``ControlOutOfRange("control index <i> out
+of range [0, K)")``, also an ``IndexError``), both with
+``field="policy"``.
 
 The sign rules compare with 0, and a NaN compares false, so they let
 NaNs pass; callers that must reject them check finiteness too.
@@ -42,10 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveInput, ValidationError
+from .errors import ControlOutOfRange, NonPositiveInput, ValidationError
 
 __all__ = ["Grid", "GridFunction", "as_grid_function", "require_positive",
-           "require_nonnegative", "require_finite", "require_positive_finite"]
+           "require_nonnegative", "require_finite", "require_positive_finite",
+           "require_shape"]
 
 #: A grid function is a float ndarray with one value per grid node.
 GridFunction = np.ndarray
@@ -116,8 +125,7 @@ class Grid:
         ``offset`` holds one integer step per axis.  The torus wraps; the
         interval mirrors through its endpoints (see the module docstring).
         """
-        if len(offset) != self.d:
-            raise ValidationError(f"offset needs {self.d} components")
+        require_shape(offset, (self.d,), "offset", field="offset")
         n = self.n
         flat = 0
         for index, step in zip(np.indices((n,) * self.d), offset):
@@ -146,26 +154,42 @@ def _whole_number(value, field: str, least: int | None = None) -> int:
     return int(value)
 
 
-def _control_indices(policy) -> np.ndarray:
+def _control_indices(policy, n_controls: int | None = None) -> np.ndarray:
     """``policy`` as an int64 array of control indices: whole numbers,
-    integral floats accepted; anything else raises :class:`ValidationError`
-    naming ``policy``."""
-    with np.errstate(invalid="ignore"):     # NaN and inf fail the test below
-        indices = np.asarray(policy).astype(np.int64)
-    if not np.array_equal(indices, policy):
-        raise ValidationError("policy entries must be whole numbers",
-                              field="policy")
-    return indices
+    integral floats accepted, and with ``n_controls`` each in
+    ``[0, n_controls)``; else :class:`ValidationError` or
+    :class:`ControlOutOfRange` naming ``policy``."""
+    indices = np.asarray(policy)
+    if indices.dtype.kind not in "iu":      # an integer policy needs no copy
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the test below
+            indices = indices.astype(np.int64)
+        if not np.array_equal(indices, policy):
+            raise ValidationError("policy entries must be whole numbers",
+                                  field="policy")
+    if n_controls is not None and indices.size:
+        lo, hi = indices.min(), indices.max()
+        if lo < 0 or hi >= n_controls:
+            raise ControlOutOfRange(f"control index {lo if lo < 0 else hi} "
+                                    f"out of range [0, {n_controls})",
+                                    field="policy")
+    return indices.astype(np.int64, copy=False)
 
 
 def as_grid_function(grid: Grid, values) -> GridFunction:
     """Validate and return ``values`` as a grid function for ``grid``."""
     f = np.asarray(values, dtype=float)
-    if f.shape != (grid.size,):
-        raise ValidationError(
-            f"grid function must have shape ({grid.size},), got {f.shape}")
+    require_shape(f, (grid.size,), "grid function")
     require_finite(f, "grid function")
     return f
+
+
+def require_shape(values, shape: tuple, name: str,
+                  field: str | None = None) -> None:
+    """Raise :class:`ValidationError` unless ``values`` has ``shape``."""
+    if np.shape(values) != shape:
+        raise ValidationError(
+            f"{name} must have shape {shape}, got {np.shape(values)}",
+            field=field)
 
 
 def require_positive(values, name: str) -> None:

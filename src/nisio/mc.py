@@ -102,7 +102,7 @@ from .errors import EvalError, NonFiniteState, ValidationError
 from .expr import evaluate
 from .generator import ProblemSpec
 from .grid import (INTERVAL, TORUS, _control_indices, _whole_number,
-                   require_finite, require_positive_finite)
+                   require_finite, require_positive_finite, require_shape)
 
 __all__ = ["McSettings", "McConfig", "McEstimate", "cost_samples",
            "simulate_cost", "policy_sweep"]
@@ -430,8 +430,7 @@ def _worker_count() -> int:
 
 def _check_start(grid, x0) -> None:
     """``x0`` has a coordinate per axis of ``grid``, each in ``[0, extent]``."""
-    if x0 is None or len(x0) != grid.d:
-        raise ValidationError(f"x0 needs {grid.d} components", field="x0")
+    require_shape(x0, (grid.d,), "x0", field="x0")
     if not all(0.0 <= c <= grid.extent for c in x0):
         raise ValidationError(
             f"x0 {x0} lies outside the domain [0, {grid.extent}]", field="x0")
@@ -443,12 +442,14 @@ def _step_count(cfg: McSettings) -> int:
 
 
 def cost_samples(spec: ProblemSpec, cfg: McConfig) -> np.ndarray:
-    """Per-path accumulated cost integrals ``A_p = sum_k r(x_k, v_k) dt``."""
-    if cfg.policy.shape != (spec.grid.size,):
-        raise ValidationError(
-            f"policy must assign a control to each of {spec.grid.size} nodes")
-    if np.min(cfg.policy) < 0 or np.max(cfg.policy) >= spec.n_controls:
-        raise ValidationError("policy contains out-of-range control indices")
+    """Per-path accumulated cost integrals ``A_p = sum_k r(x_k, v_k) dt``.
+
+    A ``cfg.policy`` without one index per node, or an ``x0`` without one
+    coordinate per axis, raises :class:`ValidationError`, and an index
+    outside ``[0, spec.n_controls)`` :class:`ControlOutOfRange`, each
+    naming its field."""
+    require_shape(cfg.policy, (spec.grid.size,), "policy", field="policy")
+    _control_indices(cfg.policy, spec.n_controls)
     _check_start(spec.grid, cfg.x0)
     n_steps = _step_count(cfg)
     chunks = [(c, min(_CHUNK, cfg.N - c * _CHUNK))

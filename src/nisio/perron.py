@@ -37,10 +37,10 @@ import scipy.sparse as sp
 
 from .cone import _cw_band
 from .errors import (NoConvergence, NonPositiveIterate, NotIrreducible,
-                     ValidationError, ZeroVector)
+                     ZeroVector)
 from .generator import MINIMIZE, _envelope_map
 from .grid import (_whole_number, require_finite, require_nonnegative,
-                   require_positive, require_positive_finite)
+                   require_positive, require_positive_finite, require_shape)
 
 __all__ = ["perron", "noda", "cw_lower", "cw_upper", "is_irreducible"]
 
@@ -49,22 +49,19 @@ _NODA_MAX_ITERS = 100
 _TINY = np.finfo(float).tiny   # least normal float64
 
 
+def _order(a) -> int:
+    """The order ``n`` of the square matrix ``a``, dense or sparse."""
+    n = max(a.shape, default=0)
+    require_shape(a, (n, n), "matrix", field="matrix")
+    return n
+
+
 def _check_matrix(m) -> np.ndarray:
     q = np.asarray(m, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {q.shape}")
+    _order(q)
     require_finite(q, "matrix")
     require_nonnegative(q, "matrix")
     return q
-
-
-def _check_vector(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValidationError(f"x must have shape ({n},), got {x.shape}",
-                              field="x")
-    require_finite(x, "x")
-    return x
 
 
 def _strongly_connected(adj) -> bool:
@@ -231,24 +228,22 @@ def noda(a, x0=None, tol: float = 0.0):
 
     Returns ``(lam, x)``: the midpoint of the final band, which contains
     the root, and the test vector ``x > 0`` with ``||x||_inf = 1``.  The
-    caller certifies the pair.  Raises :class:`NotIrreducible` for a
-    reducible support graph, and :class:`NonPositiveIterate` when an entry
-    of the normalized iterate underflows below the least normal float64,
-    to a subnormal or to zero (an eigenvector whose range passes
-    float64's).
+    caller certifies the pair.  A non-square ``a`` or an ``x0`` without
+    one entry per row raises :class:`ValidationError` naming ``matrix`` or
+    ``x0``, a reducible support graph :class:`NotIrreducible`, and an
+    entry of the normalized iterate that underflows below the least
+    normal float64, to a subnormal or to zero (an eigenvector whose range
+    passes float64's), :class:`NonPositiveIterate`.
     """
     a = sp.csr_matrix(a, dtype=float)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
+    n = _order(a)
     require_finite(a.data, "matrix")
     system = _ShiftedSystem(a)
     require_nonnegative(system.off_diagonal, "matrix off the diagonal")
     if not _strongly_connected(system.support()):
         raise NotIrreducible("support graph is not strongly connected")
     x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValidationError(f"x0 must have shape ({n},)")
+    require_shape(x, (n,), "x0", field="x0")
     require_positive(x, "x0")
     require_finite(x, "x0")
     x = x / np.max(x)
@@ -287,7 +282,9 @@ def cw_lower(m, x) -> float:
     :class:`ValidationError` naming ``x``.
     """
     q = _check_matrix(m)
-    x = _check_vector(x, len(q))
+    x = np.asarray(x, dtype=float)
+    require_shape(x, (len(q),), "x", field="x")
+    require_finite(x, "x")
     require_nonnegative(x, "x")
     support = x > 0
     if not support.any():
@@ -303,7 +300,9 @@ def cw_upper(m, x) -> float:
     never falls below the principal eigenvalue.
     """
     q = _check_matrix(m)
-    x = _check_vector(x, len(q))
+    x = np.asarray(x, dtype=float)
+    require_shape(x, (len(q),), "x", field="x")
+    require_finite(x, "x")
     require_positive(x, "x")
     y = q @ x
     return float(np.max(y / x))

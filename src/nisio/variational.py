@@ -37,7 +37,8 @@ from .eigensolver import SolveOptions, _step_size
 from .errors import ValidationError
 from .generator import DiscreteGenerator, _envelope, apply_G
 from .grid import (GridFunction, _whole_number, as_grid_function,
-                   require_finite, require_nonnegative, require_positive)
+                   require_finite, require_nonnegative, require_positive,
+                   require_shape)
 from .perron import _csc_solve, noda
 from .semigroup import EvolveOptions, evolve
 
@@ -139,14 +140,15 @@ def dv_rate(gen: DiscreteGenerator, nu, maxiter: int = 2000) -> float:
     integral float counts as its ``int``; ``0`` gives the flat start's
     value).  Convexity makes the flat start as good as any.
 
-    Always nonnegative; zero exactly at stationary distributions of ``L``.
-    Tiny negative values from rounding are clamped to 0.
+    ``nu`` holds one value per node (else :class:`ValidationError` naming
+    ``nu``), finite and nonnegative, with sum 1.  The rate is always
+    nonnegative; zero exactly at stationary distributions of ``L``.  Tiny
+    negative values from rounding are clamped to 0.
     """
     _require_one_control(gen)
     L = _generator_part(gen)
     nu = np.asarray(nu, dtype=float)
-    if nu.shape != (gen.size,):
-        raise ValidationError(f"nu must have shape ({gen.size},)")
+    require_shape(nu, (gen.size,), "nu", field="nu")
     require_finite(nu, "nu")
     require_nonnegative(nu, "nu")
     total = float(np.sum(nu))

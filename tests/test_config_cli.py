@@ -18,7 +18,8 @@ from nisio.config import loads
 from nisio import mc
 from nisio.errors import ConfigError, ValidationError
 
-SCHEMA = json.load(open("schema/report.schema.json"))
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "schema" / "report.schema.json").read_text())
 
 MINIMAL = """
 # cosine potential, one control
@@ -254,7 +255,7 @@ def test_unknown_output_format_rejected(formats):
 
 
 def test_readme_config_block_loads():
-    readme = open("README.md", encoding="utf-8").read()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = loads(block)
     grid = cfg.problem.grid
@@ -458,8 +459,9 @@ def test_cli_evolve_rejects_record_every_below_one(tmp_path, capsys, value):
             "--out", out]
     assert run_cli(argv) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValidationError"
+    assert err["error"] == "NonPositiveInput"
     assert "record_every" in err["message"]
+    assert err["field"] == "record_every"
     assert not out.exists()
 
 
@@ -514,7 +516,7 @@ def test_cli_simulate_histogram_reuses_samples(tmp_path, monkeypatch):
     rows = (hist / "histogram.csv").read_text().splitlines()[1:]
     assert len(rows) == 50
     assert sum(int(row.split(",")[2]) for row in rows) == loads(
-        open(cfg).read()).mc.N
+        Path(cfg).read_text()).mc.N
 
 
 def test_cli_overrides(tmp_path):
@@ -580,6 +582,24 @@ def test_cli_matrix_cw_rejects_an_infinite_tol(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_cli_error_object_names_its_field(tmp_path, capsys):
+    mat = tmp_path / "m.csv"
+    np.savetxt(mat, np.array([[1.0, 1.0], [2.0, 1.0]]), delimiter=",")
+    runs = [(["evolve", write_cfg(tmp_path, MINIMAL), "--t-final", "inf"],
+             {"error": "ValidationError", "field": "t_final",
+              "message": "t_final must be nonnegative and finite"}),
+            (["matrix-cw", "--matrix", mat, "--tol", "nan"],
+             {"error": "NonPositiveInput", "field": "tol",
+              "message": "tol must be positive and finite"})]
+    for argv, want in runs:
+        assert run_cli([*argv, "--out", tmp_path / "out"]) == 1
+        assert json.loads(capsys.readouterr().err) == want
+    # a config file error names its line, and no field
+    bad = write_cfg(tmp_path, MINIMAL.replace("= 64", "= 4"), "bad.cfg")
+    assert run_cli(["solve", bad, "--out", tmp_path / "out"]) == 1
+    assert "field" not in json.loads(capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv, error", [
     (["solve", "missing.cfg"], "ConfigError"),
     (["matrix-cw", "--matrix", "words.csv"], "ValidationError"),
@@ -598,7 +618,7 @@ def test_cli_unreadable_input_files_print_json_error(tmp_path, capsys, argv,
 
 
 def test_python_m_nisio_runs_the_cli(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}

@@ -1,9 +1,10 @@
 """One message, one class and one ``field`` per input rule.
 
 Every entry point that checks a positive, nonnegative or finite array, a
-positive and finite scalar, or a whole number's least value, raises the
-error of its ``nisio.grid`` helper: the exact message, the exact class,
-and ``field`` where the input is a named field.
+positive and finite scalar, a whole number's least value, an array's
+shape or a policy's control indices, raises the error of its
+``nisio.grid`` helper: the exact message, the exact class, and ``field``
+where the input is a named field.
 """
 
 import types
@@ -12,12 +13,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nisio import (EvolveOptions, Grid, McSettings, ProblemSpec, SolveOptions,
-                   alpha_bounds, build_generator, cw_bounds, cw_lower,
-                   cw_search, cw_upper, dv_rate, generator_limit_check,
-                   hji_residual, perron, power_iterate, problems)
+from nisio import (EvolveOptions, Grid, McConfig, McSettings, ProblemSpec,
+                   SolveOptions, alpha_bounds, build_generator, cw_bounds,
+                   cw_lower, cw_search, cw_upper, dv_rate,
+                   generator_limit_check, hji_residual, perron, power_iterate,
+                   problems, solve_evolution)
 from nisio.cone import _orbit_result
-from nisio.errors import NonPositiveInput, ValidationError
+from nisio.errors import ControlOutOfRange, NonPositiveInput, ValidationError
+from nisio.mc import cost_samples
 from nisio.perron import noda
 
 N = 16
@@ -39,6 +42,20 @@ def _nu(value):
     return nu
 
 
+TWO_CONTROL = problems.torus_two_control(N)
+
+
+def _policy(value):
+    """Control 0 at every node but node 3, which takes ``value``."""
+    policy = np.zeros(N, dtype=int)
+    policy[3] = value
+    return policy
+
+
+def _cost_samples(policy=_policy(1), x0=(0.5,)):
+    return cost_samples(TWO_CONTROL, McConfig(x0=x0, policy=policy))
+
+
 @pytest.fixture(scope="module")
 def gen():
     return build_generator(problems.torus_cosine(N))
@@ -48,6 +65,7 @@ POSITIVE = "must be strictly positive"
 NONNEGATIVE = "must be nonnegative"
 FINITE = "contains non-finite values"
 SCALAR = "must be positive and finite"
+OUT_OF_RANGE = "control index 2 out of range [0, 2)"
 
 CASES = {
     # strictly positive arrays
@@ -190,6 +208,65 @@ CASES = {
     "EvolveOptions-record_every": (
         lambda g: EvolveOptions(dt=1e-3, t_final=1.0, record_every=-1),
         NonPositiveInput, "record_every must be >= 0", "record_every"),
+    # shapes, lengths and control indices
+    "as_grid_function-shape": (
+        lambda g: cw_bounds(g, np.ones(N + 1)),
+        ValidationError, f"grid function must have shape ({N},), got ({N + 1},)",
+        None),
+    "Grid-neighbour-offset": (
+        lambda g: g.grid.neighbour((1, 0)),
+        ValidationError, "offset must have shape (1,), got (2,)", "offset"),
+    "alpha_bounds-shape": (
+        lambda g: alpha_bounds(ONES, np.ones(3)),
+        ValidationError, f"reference must have shape ({N},), got (3,)",
+        "reference"),
+    "solve_evolution-f0": (
+        lambda g: solve_evolution(g, SolveOptions(f0=np.ones((N, 1)))),
+        ValidationError, f"f0 must have shape ({N},), got ({N}, 1)", "f0"),
+    "dv_rate-nu-shape": (
+        lambda g: dv_rate(g, np.full(4, 0.25)),
+        ValidationError, f"nu must have shape ({N},), got (4,)", "nu"),
+    "cw_lower-x-shape": (
+        lambda g: cw_lower(Q, [1.0]),
+        ValidationError, "x must have shape (2,), got (1,)", "x"),
+    "cw_upper-x-shape": (
+        lambda g: cw_upper(Q, np.ones((2, 1))),
+        ValidationError, "x must have shape (2,), got (2, 1)", "x"),
+    "check_matrix-square": (
+        lambda g: perron(np.ones((2, 3))),
+        ValidationError, "matrix must have shape (3, 3), got (2, 3)",
+        "matrix"),
+    "check_matrix-vector": (
+        lambda g: cw_upper(np.ones(2), ONES),
+        ValidationError, "matrix must have shape (2, 2), got (2,)", "matrix"),
+    "noda-square": (
+        lambda g: noda(sp.csr_matrix(np.ones((3, 2)))),
+        ValidationError, "matrix must have shape (3, 3), got (3, 2)",
+        "matrix"),
+    "noda-x0-shape": (
+        lambda g: noda(METZLER, x0=np.ones(3)),
+        ValidationError, "x0 must have shape (2,), got (3,)", "x0"),
+    "frozen-shape": (
+        lambda g: g.frozen(np.zeros(3, dtype=int)),
+        ValidationError, f"policy must have shape ({N},), got (3,)", "policy"),
+    "frozen-range": (
+        lambda g: build_generator(TWO_CONTROL).frozen(_policy(2)),
+        ControlOutOfRange, OUT_OF_RANGE, "policy"),
+    "frozen-negative": (
+        lambda g: g.frozen(-1),
+        ControlOutOfRange, "control index -1 out of range [0, 1)", "policy"),
+    "cost_samples-policy-shape": (
+        lambda g: _cost_samples(policy=np.zeros(3, dtype=int)),
+        ValidationError, f"policy must have shape ({N},), got (3,)", "policy"),
+    "cost_samples-range": (
+        lambda g: _cost_samples(policy=_policy(2)),
+        ControlOutOfRange, OUT_OF_RANGE, "policy"),
+    "cost_samples-x0": (
+        lambda g: _cost_samples(x0=(0.5, 0.25)),
+        ValidationError, "x0 must have shape (1,), got (2,)", "x0"),
+    "cost_samples-no-x0": (
+        lambda g: _cost_samples(x0=None),
+        ValidationError, "x0 must have shape (1,), got ()", "x0"),
 }
 
 
@@ -201,3 +278,16 @@ def test_each_rule_raises_its_class_message_and_field(gen, case):
     assert type(err.value) is cls
     assert str(err.value) == message
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_generator(TWO_CONTROL).frozen(2),
+    lambda: _cost_samples(policy=_policy(2))], ids=["frozen", "cost_samples"])
+def test_an_out_of_range_control_is_one_error_of_both_kinds(call):
+    # a ValidationError for the command line, an IndexError as in Python
+    for kind in (ValidationError, IndexError):
+        with pytest.raises(kind) as err:
+            call()
+        assert type(err.value) is ControlOutOfRange
+        assert str(err.value) == OUT_OF_RANGE
+        assert err.value.field == "policy"

@@ -610,7 +610,8 @@ def test_missing_x0_is_rejected():
     spec = frozen_spec()
     cfg = McConfig(T=1.0, dt_sim=1e-3, N=200, seed=7,
                    policy=np.zeros(spec.grid.size, dtype=int))
-    with pytest.raises(ValidationError, match="x0 needs 1 components"):
+    with pytest.raises(ValidationError,
+                       match=r"^x0 must have shape \(1,\), got \(\)$"):
         cost_samples(spec, cfg)
 
 
